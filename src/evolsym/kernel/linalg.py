@@ -1,5 +1,6 @@
 """Exact linear algebra over Fraction."""
 
+import math
 from fractions import Fraction
 
 from sympy import Rational
@@ -15,29 +16,50 @@ def to_fraction(q):
     raise TypeError(f"not an exact rational: {q!r}")
 
 
+def _primitive(row):
+    """Integer row with the same span as a row of Fractions: denominators
+    cleared, then divided by the gcd of the entries."""
+    den = math.lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (den // v.denominator) for v in row]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def rref(rows):
-    """Reduced row echelon form (in place on a copy); returns (R, pivots)."""
-    m = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form of a copy; returns (R, pivots).
+
+    Eliminates fraction-free on primitive integer rows (every update is
+    divided by its gcd again) and forms Fractions only for the pivot rows,
+    scaled to a leading 1.  The RREF is unique, so R is the same as that of
+    elimination over Fraction.
+    """
+    m = [_primitive([Fraction(v) for v in r]) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots = []
     r = 0
     for c in range(nc):
-        p = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        p = next((i for i in range(r, nr) if m[i][c]), None)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
+        prow = m[r]
+        pv = prow[c]
         for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = math.gcd(pv, f)
+                a, b = pv // g, f // g
+                new = [a * u - b * w for u, w in zip(m[i], prow)]
+                h = math.gcd(*new)
+                m[i] = [v // h for v in new] if h > 1 else new
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return m, pivots
+    red = [[Fraction(v, m[i][c]) for v in m[i]] for i, c in enumerate(pivots)]
+    red += [[Fraction(0)] * nc for _ in range(nr - len(pivots))]
+    return red, pivots
 
 
 def rank(rows):

@@ -10,6 +10,11 @@
 Integer literals divided by integer literals fold to exact rationals.
 t and x are reserved; every other symbol must be declared up front.
 Error positions are byte offsets into the input.
+
+Nesting is bounded by MAX_DEPTH: every open parenthesis, function call,
+unary minus and '^' exponent counts one level while it is open, so
+"-(x^(2^y))" reaches depth 4.  Deeper input raises ParseError instead of
+exhausting the interpreter's recursion limit.
 """
 
 from sympy import Integer, Mul, Pow, Rational, S
@@ -18,6 +23,8 @@ from ..errors import ParseError, UnknownSymbolError
 from .atoms import FUNC_BY_NAME, sym
 
 _OPS = set("+-*/^()")
+
+MAX_DEPTH = 50
 
 
 class _Tok:
@@ -71,6 +78,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.declared = frozenset(declared)
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -87,6 +95,14 @@ class _Parser:
                 f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.offset
             )
         return tok
+
+    def nest(self, tok):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(
+                f"expression nests deeper than the limit of {MAX_DEPTH} levels",
+                tok.offset,
+            )
 
     def parse(self):
         e = self.expr()
@@ -121,15 +137,18 @@ class _Parser:
 
     def factor(self):
         if self.peek().kind == "-":
-            self.next()
-            return -self.factor()
+            self.nest(self.next())
+            e = -self.factor()
+            self.depth -= 1
+            return e
         return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek().kind == "^":
-            self.next()
+            self.nest(self.next())
             expo = self.factor()
+            self.depth -= 1
             return Pow(base, expo)
         return base
 
@@ -138,17 +157,20 @@ class _Parser:
         if tok.kind == "num":
             return Integer(int(tok.text))
         if tok.kind == "(":
+            self.nest(tok)
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         if tok.kind == "name":
             name = tok.text
             if name in FUNC_BY_NAME:
                 if self.peek().kind != "(":
                     raise ParseError(f"function name {name!r} used as a symbol", tok.offset)
-                self.next()
+                self.nest(self.next())
                 arg = self.expr()
                 self.expect(")")
+                self.depth -= 1
                 return FUNC_BY_NAME[name](arg)
             if name in ("t", "x") or name in self.declared:
                 return sym(name)

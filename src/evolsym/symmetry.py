@@ -7,8 +7,9 @@ extension cases.
 """
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from sympy import Integer, Pow, Rational, S
+from sympy import Integer, Mul, Pow, Rational, S
 
 from .errors import InputError, InternalError, UnsupportedError
 from .kernel import (
@@ -16,18 +17,20 @@ from .kernel import (
     as_exact,
     differentiate,
     is_zero,
+    mono_dict,
     normalize,
     t,
+    to_fraction,
     to_str,
     x,
 )
 from .kernel.atoms import Exp
 from .kernel.linalg import nullspace, row_canonical
+from .kernel.normalform import _add_factor, _key
 from .model import (
     ReducedEquation,
     SymmetryAlgebra,
     VectorField,
-    _slot_coords,
     algebra_signature,
     bracket_closure_check,
     in_span,
@@ -177,12 +180,137 @@ def _check_instantiated(eq):
             )
 
 
+def _ansatz_derivative(k, lam, d):
+    """d-th t-derivative of t^k e^(lam t) as {power p: c}, meaning the sum
+    of c t^p e^(lam t)."""
+    out = {k: Fraction(1)}
+    for _ in range(d):
+        nxt = {}
+        for p, c in out.items():
+            if p:
+                nxt[p - 1] = nxt.get(p - 1, 0) + p * c
+            if lam:
+                nxt[p] = nxt.get(p, 0) + lam * c
+        out = {p: c for p, c in nxt.items() if c}
+    return out
+
+
+def _times_ansatz(key, p, lam):
+    """Monomial key times t^p e^(lam t).  The exponential merges into the
+    key's own Exp factor: mono_dict keeps at most one per monomial, and a
+    second one would give equal functions distinct keys."""
+    fmap = dict(key)
+    if p:
+        _add_factor(fmap, t, Integer(p))
+    if lam:
+        arg = Rational(lam.numerator, lam.denominator) * t
+        for base in [b for b in fmap if isinstance(b, Exp)]:
+            arg += fmap.pop(base) * base.args[0]
+        merged = Exp(normalize(arg).as_expr())
+        if merged != 1:
+            _add_factor(fmap, merged, S.One)
+    return _key(fmap)
+
+
+def _order_factors(eq):
+    """Per-order factors of the classifying conditions, read off three
+    probes of classifying_residuals.
+
+    The conditions are linear in (tau, chi, phi).  For tau = f, chi = g,
+    phi = h the order-j residual is
+
+        f P_j + f' Q_j + g R_j  [+ f'' x/r + g' at j = 1]  [- h' at j = 0]
+
+    with P_j = A^j_t, Q_j = (1/r) x A^j_x + w_j A^j and R_j = A^j_x, so
+    D(1) gives P_j, D(t) - t P_j gives Q_j and P(1) gives R_j.  Returns,
+    per order j, the terms (slot, derivative order, factor) and the factor
+    numerators over one common denominator as {key: Fraction}.
+    """
+    d1 = classifying_residuals(eq, S.One, S.Zero, S.Zero)
+    dt = classifying_residuals(eq, t, S.Zero, S.Zero)
+    p1 = classifying_residuals(eq, S.Zero, S.One, S.Zero)
+    out = []
+    for j in range(eq.r - 1):
+        factors = {
+            "P": normalize(d1.R[j]),
+            "Q": normalize(dt.R[j] - t * d1.R[j]),
+            "R": normalize(p1.R[j]),
+        }
+        terms = [("tau", 0, "P"), ("tau", 1, "Q"), ("chi", 0, "R")]
+        if j == 1:
+            factors["x/r"] = normalize(x / eq.r)
+            factors["1"] = normalize(S.One)
+            terms += [("tau", 2, "x/r"), ("chi", 1, "1")]
+        if j == 0:
+            factors["-1"] = normalize(S.NegativeOne)
+            terms.append(("phi", 1, "-1"))
+        dens = []
+        for nf in factors.values():
+            if nf.den != 1 and nf.den not in dens:
+                dens.append(nf.den)
+        nums = {}
+        for name, nf in factors.items():
+            others = [d for d in dens if d != nf.den]
+            nums[name] = {
+                k: to_fraction(c) for k, c in mono_dict(Mul(nf.num, *others)).items()
+            }
+        out.append((terms, nums))
+    return out
+
+
+def _determining_system(eq, space, max_cells=500000):
+    """Exact homogeneous system in the ansatz coefficients: one column per
+    unknown, (tau | chi | phi) blocks of space.functions() each, and one
+    row per monomial of each order's common numerator."""
+    funcs = [
+        (k, Fraction(lam.p, lam.q)) for lam in space.rates for k in range(space.Kmax + 1)
+    ]
+    slots = [(s, f) for s in ("tau", "chi", "phi") for f in funcs]
+    rows = []
+    for terms, nums in _order_factors(eq):
+        shifted = {}  # (factor, p, lam) -> numerator times t^p e^(lam t)
+        cols = []
+        for slot, (k, lam) in slots:
+            col = {}
+            for s, d, name in terms:
+                if s != slot:
+                    continue
+                for p, c in _ansatz_derivative(k, lam, d).items():
+                    sk = (name, p, lam)
+                    if sk not in shifted:
+                        shifted[sk] = [
+                            (_times_ansatz(key, p, lam), a) for key, a in nums[name].items()
+                        ]
+                    for key, a in shifted[sk]:
+                        col[key] = col.get(key, 0) + c * a
+            cols.append({key: v for key, v in col.items() if v})
+        index = {}
+        for col in cols:
+            for key in col:
+                index.setdefault(key, len(index))
+        if len(index) * len(slots) > max_cells:
+            raise UnsupportedError(
+                "classifying system exceeds the size bound; shrink the ansatz"
+            )
+        block = [[0] * len(slots) for _ in index]
+        for m, col in enumerate(cols):
+            for key, v in col.items():
+                block[index[key]][m] = v
+        rows.extend(block)
+    return rows
+
+
 def solve_symmetries(eq, space=None, max_cells=500000):
     """Essential symmetry algebra restricted to the ansatz space.
 
-    Expands tau, chi, phi over the ansatz basis, collects the classifying
-    residuals in monomial coordinates, and solves the homogeneous system
-    exactly.  The returned basis is the canonical echelon form over the
+    Expands tau, chi, phi over the ansatz basis and solves the classifying
+    conditions exactly.  The conditions are linear, so the determining
+    system is assembled from three probes of classifying_residuals (D(1),
+    D(t), P(1)): their per-order factors are normalized once, put over one
+    common denominator per order, and every unknown's column is a
+    monomial-dict product of those numerators with the ansatz function or
+    its t-derivatives.  max_cells bounds monomials x unknowns per order.
+    The returned basis is the canonical echelon form over the
     (tau | chi | phi) coefficient columns, so identical inputs give an
     identical basis.
     """
@@ -195,26 +323,7 @@ def solve_symmetries(eq, space=None, max_cells=500000):
     slots = [("tau", i) for i in range(nb)] + [("chi", i) for i in range(nb)] + [
         ("phi", i) for i in range(nb)
     ]
-
-    zero3 = {"tau": S.Zero, "chi": S.Zero, "phi": S.Zero}
-    contribs = []
-    for slot, i in slots:
-        args = dict(zero3)
-        args[slot] = funcs[i]
-        contribs.append(classifying_residuals(eq, args["tau"], args["chi"], args["phi"]))
-
-    rows = []
-    for j in range(eq.r - 1):
-        keys, vecs = _slot_coords([c.R[j] for c in contribs])
-        if len(keys) * len(slots) > max_cells:
-            raise UnsupportedError(
-                "classifying system exceeds the size bound; shrink the ansatz"
-            )
-        # vecs[m][k] is the key-k coefficient of unknown m; equations are per key
-        for k in range(len(keys)):
-            row = [vecs[m][k] for m in range(len(slots))]
-            if any(row):
-                rows.append(row)
+    rows = _determining_system(eq, space, max_cells)
 
     basis_vecs = row_canonical(nullspace(rows, len(slots)))
     fields = []

@@ -124,6 +124,35 @@ class TestClassify:
         assert "error" in res[1] and res[1]["exit_code"] == 2
         assert res[2]["case"] == "2"
 
+    def test_oversized_system_exit3(self, capsys, tmp_path):
+        # 909 unknowns and about 600 monomials per order exceed the default
+        # bound of 500000 cells
+        code, out, err = run(
+            capsys, "--ansatz-degree", "100", "classify", write(tmp_path, "eq.json", FREE3)
+        )
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["exit_code"] == 3
+        assert "size bound" in payload["error"]
+
+    def test_deep_nesting_exit2(self, capsys, tmp_path):
+        deep = {"order": 3, "form": "reduced", "coefficients": {"A0": "(" * 3000 + "x" + ")" * 3000}}
+        code, _out, err = run(capsys, "classify", write(tmp_path, "eq.json", deep))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["exit_code"] == 2
+        assert "limit of 50 levels" in payload["error"]
+        assert payload["offset"] == 50
+
+    def test_deep_nesting_in_batch_is_isolated(self, capsys, tmp_path):
+        deep = {"order": 3, "form": "reduced", "coefficients": {"A0": "-" * 3000 + "x"}}
+        batch = [FREE3, deep, CASE2_R4]
+        rep = run_json(capsys, "classify", write(tmp_path, "b.json", batch))
+        res = rep["results"]
+        assert res[0]["case"] == "5"
+        assert res[1]["exit_code"] == 2 and "limit of 50 levels" in res[1]["error"]
+        assert res[2]["case"] == "2"
+
     def test_batch_jobs_matches_serial(self, capsys, tmp_path):
         p = write(tmp_path, "b.json", [FREE3, CASE2_R4])
         _, serial, _ = run(capsys, "classify", p)

@@ -73,6 +73,31 @@ def test_parse_errors_carry_byte_offsets(bad, off):
     assert ei.value.offset == off
 
 
+@pytest.mark.parametrize(
+    "open_,close",
+    [("(", ")"), ("exp(", ")"), ("-", ""), ("2^", ""), ("-(", ")")],
+)
+def test_parse_depth_limit(open_, close):
+    from evolsym.kernel.parse import MAX_DEPTH
+
+    def nested(levels):
+        reps = levels // (2 if open_ == "-(" else 1)
+        return open_ * reps + "x" + close * reps
+
+    parse_expr(nested(MAX_DEPTH))
+    with pytest.raises(ParseError, match=f"limit of {MAX_DEPTH} levels"):
+        parse_expr(nested(MAX_DEPTH + 2))
+    with pytest.raises(ParseError, match=f"limit of {MAX_DEPTH} levels"):
+        parse_expr(nested(3000))
+
+
+def test_parse_depth_counts_open_levels_only():
+    from evolsym.kernel.parse import MAX_DEPTH
+
+    side = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    assert parse_expr(" + ".join([side] * 3)) == 3 * x
+
+
 def test_unknown_symbol_offset():
     with pytest.raises(UnknownSymbolError) as ei:
         parse_expr("t + sigma*x")

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,45 @@ fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 mats = st.integers(1, 4).flatmap(
     lambda nc: st.lists(st.lists(fracs, min_size=nc, max_size=nc), min_size=1, max_size=5)
 )
+# sparse entries, possibly no rows or no columns, and appended combinations
+# of earlier rows so that rank deficiency is common
+sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fracs)
+
+
+@st.composite
+def any_mats(draw):
+    nc = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(sparse, min_size=nc, max_size=nc), max_size=5))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(fracs), draw(fracs)
+        rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+    return rows
+
+
+def rref_fraction(rows):
+    """Reference Gauss-Jordan elimination over Fraction."""
+    m = [list(map(Fraction, r)) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        p = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pv = m[r][c]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, pivots
 
 
 def test_rref_known():
@@ -19,6 +59,28 @@ def test_rref_known():
     assert piv == [0]
     assert red[0] == [Fraction(1), Fraction(2)]
     assert red[1] == [Fraction(0), Fraction(0)]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[], []],
+        [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]],
+        [[Fraction(0), Fraction(3, 2)], [Fraction(0), Fraction(-3)]],
+        [[Fraction(2), Fraction(1, 3), Fraction(0)], [Fraction(4), Fraction(2, 3), Fraction(0)]],
+    ],
+)
+def test_rref_edge_cases_match_fraction_elimination(rows):
+    assert rref(rows) == rref_fraction(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_mats())
+def test_rref_matches_fraction_elimination(m):
+    red, piv = rref(m)
+    assert (red, piv) == rref_fraction(m)
+    assert all(type(v) is Fraction for row in red for v in row)
 
 
 def test_nullspace_known():

@@ -11,19 +11,23 @@ from evolsym.equivalence import (
     infinitesimal_action,
     pushforward_equation,
 )
-from evolsym.errors import InputError
-from evolsym.kernel import Verdict, is_zero, normalize, t, x
+from test_acceptance import _fixtures, _rand_poly
+
+from evolsym.errors import InputError, UnsupportedError
+from evolsym.kernel import Verdict, is_zero, normalize, nullspace, row_canonical, t, x
 from evolsym.kernel.atoms import Exp
 from evolsym.model import (
     ReducedEquation,
     SymmetryAlgebra,
     VectorField,
+    _slot_coords,
     algebra_signature,
     as_reduced,
     in_span,
 )
 from evolsym.symmetry import (
     AnsatzSpace,
+    _determining_system,
     case_from_algebra,
     classify,
     classifying_residuals,
@@ -217,6 +221,70 @@ class TestSolveSymmetries:
                 ReducedEquation(r, tuple(A)), AnsatzSpace(2, (Integer(0), Integer(1)))
             )
             assert not signature_bounds_check(alg)
+
+
+    def test_size_bound(self):
+        red = ReducedEquation(3, (x, S.Zero))
+        with pytest.raises(UnsupportedError, match="size bound"):
+            solve_symmetries(red, max_cells=100)
+        assert solve_symmetries(red, max_cells=10000).dim == 3
+
+
+def per_slot_system(eq, space):
+    """Reference assembly: one classifying_residuals call per unknown, each
+    order's residuals put over a common denominator by _slot_coords."""
+    funcs = space.functions()
+    slots = [(s, f) for s in ("tau", "chi", "phi") for f in funcs]
+    contribs = []
+    for slot, f in slots:
+        args = {"tau": S.Zero, "chi": S.Zero, "phi": S.Zero}
+        args[slot] = f
+        contribs.append(classifying_residuals(eq, args["tau"], args["chi"], args["phi"]))
+    rows = []
+    for j in range(eq.r - 1):
+        keys, vecs = _slot_coords([c.R[j] for c in contribs])
+        for k in range(len(keys)):
+            row = [vecs[m][k] for m in range(len(slots))]
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+def _oracle_cases():
+    cases = [
+        pytest.param(eq, None, id=f"fixture-{c}-r{r}")
+        for (c, r), eq in sorted(_fixtures().items())
+    ]
+    rng = random.Random(20260818)
+    for i in range(15):
+        r = rng.choice((3, 4, 5))
+        eq = ReducedEquation(r, tuple(_rand_poly(rng) for _ in range(r - 1)))
+        cases.append(pytest.param(eq, None, id=f"fuzz-{i}"))
+    wide = AnsatzSpace(3, tuple(Integer(q) for q in (0, 1, -1, 2)))
+    for name, A, space in (
+        ("exp-t-x", (Exp(t) * x, S.Zero), wide),
+        ("exp-2t-x", (x * Exp(2 * t), S.Zero, Exp(t)), wide),
+        ("exp-minus-t", (Exp(-t) * x**2, Exp(t)), wide),
+        ("exp-over-den", (Exp(t) / (x + 1), S.Zero), wide),
+        # chi = e^t, phi = e^(2t)/2 is a symmetry only if e^t * e^t and
+        # e^(2t) get the same monomial key
+        ("exp-merge", (x * Exp(t), -x), wide),
+        ("rational", (x**-4, x**-3, x**-2), None),
+        ("rational-den", (x / (x**2 + 1), 1 / (x + t)), None),
+    ):
+        cases.append(pytest.param(ReducedEquation(len(A) + 1, A), space, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("eq,space", _oracle_cases())
+def test_assembly_matches_per_slot_oracle(eq, space):
+    # the probe-and-extend system and the per-slot one have the same null
+    # space, so the solved basis cannot differ
+    space = space or AnsatzSpace()
+    n = 3 * len(space.functions())
+    want = row_canonical(nullspace(per_slot_system(eq, space), n))
+    assert want
+    assert row_canonical(nullspace(_determining_system(eq, space), n)) == want
 
 
 class TestBoundsCheck:
