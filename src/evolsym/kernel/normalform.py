@@ -112,14 +112,15 @@ def _adopt_foreign_heads(e):
 
 
 def _canonical_atom_args(e):
-    # normalize transcendental arguments bottom-up so exp(t+t) and exp(2*t)
-    # agree before the monomial pass sees them
-    if e.is_Atom:
+    # normalize transcendental arguments so sin(t+t) and sin(2*t) agree
+    # before the monomial pass sees them; normalize walks the argument
+    # itself, and exp arguments are left to _canon_monomial, which
+    # normalizes the merged exponent, so each nested atom is normalized once
+    if e.is_Atom or isinstance(e, Exp):
         return e
-    args = tuple(_canonical_atom_args(a) for a in e.args)
     if isinstance(e, ATOM_HEADS):
-        return type(e)(normalize(args[0]).as_expr())
-    return e.func(*args)
+        return type(e)(normalize(e.args[0]).as_expr())
+    return e.func(*(_canonical_atom_args(a) for a in e.args))
 
 
 # --- monomial dictionaries -------------------------------------------------

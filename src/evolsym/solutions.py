@@ -39,7 +39,13 @@ from .kernel import (
     to_str,
     x,
 )
-from .kernel.polyroot import cluster_roots, numeric_roots, rational_roots
+from .kernel.polyroot import (
+    _deflate,
+    _horner,
+    cluster_roots,
+    numeric_roots,
+    rational_roots,
+)
 from .model import as_reduced
 from .symmetry import verify_symmetry
 from .verify import GridSpec, residual_numeric, residual_symbolic
@@ -330,12 +336,16 @@ def _phi_of(eq, phi0):
     return normalize(F + phi0).as_expr()
 
 
+def _rate_coeffs(eq):
+    """{k: A^k} for k = 2..r, with A^r = 1 and A^{r-1} = 0 left out."""
+    A = {k: eq.A[k] for k in range(2, eq.r - 1)}
+    A[eq.r] = S.One
+    return A
+
+
 def _exp_rate(eq, phi):
-    """sum_{k=2}^{r} A^k phi^k with A^r = 1, A^{r-1} = 0."""
-    r = eq.r
-    g = Pow(phi, Integer(r))
-    for j in range(2, r - 1):
-        g += eq.A[j] * Pow(phi, Integer(j))
+    """sum_{k=2}^{r} A^k phi^k."""
+    g = sum(Ak * Pow(phi, Integer(k)) for k, Ak in _rate_coeffs(eq).items())
     return normalize(g).as_expr()
 
 
@@ -537,21 +547,9 @@ def _exp_poly_groups(e, var):
 
 def _root_multiplicity(char, b):
     """Multiplicity of b as a root of the characteristic polynomial."""
-    cs = list(char)
     m = 0
-    while len(cs) > 1:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * b + c
-        if acc != 0:
-            break
-        # deflate
-        out = []
-        acc = Fraction(0)
-        for c in reversed(cs[1:]):
-            acc = c + b * acc
-            out.append(acc)
-        cs = list(reversed(out))
+    while len(char) > 1 and _horner(char, b) == 0:
+        char = _deflate(char, b)
         m += 1
     return m
 
@@ -580,32 +578,19 @@ def _particular(coeffs, rhs, var):
         rho = Rational(b.numerator, b.denominator)
         efac = Exp(rho * var) if b != 0 else S.One
         basis = [Pow(var, Integer(m + j)) * efac for j in range(d + 1)]
-        images = [_apply_operator(coeffs, v, var) for v in basis]
-        keys = sorted(
-            {k for img in images for k in mono_dict(img)}
-            | {
-                key
-                for key in mono_dict(
-                    normalize(
-                        sum(c * Pow(var, Integer(a)) for a, c in poly.items())
-                        * efac
-                    ).as_expr()
-                )
-            },
-            key=repr,
-        )
-        rows = []
+        images = [
+            mono_dict(_apply_operator(coeffs, v, var)) for v in basis
+        ]
         target = mono_dict(
             normalize(
                 sum(c * Pow(var, Integer(a)) for a, c in poly.items()) * efac
             ).as_expr()
         )
-        rhs_vec = []
-        for key in keys:
-            rows.append(
-                [to_fraction(mono_dict(img).get(key, S.Zero)) for img in images]
-            )
-            rhs_vec.append(to_fraction(target.get(key, S.Zero)))
+        keys = sorted({k for img in images for k in img} | set(target), key=repr)
+        rows = [
+            [to_fraction(img.get(key, S.Zero)) for img in images] for key in keys
+        ]
+        rhs_vec = [to_fraction(target.get(key, S.Zero)) for key in keys]
         got = solve_affine(rows, rhs_vec)
         if got is None:
             raise InternalError("undetermined-coefficient system inconsistent")
@@ -652,32 +637,64 @@ def act_symmetry(Q, h, eq):
 
 
 # --- generalized reductions -----------------------------------------------------
+#
+# Every rate is a Gaussian-rational pair (mu, nu), the rate mu + i nu; a real
+# rate lam is the pair (lam, 0).  Matrices over the pairs hold entries (c, d)
+# meaning the 2x2 block c I + d K with K^2 = -I, acting on the (v, w) layers;
+# on the real axis the w layers and every d vanish.
 
 
-def _d_system(eq, N, lam=None, mu=None, nu=None):
-    left = tuple(LinearODE(eq.r, eq.A + (S.Zero,), S.Zero, x) for _ in range(N + 1))
-    if lam is not None:
-        names = tuple(f"v{s}" for s in range(N + 1))
-        coup = [[S.Zero] * (N + 1) for _ in range(N + 1)]
-        for s in range(N + 1):
-            coup[s][s] = lam
-            if s + 1 <= N:
-                coup[s][s + 1] = Integer(s + 1)
-        return ReducedSystem(x, names, left, tuple(map(tuple, coup)))
-    names = tuple(f"v{s}" for s in range(N + 1)) + tuple(
-        f"w{s}" for s in range(N + 1)
-    )
+def _rate_fields(mu, nu):
+    """The rate as reported: lam on the real axis, the pair mu, nu off it."""
+    return {"lam": mu} if nu == 0 else {"mu": mu, "nu": nu}
+
+
+def _prov(family, mu, nu, N, **extra):
+    rate = {k: to_str(v) for k, v in _rate_fields(mu, nu).items()}
+    return {
+        "method": "generalized-reduction",
+        "family": family,
+        **rate,
+        "N": N,
+        **extra,
+    }
+
+
+def _ansatz(layer_var, var, N, nu, rate):
+    layer = f"v^s({layer_var})"
+    if nu != 0:
+        layer = (
+            f"({layer} cos(({to_str(nu)}) {var}) + w^s({layer_var})"
+            f" sin(({to_str(nu)}) {var}))"
+        )
+    return f"u = sum_s {layer} {var}^s exp(({to_str(rate)}) {var}), s = 0..{N}"
+
+
+def _pair_system(var, ode, nu, cp):
+    """ReducedSystem over the layers v^s (and w^s off the real axis) whose
+    coupling is the pair matrix cp written out in real 2x2 blocks."""
+    n = len(cp)
+    names = [f"v{s}" for s in range(n)]
+    coup = [[c for c, _ in row] for row in cp]
+    if nu != 0:
+        names += [f"w{s}" for s in range(n)]
+        coup = [coup[s] + [d for _, d in cp[s]] for s in range(n)] + [
+            [normalize(-d).as_expr() for _, d in cp[s]] + coup[s]
+            for s in range(n)
+        ]
+    left = (ode,) * len(names)
+    return ReducedSystem(var, tuple(names), left, tuple(map(tuple, coup)))
+
+
+def _d_system(eq, N, mu, nu):
     n = N + 1
-    coup = [[S.Zero] * (2 * n) for _ in range(2 * n)]
+    cp = [[(S.Zero, S.Zero)] * n for _ in range(n)]
     for s in range(n):
-        coup[s][s] = mu
-        coup[s][n + s] = nu
-        coup[n + s][s] = -nu
-        coup[n + s][n + s] = mu
+        cp[s][s] = (mu, nu)
         if s + 1 < n:
-            coup[s][s + 1] = Integer(s + 1)
-            coup[n + s][n + s + 1] = Integer(s + 1)
-    return ReducedSystem(x, names, left + left, tuple(map(tuple, coup)))
+            cp[s][s + 1] = (Integer(s + 1), S.Zero)
+    ode = LinearODE(eq.r, eq.A + (S.Zero,), S.Zero, x)
+    return _pair_system(x, ode, nu, cp)
 
 
 def _pow0(base, e):
@@ -685,90 +702,75 @@ def _pow0(base, e):
     return S.One if e == 0 else Pow(base, Integer(e))
 
 
-def _p_coupling_real(eq, N, phat):
-    r = eq.r
-    A = {k: eq.A[k] for k in range(2, r - 1)}
-    A[r] = S.One
-    coup = [[S.Zero] * (N + 1) for _ in range(N + 1)]
-    for s in range(N + 1):
-        for p in range(s, N + 1):
-            acc = S.Zero
-            for k, Ak in A.items():
-                if p - s > k:
-                    continue
-                c = Integer(math.comb(k, p - s)) * Rational(
-                    math.factorial(p), math.factorial(s)
-                )
-                acc += Ak * c * _pow0(phat, k + s - p)
-            coup[s][p] = normalize(acc).as_expr()
-    return coup
+def _gpow(a, b, e):
+    """(a + i b)^e as its (real, imaginary) pair."""
+    parts = [S.Zero, S.Zero]
+    for j in range(e + 1):
+        sign = -1 if j % 4 >= 2 else 1
+        parts[j % 2] += (
+            Integer(sign * math.comb(e, j)) * _pow0(a, e - j) * _pow0(b, j)
+        )
+    return tuple(parts)
 
 
-def _p_coupling_complex(eq, N, phat, nu):
-    r = eq.r
-    A = {k: eq.A[k] for k in range(2, r - 1)}
-    A[r] = S.One
+def _p_coupling(eq, N, phat, nu):
+    """Pair matrix of the P-family layers: entry (s, p) is the sum over k of
+    A^k C(k, p-s) p!/s! (phat + i nu)^(k+s-p)."""
     n = N + 1
-
-    def phi_sum(e):
-        acc = S.Zero
-        for q in range(e // 2 + 1):
-            acc += (
-                Integer((-1) ** q * math.comb(e, 2 * q))
-                * Pow(nu, Integer(2 * q))
-                * _pow0(phat, e - 2 * q)
-            )
-        return acc
-
-    def psi_sum(e):
-        acc = S.Zero
-        for q in range((e - 1) // 2 + 1):
-            acc += (
-                Integer((-1) ** q * math.comb(e, 2 * q + 1))
-                * Pow(nu, Integer(2 * q + 1))
-                * _pow0(phat, e - 2 * q - 1)
-            )
-        return acc
-
-    coup = [[S.Zero] * (2 * n) for _ in range(2 * n)]
+    A = _rate_coeffs(eq)
+    cp = [[(S.Zero, S.Zero)] * n for _ in range(n)]
     for s in range(n):
         for p in range(s, n):
-            cphi = S.Zero
-            cpsi = S.Zero
+            re = im = S.Zero
             for k, Ak in A.items():
                 if p - s > k:
                     continue
                 c = Integer(math.comb(k, p - s)) * Rational(
                     math.factorial(p), math.factorial(s)
                 )
-                cphi += Ak * c * phi_sum(k + s - p)
-                cpsi += Ak * c * psi_sum(k + s - p)
-            cphi = normalize(cphi).as_expr()
-            cpsi = normalize(cpsi).as_expr()
-            coup[s][p] = cphi
-            coup[s][n + p] = cpsi
-            coup[n + s][p] = normalize(-cpsi).as_expr()
-            coup[n + s][n + p] = cphi
-    return coup
+                gre, gim = _gpow(phat, nu, k + s - p)
+                re += Ak * c * gre
+                im += Ak * c * gim
+            cp[s][p] = (normalize(re).as_expr(), normalize(im).as_expr())
+    return cp
 
 
-def _p_system(eq, N, coup):
-    n = len(coup)
-    names = tuple(f"v{s}" for s in range(N + 1))
-    if n == 2 * (N + 1):
-        names = names + tuple(f"w{s}" for s in range(N + 1))
-    left = tuple(LinearODE(1, (S.Zero,), S.Zero, t) for _ in range(n))
-    return ReducedSystem(t, names, left, tuple(map(tuple, coup)))
+def _pair_dot(row, col):
+    re = sum(a * c - b * d for (a, b), (c, d) in zip(row, col))
+    im = sum(a * d + b * c for (a, b), (c, d) in zip(row, col))
+    return normalize(re).as_expr(), normalize(im).as_expr()
 
 
-def _d_real_chain(eq, N, lam, top, basis_exact):
-    """Layer chains v^s with L[v^s] = (s+1) v^{s+1} + lam v^s, v^{N+1} = 0.
+def _nilpotent_exp(T):
+    """exp(T t) for a strictly upper triangular pair matrix T (finite sum)."""
+    n = len(T)
+    zero = (S.Zero, S.Zero)
+    out = [[(S.One, S.Zero) if i == j else zero for j in range(n)] for i in range(n)]
+    cols = [[T[q][j] for q in range(n)] for j in range(n)]
+    power = T
+    for k in range(1, n):
+        if all(e == zero for row in power for e in row):
+            break
+        tk = Pow(t, Integer(k)) / math.factorial(k)
+        for i in range(n):
+            for j in range(n):
+                c, d = power[i][j]
+                if c != 0 or d != 0:
+                    out[i][j] = (
+                        normalize(out[i][j][0] + c * tk).as_expr(),
+                        normalize(out[i][j][1] + d * tk).as_expr(),
+                    )
+        power = [[_pair_dot(row, col) for col in cols] for row in power]
+    return out
+
+
+def _d_real_chain(eq, N, coeffs, top, basis_exact):
+    """Layer chains v^s with L[v^s] = (s+1) v^{s+1} + lam v^s, v^{N+1} = 0,
+    where coeffs are those of L - lam.
 
     Returns a list of (layers dict, tag) items: the canonical chain from the
     given top layer first when present, then the continuation of each exact
     homogeneous basis element placed at each layer."""
-    coeffs = list(eq.A) + [S.Zero]
-    coeffs[0] = normalize(coeffs[0] - lam).as_expr()
     out = []
 
     def descend(vtop, stop):
@@ -823,15 +825,15 @@ def generalized_reduction(
     D family; constant exp-rate or N=0 quadrature for the P family), and a
     numeric request {"span": (a, b), "n_steps": int, "init": [...], plus
     "t_pts"/"x_pts" for the other variable} runs the Runge-Kutta fallback.
-    All rates are kept rational so certificates stay exact.
+    All rates are kept rational so certificates stay exact; lam is carried
+    as the pair (lam, 0).
     """
     eq = as_reduced(eq)
     if not (isinstance(N, int) and N >= 0):
         raise InputError("N must be a nonnegative integer")
     if family not in ("D", "P"):
         raise InputError('family must be "D" or "P"')
-    complex_pair = mu is not None or nu is not None
-    if complex_pair:
+    if mu is not None or nu is not None:
         if lam is not None:
             raise InputError("give either lam or the pair (mu, nu), not both")
         mu = as_exact(0 if mu is None else mu)
@@ -841,173 +843,147 @@ def generalized_reduction(
         if nu <= 0:
             raise InputError("nu must be positive")
     else:
-        lam = as_exact(0 if lam is None else lam)
-        if not lam.is_Rational:
+        mu = as_exact(0 if lam is None else lam)
+        if not mu.is_Rational:
             raise InputError("lam must be rational")
+        nu = S.Zero
 
     if family == "D":
-        return _gen_reduction_d(eq, N, lam, mu, nu, top_layer, numeric, complex_pair)
+        return _gen_reduction_d(eq, N, mu, nu, top_layer, numeric)
     if top_layer is not None:
         raise InputError("top_layer applies to the D family only")
-    return _gen_reduction_p(eq, N, lam, mu, nu, phi0, numeric, complex_pair)
+    return _gen_reduction_p(eq, N, mu, nu, phi0, numeric)
 
 
-def _gen_reduction_d(eq, N, lam, mu, nu, top_layer, numeric, complex_pair):
+def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
     for a in eq.A:
         if is_zero(differentiate(a, t)) is not Verdict.ZERO:
             raise UnsupportedError("the D family needs t-independent coefficients")
-    system = _d_system(eq, N, lam, mu, nu)
+    system = _d_system(eq, N, mu, nu)
+    ansatz = _ansatz("x", "t", N, nu, mu)
     notes = []
     sols = []
-    const = all(normalize(a).as_expr().is_Rational for a in eq.A)
-    if not complex_pair:
-        ansatz = f"u = sum_s v^s(x) t^s exp(({to_str(lam)}) t), s = 0..{N}"
-        if const:
-            coeffs = list(eq.A) + [S.Zero]
-            coeffs[0] = normalize(coeffs[0] - lam).as_expr()
-            basis = solve_const_ode(LinearODE(eq.r, coeffs, S.Zero, x))
-            exact = [b for b in basis if b.kind == "symbolic"]
-            approx = [b for b in basis if b.kind != "symbolic"]
-            for layers, tag in _d_real_chain(eq, N, lam, top_layer, exact):
-                u = _assemble_d_real(layers, lam)
-                prov = {
-                    "method": "generalized-reduction",
-                    "family": "D",
-                    "lam": to_str(lam),
-                    "N": N,
-                    "chain": tag,
-                    "layers": {
-                        f"v{s}": to_str(vs) for s, vs in sorted(layers.items())
-                    },
-                }
-                sols.append(certify_symbolic(eq, u, prov))
-            if N == 0:
-                for b in approx:
-                    u = normalize(b.expr * Exp(lam * t)).as_expr()
-                    prov = {
-                        "method": "generalized-reduction",
-                        "family": "D",
-                        "lam": to_str(lam),
-                        "N": 0,
-                        "root": b.provenance["root"],
-                    }
-                    sols.append(_expr_numeric_solution(eq, u, prov))
-            elif approx:
-                notes.append(
-                    "irrational characteristic directions omitted from the"
-                    " N > 0 chains; see solve_const_ode for the layer basis"
+    if not all(normalize(a).as_expr().is_Rational for a in eq.A):
+        notes.append("non-constant coefficients: closed layer chains unavailable")
+    elif nu == 0:
+        # exact rational roots, then layer chains by undetermined coefficients
+        lam = mu
+        coeffs = list(eq.A) + [S.Zero]
+        coeffs[0] = normalize(coeffs[0] - lam).as_expr()
+        basis = solve_const_ode(LinearODE(eq.r, coeffs, S.Zero, x))
+        exact = [b for b in basis if b.kind == "symbolic"]
+        approx = [b for b in basis if b.kind != "symbolic"]
+        for layers, tag in _d_real_chain(eq, N, coeffs, top_layer, exact):
+            u = _assemble_d_real(layers, lam)
+            prov = _prov(
+                "D",
+                mu,
+                nu,
+                N,
+                chain=tag,
+                layers={f"v{s}": to_str(vs) for s, vs in sorted(layers.items())},
+            )
+            sols.append(certify_symbolic(eq, u, prov))
+        if N == 0:
+            for b in approx:
+                u = normalize(b.expr * Exp(lam * t)).as_expr()
+                prov = _prov("D", mu, nu, 0, root=b.provenance["root"])
+                sols.append(_expr_numeric_solution(eq, u, prov))
+        elif approx:
+            notes.append(
+                "irrational characteristic directions omitted from the"
+                " N > 0 chains; see solve_const_ode for the layer basis"
+            )
+    elif N == 0:
+        # floating complex roots of char(z) = mu - i nu
+        char = [to_fraction(normalize(a).as_expr()) for a in eq.A]
+        char += [Fraction(0)] * (eq.r - len(char))
+        char.append(Fraction(1))
+        cpoly = [complex(float(c), 0.0) for c in char]
+        cpoly[0] -= complex(float(mu), -float(nu))
+        roots = np.roots(list(reversed(cpoly)))
+        for z in sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
+            a = _rat(z.real) if abs(z.real) > 1e-12 else S.Zero
+            b = _rat(z.imag) if abs(z.imag) > 1e-12 else S.Zero
+            efac = Exp(a * x) if a != 0 else S.One
+            vz = efac * Cos(b * x) if b != 0 else efac
+            wz = efac * Sin(b * x) if b != 0 else S.Zero
+            emu = Exp(mu * t) if mu != 0 else S.One
+            for v0, w0, tag in ((vz, wz, "re"), (-wz, vz, "im")):
+                u = normalize(
+                    (v0 * Cos(nu * t) + w0 * Sin(nu * t)) * emu
+                ).as_expr()
+                if u == 0:
+                    continue
+                prov = _prov(
+                    "D", mu, nu, 0, root=f"{z.real:.12g}{z.imag:+.12g}i ({tag})"
                 )
-        else:
-            notes.append(
-                "non-constant coefficients: closed layer chains unavailable"
-            )
+                if is_zero(residual_symbolic(eq, u)) is Verdict.ZERO:
+                    sols.append(certify_symbolic(eq, u, prov))
+                else:
+                    sols.append(_expr_numeric_solution(eq, u, prov))
     else:
-        ansatz = (
-            f"u = sum_s (v^s(x) cos(({to_str(nu)}) t) + w^s(x)"
-            f" sin(({to_str(nu)}) t)) t^s exp(({to_str(mu)}) t), s = 0..{N}"
+        notes.append(
+            "complex D chains with N > 0 are not solved in closed form;"
+            " pass numeric= for an integrator run"
         )
-        if const and N == 0:
-            char = [to_fraction(normalize(a).as_expr()) for a in eq.A]
-            char += [Fraction(0)] * (eq.r - len(char))
-            char.append(Fraction(1))
-            cpoly = [complex(float(c), 0.0) for c in char]
-            cpoly[0] -= complex(float(mu), -float(nu))
-            roots = np.roots(list(reversed(cpoly)))
-            for z in sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
-                a = _rat(z.real) if abs(z.real) > 1e-12 else S.Zero
-                b = _rat(z.imag) if abs(z.imag) > 1e-12 else S.Zero
-                efac = Exp(a * x) if a != 0 else S.One
-                vz = efac * Cos(b * x) if b != 0 else efac
-                wz = efac * Sin(b * x) if b != 0 else S.Zero
-                emu = Exp(mu * t) if mu != 0 else S.One
-                for v0, w0, tag in ((vz, wz, "re"), (-wz, vz, "im")):
-                    u = normalize(
-                        (v0 * Cos(nu * t) + w0 * Sin(nu * t)) * emu
-                    ).as_expr()
-                    if u == 0:
-                        continue
-                    prov = {
-                        "method": "generalized-reduction",
-                        "family": "D",
-                        "mu": to_str(mu),
-                        "nu": to_str(nu),
-                        "N": 0,
-                        "root": f"{z.real:.12g}{z.imag:+.12g}i ({tag})",
-                    }
-                    if is_zero(residual_symbolic(eq, u)) is Verdict.ZERO:
-                        sols.append(certify_symbolic(eq, u, prov))
-                    else:
-                        sols.append(_expr_numeric_solution(eq, u, prov))
-        elif const:
-            notes.append(
-                "complex D chains with N > 0 are not solved in closed form;"
-                " pass numeric= for an integrator run"
-            )
-        else:
-            notes.append(
-                "non-constant coefficients: closed layer chains unavailable"
-            )
     if numeric is not None:
-        sols.append(_numeric_reduction(eq, "D", system, lam, mu, nu, None, numeric))
+        sols.append(_numeric_reduction(eq, "D", system, mu, nu, None, numeric))
     return GeneralizedReduction(
         "D",
         N,
         ansatz,
         system,
-        lam=lam,
-        mu=mu,
-        nu=nu,
         solutions=tuple(sols),
         notes=tuple(notes),
+        **_rate_fields(mu, nu),
     )
 
 
-def _gen_reduction_p(eq, N, lam, mu, nu, phi0, numeric, complex_pair):
+def _gen_reduction_p(eq, N, mu, nu, phi0, numeric):
     free_phi0 = phi0 is None
     phi0 = sym("phi0") if free_phi0 else as_exact(phi0)
     phi = _phi_of(eq, phi0)
-    shift = mu if complex_pair else lam
-    phat = normalize(phi + shift).as_expr()
+    phat = normalize(phi + mu).as_expr()
     params = ("phi0",) if free_phi0 else ()
     notes = []
     sols = []
-    if complex_pair:
-        coup = _p_coupling_complex(eq, N, phat, nu)
-        ansatz = (
-            f"u = sum_s (v^s(t) cos(({to_str(nu)}) x) + w^s(t)"
-            f" sin(({to_str(nu)}) x)) x^s exp(({to_str(phat)}) x), s = 0..{N}"
-        )
-    else:
-        coup = _p_coupling_real(eq, N, phat)
-        ansatz = f"u = sum_s v^s(t) x^s exp(({to_str(phat)}) x), s = 0..{N}"
-    system = _p_system(eq, N, coup)
+    cp = _p_coupling(eq, N, phat, nu)
+    system = _pair_system(t, LinearODE(1, (S.Zero,), S.Zero, t), nu, cp)
+    ansatz = _ansatz("t", "x", N, nu, phat)
     n = N + 1
 
     tfree = t not in phat.free_symbols and all(
         t not in normalize(a).as_expr().free_symbols for a in eq.A
     )
-    if tfree:
-        if complex_pair:
-            diag = (coup[0][0], coup[0][n])
-            T = [
-                [
-                    (coup[s][p], coup[s][n + p]) if p > s else (S.Zero, S.Zero)
-                    for p in range(n)
-                ]
-                for s in range(n)
-            ]
-            P = _nilpotent_exp_c(T)
-            alpha, beta = diag
-            efac = Exp(alpha * t)
-            cosb = Cos(beta * t)
-            sinb = Sin(beta * t)
+    if tfree or N == 0:
+        # the diagonal rate integrates to the phase exp(Pint) R(Sint); a
+        # t-free coupling also exponentiates its nilpotent part
+        Pint = integrate(cp[0][0][0], t)
+        Sint = integrate(cp[0][0][1], t)
+        if Pint is None or Sint is None:
+            notes.append(
+                "time quadrature outside the catalog; pass numeric= for"
+                " an integrator run"
+            )
+        else:
+            zero = (S.Zero, S.Zero)
+            Pn = _nilpotent_exp(
+                [[cp[s][p] if p > s else zero for p in range(n)] for s in range(n)]
+            )
+            efac = Exp(Pint)
+            cosb = Cos(Sint)
+            sinb = Sin(Sint)
+            inits = [((S.One, S.Zero), "v")]
+            if nu != 0:
+                inits.append(((S.Zero, S.One), "w"))
             for p in range(n):
-                for init, tag in (((S.One, S.Zero), "v"), ((S.Zero, S.One), "w")):
+                for init, tag in inits:
                     u = S.Zero
-                    for s in range(min(p, n - 1) + 1):
-                        c, d = P[s][p]
+                    for s in range(p + 1):
+                        c, d = Pn[s][p]
                         # block action [[c, d], [-d, c]] on the init pair,
-                        # then the diagonal rotation exp(alpha t) R(beta t)
+                        # then the diagonal phase
                         v1 = c * init[0] + d * init[1]
                         w1 = -d * init[0] + c * init[1]
                         vs = efac * (cosb * v1 + sinb * w1)
@@ -1017,181 +993,25 @@ def _gen_reduction_p(eq, N, lam, mu, nu, phi0, numeric, complex_pair):
                             * Pow(x, Integer(s))
                             * Exp(phat * x)
                         )
-                    prov = {
-                        "method": "generalized-reduction",
-                        "family": "P",
-                        "mu": to_str(mu),
-                        "nu": to_str(nu),
-                        "N": N,
-                        "init": f"{tag}{p}",
-                    }
+                    prov = _prov("P", mu, nu, N, init=f"{tag}{p}")
                     sols.append(certify_symbolic(eq, u, prov, params))
-        else:
-            T = [
-                [coup[s][p] if p > s else S.Zero for p in range(n)]
-                for s in range(n)
-            ]
-            P = _nilpotent_exp(T)
-            m = coup[0][0]
-            for p in range(n):
-                u = S.Zero
-                for s in range(p + 1):
-                    u += (
-                        P[s][p]
-                        * Exp(m * t)
-                        * Pow(x, Integer(s))
-                        * Exp(phat * x)
-                    )
-                prov = {
-                    "method": "generalized-reduction",
-                    "family": "P",
-                    "lam": to_str(lam),
-                    "N": N,
-                    "init": f"v{p}",
-                }
-                sols.append(certify_symbolic(eq, u, prov, params))
-    elif N == 0:
-        if complex_pair:
-            Pint = integrate(coup[0][0], t)
-            Sint = integrate(coup[0][n], t)
-            if Pint is None or Sint is None:
-                notes.append(
-                    "time quadrature outside the catalog; pass numeric= for"
-                    " an integrator run"
-                )
-            else:
-                efac = Exp(Pint)
-                for init, tag in (((S.One, S.Zero), "v"), ((S.Zero, S.One), "w")):
-                    vs = efac * (Cos(Sint) * init[0] + Sin(Sint) * init[1])
-                    ws = efac * (-Sin(Sint) * init[0] + Cos(Sint) * init[1])
-                    u = (vs * Cos(nu * x) + ws * Sin(nu * x)) * Exp(phat * x)
-                    prov = {
-                        "method": "generalized-reduction",
-                        "family": "P",
-                        "mu": to_str(mu),
-                        "nu": to_str(nu),
-                        "N": 0,
-                        "init": f"{tag}0",
-                    }
-                    sols.append(certify_symbolic(eq, u, prov, params))
-        else:
-            G = integrate(coup[0][0], t)
-            if G is None:
-                notes.append(
-                    "time quadrature outside the catalog; pass numeric= for"
-                    " an integrator run"
-                )
-            else:
-                u = Exp(G) * Exp(phat * x)
-                prov = {
-                    "method": "generalized-reduction",
-                    "family": "P",
-                    "lam": to_str(lam),
-                    "N": 0,
-                    "init": "v0",
-                }
-                sols.append(certify_symbolic(eq, u, prov, params))
     else:
         notes.append(
             "time-dependent layer coupling with N > 0 has no closed form"
             " here; pass numeric= for an integrator run"
         )
     if numeric is not None:
-        sols.append(
-            _numeric_reduction(eq, "P", system, lam, mu, nu, phi, numeric)
-        )
+        sols.append(_numeric_reduction(eq, "P", system, mu, nu, phi, numeric))
     return GeneralizedReduction(
         "P",
         N,
         ansatz,
         system,
-        lam=lam,
-        mu=mu,
-        nu=nu,
         phi=phi,
         solutions=tuple(sols),
         notes=tuple(notes),
+        **_rate_fields(mu, nu),
     )
-
-
-def _nilpotent_exp(T):
-    """exp of a strictly upper triangular Expr matrix times t (finite sum)."""
-    n = len(T)
-    out = [[S.One if i == j else S.Zero for j in range(n)] for i in range(n)]
-    power = [row[:] for row in T]
-    fact = 1
-    for k in range(1, n):
-        fact *= k
-        live = False
-        for i in range(n):
-            for j in range(n):
-                if power[i][j] != 0:
-                    live = True
-                    out[i][j] = normalize(
-                        out[i][j] + power[i][j] * Pow(t, Integer(k)) / fact
-                    ).as_expr()
-        if not live:
-            break
-        power = [
-            [
-                normalize(
-                    sum(power[i][q] * T[q][j] for q in range(n))
-                ).as_expr()
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    return out
-
-
-def _cmul(a, b):
-    # blocks c I + d K with K^2 = -I multiply like complex numbers
-    return (
-        normalize(a[0] * b[0] - a[1] * b[1]).as_expr(),
-        normalize(a[0] * b[1] + a[1] * b[0]).as_expr(),
-    )
-
-
-def _nilpotent_exp_c(T):
-    """Same as _nilpotent_exp for block entries (c, d) meaning c I + d K."""
-    n = len(T)
-    zero = (S.Zero, S.Zero)
-    out = [
-        [(S.One, S.Zero) if i == j else zero for j in range(n)]
-        for i in range(n)
-    ]
-    power = [row[:] for row in T]
-    fact = 1
-    for k in range(1, n):
-        fact *= k
-        live = False
-        for i in range(n):
-            for j in range(n):
-                c, d = power[i][j]
-                if c != 0 or d != 0:
-                    live = True
-                    tc = Pow(t, Integer(k)) / fact
-                    out[i][j] = (
-                        normalize(out[i][j][0] + c * tc).as_expr(),
-                        normalize(out[i][j][1] + d * tc).as_expr(),
-                    )
-        if not live:
-            break
-        nxt = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for q in range(n):
-                    pc = _cmul(power[i][q], T[q][j])
-                    acc = (
-                        normalize(acc[0] + pc[0]).as_expr(),
-                        normalize(acc[1] + pc[1]).as_expr(),
-                    )
-                row.append(acc)
-            nxt.append(row)
-        power = nxt
-    return out
 
 
 def polynomial_t_solutions(eq, N, top_layer=None, numeric=None):
@@ -1294,49 +1114,47 @@ def rk4_integrate(system, init, span, n_steps, params=None):
     return ws, traj, err
 
 
-def _numeric_reduction(eq, family, system, lam, mu, nu, phi, numeric):
+def _numeric_reduction(eq, family, system, mu, nu, phi, numeric):
     """Assemble a numeric Solution from an RK4 run of the reduced system."""
     spec = dict(numeric)
-    span = spec.pop("span")
+
+    def take(key):
+        if key not in spec:
+            raise InputError(f"numeric= needs the key {key!r}")
+        return spec.pop(key)
+
+    span = take("span")
     n_steps = spec.pop("n_steps", 128)
-    init = spec.pop("init")
+    init = take("init")
     params = spec.pop("params", {})
-    n = len([u for u in system.unknowns if u.startswith("v")])
+    other = np.array([float(v) for v in take("t_pts" if family == "D" else "x_pts")])
     ws, traj, err = rk4_integrate(system, init, span, n_steps, params)
     ws = np.array(ws)
+    # (v^s, w^s) per layer; on the real axis there is no w block
+    zeros = [0.0] * len(ws)
+    layers = [
+        (np.array(traj[name]), np.array(traj.get("w" + name[1:], zeros)))
+        for name in system.unknowns
+        if name.startswith("v")
+    ]
+    muv, nuv = float(mu), float(nu)
     if family == "D":
-        tpts = np.array([float(v) for v in spec.pop("t_pts")])
-        xpts = ws
+        tpts, xpts = other, ws
         vals = np.zeros((len(tpts), len(xpts)))
-        for s in range(n):
-            vss = np.array(traj[f"v{s}"])
-            if mu is not None:
-                wss = np.array(traj[f"w{s}"])
-                muv, nuv = float(mu), float(nu)
-                for i, tv in enumerate(tpts):
-                    osc = vss * math.cos(nuv * tv) + wss * math.sin(nuv * tv)
-                    vals[i] += osc * tv**s * math.exp(muv * tv)
-            else:
-                lamv = float(lam)
-                for i, tv in enumerate(tpts):
-                    vals[i] += vss * tv**s * math.exp(lamv * tv)
+        for s, (vss, wss) in enumerate(layers):
+            for i, tv in enumerate(tpts):
+                osc = vss * math.cos(nuv * tv) + wss * math.sin(nuv * tv)
+                vals[i] += osc * tv**s * math.exp(muv * tv)
     else:
-        xpts = np.array([float(v) for v in spec.pop("x_pts")])
-        tpts = ws
-        shift = float(mu if mu is not None else lam)
+        tpts, xpts = ws, other
         vals = np.zeros((len(tpts), len(xpts)))
+        cosx, sinx = np.cos(nuv * xpts), np.sin(nuv * xpts)
         for i, tv in enumerate(tpts):
-            pv = eval_numeric(phi, {"t": float(tv), **params}) + shift
+            pv = eval_numeric(phi, {"t": float(tv), **params}) + muv
             ex = np.exp(pv * xpts)
-            for s in range(n):
-                vs = traj[f"v{s}"][i]
-                if mu is not None:
-                    wsv = traj[f"w{s}"][i]
-                    nuv = float(nu)
-                    osc = vs * np.cos(nuv * xpts) + wsv * np.sin(nuv * xpts)
-                    vals[i] += osc * xpts**s * ex
-                else:
-                    vals[i] += vs * xpts**s * ex
+            for s, (vss, wss) in enumerate(layers):
+                osc = vss[i] * cosx + wss[i] * sinx
+                vals[i] += osc * xpts**s * ex
     prov = {
         "method": "generalized-reduction-rk4",
         "family": family,
@@ -1385,11 +1203,9 @@ def generate_nonlocal(
     for _ in range(r - 1):
         hs.append(differentiate(hs[-1], x))
     x0r = _rat(x0)
-    A = {k: eq.A[k] for k in range(2, r - 1)}
-    A[r] = S.One
     # boundary series sum_k A^k sum_{i<k} phi^{k-i-1} h_i at x = x0
     bseries = S.Zero
-    for k, Ak in A.items():
+    for k, Ak in _rate_coeffs(eq).items():
         for i in range(k):
             bseries += Ak * _pow0(phi, k - i - 1) * substitute(hs[i], {x: x0r})
     bseries = normalize(bseries).as_expr()

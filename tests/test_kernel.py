@@ -156,6 +156,34 @@ def test_normalize_rejects_floats_and_poles():
         normalize(x / S.Zero)
 
 
+@pytest.mark.parametrize("head", ["exp", "ln", "sin", "cos", "abs", "sgn"])
+def test_normalize_nested_atoms_once_per_level(head, monkeypatch):
+    # each nested argument is normalized once, so the cost is linear in depth
+    import evolsym.kernel.normalform as nfm
+
+    depth = 6
+    src = "x"
+    for _ in range(depth):
+        src = f"{head}({src})"
+    e = parse_expr(src)
+    calls = []
+    inner = nfm.normalize
+
+    def counting(arg):
+        calls.append(arg)
+        return inner(arg)
+
+    monkeypatch.setattr(nfm, "normalize", counting)
+    nf = nfm.normalize(e)
+    assert len(calls) <= depth + 1
+    assert nf.num == inner(nf.as_expr()).num
+
+
+def test_normalize_merges_exp_arguments_inside_atoms():
+    assert normalize(parse_expr("sin(exp(t + t)) - sin(exp(2*t))")).num == 0
+    assert normalize(parse_expr("exp(exp(t)*exp(t)) - exp(exp(2*t))")).num == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(exprs)
 def test_normalize_idempotent(e):

@@ -348,6 +348,36 @@ class TestGeneralizedReductionD:
         assert s.grid["values"][i][j] == pytest.approx(math.exp(tv + xv), rel=1e-7)
         assert s.max_residual < 1e-6
 
+    def test_numeric_fallback_pair_recovers_travelling_wave(self):
+        # v = cos(x), w = sin(x) solve v_3 = w, w_3 = -v: u = cos(x - t)
+        gr = generalized_reduction(
+            FREE3,
+            "D",
+            0,
+            mu=0,
+            nu=1,
+            numeric={
+                "span": (0.0, 1.0),
+                "n_steps": 64,
+                "init": [1.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+                "t_pts": np.linspace(0.0, 1.0, 9),
+            },
+        )
+        s = gr.solutions[-1]
+        assert s.provenance["method"] == "generalized-reduction-rk4"
+        for i, j in ((0, 0), (4, 32), (8, 64), (2, 50)):
+            tv, xv = s.grid["t"][i], s.grid["x"][j]
+            assert s.grid["values"][i][j] == pytest.approx(
+                math.cos(xv - tv), abs=1e-8
+            )
+
+    @pytest.mark.parametrize("key", ["span", "init", "t_pts"])
+    def test_numeric_spec_missing_key(self, key):
+        spec = {"span": (0.0, 1.0), "init": [1.0, 1.0, 1.0], "t_pts": [0.0, 1.0]}
+        del spec[key]
+        with pytest.raises(InputError, match=key):
+            generalized_reduction(FREE3, "D", 0, lam=1, numeric=spec)
+
 
 class TestGeneralizedReductionP:
     def test_real_constant_dispersion(self):
@@ -419,6 +449,37 @@ class TestGeneralizedReductionP:
         tv, xv = s.grid["t"][i], s.grid["x"][j]
         expected = eval_numeric(sym_sol.expr, {"t": tv, "x": xv})
         assert s.grid["values"][i][j] == pytest.approx(expected, rel=1e-8)
+
+    def test_rk4_pair_recovers_travelling_wave(self):
+        # v = cos(t), w = sin(t) solve v_1 = -w, w_1 = v: u = cos(x - t)
+        gr = generalized_reduction(
+            FREE3,
+            "P",
+            0,
+            mu=0,
+            nu=1,
+            phi0=0,
+            numeric={
+                "span": (0.0, 1.0),
+                "n_steps": 64,
+                "init": [1.0, 0.0],
+                "x_pts": np.linspace(0.0, 1.0, 9),
+            },
+        )
+        s = gr.solutions[-1]
+        assert s.provenance["method"] == "generalized-reduction-rk4"
+        for i, j in ((0, 0), (32, 4), (64, 8), (50, 2)):
+            tv, xv = s.grid["t"][i], s.grid["x"][j]
+            assert s.grid["values"][i][j] == pytest.approx(
+                math.cos(xv - tv), abs=1e-8
+            )
+
+    @pytest.mark.parametrize("key", ["span", "init", "x_pts"])
+    def test_numeric_spec_missing_key(self, key):
+        spec = {"span": (0.0, 1.0), "init": [1.0], "x_pts": [0.0, 1.0]}
+        del spec[key]
+        with pytest.raises(InputError, match=key):
+            generalized_reduction(FREE3, "P", 0, phi0=0, numeric=spec)
 
     def test_nu_must_be_positive(self):
         with pytest.raises(InputError):
