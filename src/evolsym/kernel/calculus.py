@@ -1,5 +1,7 @@
 """Differentiation, substitution and the closed-form integration catalog."""
 
+from functools import lru_cache
+
 from sympy import Add, Dummy, Integer, Mul, Pow, Rational, S, Symbol, apart
 
 from ..errors import InputError
@@ -15,15 +17,24 @@ def differentiate(e, var, n=1):
     """n-fold partial derivative, returned normalized.
 
     abs and sgn are differentiated away from their zero locus; the
-    restriction shows up in the result's normal-form domain notes.
+    restriction shows up in the result's normal-form domain notes.  The
+    n-th derivative is built from n memoized single steps, each normalized,
+    so asking for orders 0..r of one expression costs r steps in all.
     """
     if not (isinstance(n, int) and n >= 0):
         raise InputError("derivative order must be a nonnegative integer")
     var = _as_sym(var)
     d = as_exact(e)
+    if n == 0:
+        return normalize(d).as_expr()
     for _ in range(n):
-        d = d.diff(var)
-    return normalize(d).as_expr()
+        d = _derivative(d, var)
+    return d
+
+
+@lru_cache(maxsize=4096)
+def _derivative(e, var):
+    return normalize(e.diff(var)).as_expr()
 
 
 def substitute(e, bindings):

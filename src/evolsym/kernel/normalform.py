@@ -19,6 +19,7 @@ factors, ln positivity, fractional-power positivity and abs/sgn punctures.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from sympy import (
     Add,
@@ -74,7 +75,7 @@ def as_exact(e):
         e = Rational(e.numerator, e.denominator)
     if not isinstance(e, Expr):
         raise InputError(f"not an expression: {e!r}")
-    if e.has(nan) or e.has(oo) or e.has(-oo) or e.has(zoo):
+    if e.has(nan, oo, -oo, zoo):
         raise InputError("expression contains an undefined value (zero denominator?)")
     if any(a.is_Float for a in e.atoms()):
         raise InputError("float literals are outside the exact fragment")
@@ -481,8 +482,17 @@ def _domain_notes(num_d, den_d, cancelled, den_e):
 
 def normalize(e):
     """Normal form of e.  Raises InputError on malformed input and
-    UnsupportedError outside the fragment."""
-    e = as_exact(e)
+    UnsupportedError outside the fragment.
+
+    Results are memoized per exact expression in a bounded LRU; the input
+    is validated on every call, and errors are not cached.  A NormalForm is
+    frozen and holds only immutable sympy objects, so callers may share it.
+    """
+    return _normalize(as_exact(e))
+
+
+@lru_cache(maxsize=4096)
+def _normalize(e):
     e = _canonical_atom_args(e)
     n0, d0 = together(expand(e), deep=True).as_numer_denom()
     dn = mono_dict(n0)

@@ -768,10 +768,14 @@ def _d_real_chain(eq, N, coeffs, top, basis_exact):
     """Layer chains v^s with L[v^s] = (s+1) v^{s+1} + lam v^s, v^{N+1} = 0,
     where coeffs are those of L - lam.
 
-    Returns a list of (layers dict, tag) items: the canonical chain from the
-    given top layer first when present, then the continuation of each exact
-    homogeneous basis element placed at each layer."""
+    Returns (chains, notes).  chains lists (layers dict, tag) items: the
+    canonical chain from the given top layer first when present, then the
+    continuation of each exact homogeneous basis element placed at each
+    layer.  A basis chain whose layer right-hand side leaves the
+    exp-polynomial span is omitted with a note; a top-layer chain that does
+    so is unsupported."""
     out = []
+    notes = []
 
     def descend(vtop, stop):
         layers = {stop: normalize(as_exact(vtop)).as_expr()}
@@ -779,9 +783,7 @@ def _d_real_chain(eq, N, coeffs, top, basis_exact):
             rhs = Integer(s + 1) * layers[s + 1]
             part = _particular(coeffs, rhs, x)
             if part is None:
-                raise UnsupportedError(
-                    "layer right-hand side left the exp-polynomial span"
-                )
+                return None
             layers[s] = part
         return layers
 
@@ -791,11 +793,23 @@ def _d_real_chain(eq, N, coeffs, top, basis_exact):
             raise InputError(
                 "the top layer must solve the homogeneous reduced ODE"
             )
-        out.append((descend(top, N), "top-layer"))
+        layers = descend(top, N)
+        if layers is None:
+            raise UnsupportedError(
+                "layer right-hand side left the exp-polynomial span"
+            )
+        out.append((layers, "top-layer"))
     for s in range(N + 1):
         for i, b in enumerate(basis_exact):
-            out.append((descend(b.expr, s), f"layer {s}, basis {i}"))
-    return out
+            layers = descend(b.expr, s)
+            if layers is None:
+                notes.append(
+                    f"layer {s}, basis {i}: layer right-hand side left the"
+                    " exp-polynomial span; chain omitted"
+                )
+            else:
+                out.append((layers, f"layer {s}, basis {i}"))
+    return out, notes
 
 
 def _assemble_d_real(layers, lam):
@@ -873,7 +887,9 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
         basis = solve_const_ode(LinearODE(eq.r, coeffs, S.Zero, x))
         exact = [b for b in basis if b.kind == "symbolic"]
         approx = [b for b in basis if b.kind != "symbolic"]
-        for layers, tag in _d_real_chain(eq, N, coeffs, top_layer, exact):
+        chains, chain_notes = _d_real_chain(eq, N, coeffs, top_layer, exact)
+        notes.extend(chain_notes)
+        for layers, tag in chains:
             u = _assemble_d_real(layers, lam)
             prov = _prov(
                 "D",

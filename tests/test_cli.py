@@ -14,6 +14,7 @@ from evolsym.kernel import Verdict, is_zero, normalize, to_str
 from evolsym.model import ReducedEquation
 
 FREE3 = {"order": 3, "form": "reduced", "coefficients": {}}
+FREE4 = {"order": 4, "form": "reduced", "coefficients": {}}
 # coefficient strings in the canonical printer spelling, so documents
 # round-trip byte-identically
 CASE2_R4 = {
@@ -315,6 +316,48 @@ class TestSolve:
         )
         assert code == 3
         assert json.loads(err)["exit_code"] == 3
+
+    def test_gen_reduction_omits_trigonometric_chains(self, capsys, tmp_path):
+        # u_t = u_xxxx, lam = 1: the basis is e^-x, e^x, cos x, sin x; the
+        # layer-1 chains of cos and sin leave the exp-polynomial span, the
+        # exponential chains close
+        argv = ["--method", "gen-reduction", "--family", "D", "--N", "1"]
+        argv += ["--lambda", "1"]
+        rep = run_json(
+            capsys, "solve", write(tmp_path, "eq.json", FREE4), *argv
+        )
+        chains = {
+            s["provenance"]["chain"]: s["expr"]
+            for s in rep["solutions"]
+            if s["certificate"] == "zero-residual"
+        }
+        assert chains["layer 1, basis 0"] == "t*exp(t - x) - 1/4*x*exp(t - x)"
+        assert chains["layer 1, basis 1"] == "t*exp(t + x) + 1/4*x*exp(t + x)"
+        assert len(chains) == 6
+        assert rep["notes"] == [
+            f"layer 1, basis {i}: layer right-hand side left the"
+            " exp-polynomial span; chain omitted"
+            for i in (2, 3)
+        ]
+
+    def test_gen_reduction_top_layer_outside_span_exit3(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "solve",
+            write(tmp_path, "eq.json", FREE4),
+            "--method",
+            "gen-reduction",
+            "--family",
+            "D",
+            "--N",
+            "1",
+            "--lambda",
+            "1",
+            "--top-layer",
+            "cos(x)",
+        )
+        assert code == 3
+        assert "exp-polynomial span" in json.loads(err)["error"]
 
 
 class TestVerify:

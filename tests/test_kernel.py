@@ -4,7 +4,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
-from sympy import Integer, Rational, S
+from sympy import Float, Integer, Rational, S
 
 from conftest import exprs, fd_derivative, poly_exprs, rand_points
 from evolsym.errors import (
@@ -12,6 +12,7 @@ from evolsym.errors import (
     InputError,
     ParseError,
     UnknownSymbolError,
+    UnsupportedError,
 )
 from evolsym.kernel import (
     AbsV,
@@ -21,6 +22,7 @@ from evolsym.kernel import (
     Sgn,
     Sin,
     Verdict,
+    as_exact,
     differentiate,
     eval_numeric,
     integrate,
@@ -33,6 +35,7 @@ from evolsym.kernel import (
     to_str,
     x,
 )
+from evolsym.kernel.normalform import _normalize
 
 
 # --- parsing ----------------------------------------------------------------
@@ -198,6 +201,39 @@ def test_normalize_detects_ring_identities(a, b):
     assert normalize((a + b) ** 2 - a * a - 2 * a * b - b * b).num == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(exprs)
+def test_normalize_cache_matches_uncached_body(e):
+    # the uncached body is the oracle; NormalForm equality compares num,
+    # den, atoms and domain notes
+    want = _normalize.__wrapped__(as_exact(e))
+    assert normalize(e) == want
+    # the second call is a cache hit
+    assert normalize(e) == want
+
+
+def test_normalize_cache_keeps_rejecting_floats():
+    assert normalize(Rational(1, 2)).as_expr() == Rational(1, 2)
+    with pytest.raises(InputError):
+        normalize(0.5)
+    with pytest.raises(InputError):
+        normalize(Float("0.5"))
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [
+        (Integer(-2) ** x, UnsupportedError),
+        (x / S.Zero, InputError),
+        (1.5, InputError),
+    ],
+)
+def test_normalize_errors_are_not_cached(bad, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            normalize(bad)
+
+
 # --- zero test --------------------------------------------------------------
 
 
@@ -238,6 +274,49 @@ def test_differentiate_abs_power_chain():
     d = differentiate(AbsV(t) ** Rational(1, 2), "t")
     # (1/2)|t|^(-1/2) sgn t, canonically t^(-1) |t|^(1/2) / 2
     assert normalize(d - AbsV(t) ** Rational(1, 2) / (2 * t)).num == 0
+
+
+def _raw_derivative(e, v, k):
+    # the one-pass path: k raw diff passes, normalized once at the end
+    return normalize(as_exact(e).diff(v, k)).as_expr()
+
+
+@settings(max_examples=25, deadline=None)
+@given(exprs)
+def test_differentiate_stepwise_matches_raw_diff(e):
+    for v in (t, x):
+        for k in range(6):
+            assert differentiate(e, v, k) == _raw_derivative(e, v, k)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "exp(t*x)/(x + 1)",
+        "ln(x^2 + 1)*t",
+        "abs(x)^(1/2)*exp(t)",
+        "(x^2 - 1)/(x - 1)",
+        "1/(t*x + 2)^2",
+        "sgn(x)*x^3",
+        "abs(t + x)/x",
+        "ln(x)/x",
+        "exp(x)*sin(x)/(x^2 + 1)",
+        "x^(3/2)/(1 - x)",
+    ],
+)
+def test_differentiate_stepwise_matches_raw_diff_on_coefficients(src):
+    e = parse_expr(src)
+    for v in (t, x):
+        for k in range(6):
+            assert differentiate(e, v, k) == _raw_derivative(e, v, k)
+
+
+def test_differentiate_order_zero_and_bad_orders():
+    e = parse_expr("(x^2 - 1)/(x - 1)")
+    assert differentiate(e, "x", 0) == normalize(e).as_expr()
+    for n in (-1, 1.0, Integer(2), "2"):
+        with pytest.raises(InputError):
+            differentiate(e, "x", n)
 
 
 @settings(max_examples=40, deadline=None)
