@@ -35,6 +35,7 @@ from .kernel import (
     x,
 )
 from .model import EvolutionEquation, ReducedEquation, VectorField, embed_reduced
+from .verify import residual_symbolic
 
 __all__ = [
     "CatalogEntry",
@@ -498,7 +499,8 @@ def gauge_leading(eq):
 
 def gauge_subleading(eq):
     """Zero the subleading coefficient by u~ = U1(t,x) u with
-    U1 = exp(s (1/r) int A^{r-1} dx), the sign fixed by the post-hoc check."""
+    U1 = exp((1/r) int A^{r-1} dx): the u~_{r-1} coefficient is
+    A^{r-1} - r U1_x/U1, so this U1 is the only choice."""
     eq = embed_reduced(eq)
     r = eq.r
     if is_zero(eq.A[r] - 1) is not Verdict.ZERO:
@@ -509,16 +511,13 @@ def gauge_subleading(eq):
     prim = integrate(b, x)
     if prim is None:
         raise UnsupportedError("no closed-form antiderivative for the subleading coefficient")
-    last = None
-    for s in (1, -1):
-        U1 = normalize(expand_special(Exp(s * Rational(1, r) * prim))).as_expr()
-        tr = EquivTransformation(r, U1=U1, X1=S.One)
-        out = pushforward_equation(eq, tr)
-        check = is_zero(out.A[r - 1])
-        if check is Verdict.ZERO:
-            return out, GaugeReport((tr,), "subleading-gauged", (check,))
-        last = check
-    raise InternalError(f"neither sign annihilated the subleading coefficient ({last})")
+    U1 = normalize(expand_special(Exp(Rational(1, r) * prim))).as_expr()
+    tr = EquivTransformation(r, U1=U1, X1=S.One)
+    out = pushforward_equation(eq, tr)
+    check = is_zero(out.A[r - 1])
+    if check is not Verdict.ZERO:
+        raise InternalError(f"subleading gauge failed its post-hoc check ({check})")
+    return out, GaugeReport((tr,), "subleading-gauged", (check,))
 
 
 def gauge_inhomogeneity(eq, w):
@@ -528,10 +527,7 @@ def gauge_inhomogeneity(eq, w):
     if is_zero(eq.A[r] - 1) is not Verdict.ZERO or is_zero(eq.A[r - 1]) is not Verdict.ZERO:
         raise InputError("gauge the leading and subleading coefficients first")
     w = as_exact(w)
-    resid = differentiate(w, t) - sum(
-        eq.A[k] * differentiate(w, x, k) for k in range(r + 1)
-    ) - eq.B
-    pre = is_zero(resid)
+    pre = is_zero(residual_symbolic(eq, w))
     if pre is not Verdict.ZERO:
         raise InputError("w is not a particular solution of the equation")
     if normalize(eq.B).num == 0 and normalize(w).num == 0:

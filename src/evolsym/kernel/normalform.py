@@ -10,10 +10,16 @@ Canonicalization rules, applied per monomial:
     so abs carries only a fractional exponent in [0, 1)
   * cos(a)^n with n >= 2 -> (1 - sin(a)^2)^(n//2) * cos(a)^(n mod 2)
 
-The den is cleared of rational content, its leading monomial made positive,
-and the num/den gcd is cancelled exactly, so equal rational expressions get
-identical normal forms.  Domain notes record denominator loci, cancelled
-factors, ln positivity, fractional-power positivity and abs/sgn punctures.
+The num/den gcd is cancelled exactly in a sparse polynomial ring over QQ
+(sympy.polys.rings).  Each base is one ring generator, base^(1/q) with q
+the lcm of its exponent denominators, and negative powers are cleared by
+shifting each generator by its lowest exponent on either side.  A factor
+with a non-rational exponent, such as 2^t, is an opaque generator of its
+own: it cancels only against itself.  The den is then cleared of rational
+content and its leading monomial made positive, so equal rational
+expressions get identical normal forms.  Domain notes record denominator
+loci, cancelled factors of two or more terms, ln positivity,
+fractional-power positivity and abs/sgn punctures.
 """
 
 import math
@@ -23,7 +29,6 @@ from functools import lru_cache
 
 from sympy import (
     Add,
-    Dummy,
     Expr,
     Integer,
     Mul,
@@ -33,14 +38,15 @@ from sympy import (
     Symbol,
     default_sort_key,
     expand,
-    factor_list,
     nan,
     oo,
     together,
     zoo,
 )
-from sympy import div as _sym_div
-from sympy import gcd as _sym_gcd
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
 
 from ..errors import InputError, UnsupportedError
 from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, atom_heads_in
@@ -271,11 +277,14 @@ def _accumulate(out, key, coeff):
 
 def mono_dict(e):
     """Expand e into the canonical polynomial dict {key: Rational coeff}."""
+    return _canon_terms(_term_parts(term) for term in Add.make_args(expand(e)))
+
+
+def _canon_terms(terms):
+    """Canonical polynomial dict of (coeff, [(base, exponent)]) terms."""
     for _round in range(6):
-        e = expand(e)
         out = {}
-        for term in Add.make_args(e):
-            coeff, factors = _term_parts(term)
+        for coeff, factors in terms:
             if coeff == 0:
                 continue
             coeff, fmap = _canon_monomial(coeff, factors)
@@ -286,7 +295,7 @@ def mono_dict(e):
             base.is_Add and e2.is_Integer and e2 > 0 for key in out for base, e2 in key
         ):
             return out
-        e = dict_to_expr(out)
+        terms = [_term_parts(term) for term in Add.make_args(expand(dict_to_expr(out)))]
     raise UnsupportedError("monomial canonicalization did not stabilize")
 
 
@@ -318,39 +327,6 @@ def _reduce_cos(out):
             _accumulate(out, _key(fmap), c)
 
 
-def dict_split(d):
-    """Split {key: coeff} into (num dict, den fmap) clearing negative
-    exponents of every base."""
-    need = {}
-    for key in d:
-        for base, e in key:
-            if e.is_negative:
-                cur = need.get(base, S.Zero)
-                if -e > cur:
-                    need[base] = -e
-    if not need:
-        return d, {}
-    out = {}
-    for key, coeff in d.items():
-        fmap = dict(key)
-        for base, m in need.items():
-            _add_factor(fmap, base, m)
-        out[_key(fmap)] = coeff
-    return out, need
-
-
-def dict_mul(d1, d2):
-    out = {}
-    for k1, c1 in d1.items():
-        f1 = dict(k1)
-        for k2, c2 in d2.items():
-            fmap = dict(f1)
-            for b, e in k2:
-                _add_factor(fmap, b, e)
-            _accumulate(out, _key(fmap), c1 * c2)
-    return out
-
-
 def fmap_to_expr(fmap):
     return Mul(
         *[Pow(b, e) for b, e in sorted(fmap.items(), key=lambda be: default_sort_key(be[0]))]
@@ -362,81 +338,83 @@ def dict_to_expr(d):
     return Add(*[coeff * fmap_to_expr(dict(key)) for key, coeff in terms])
 
 
-# --- cancellation over dummy-encoded generators ----------------------------
+def common_numerators(nfs):
+    """Numerator dicts of normal forms over one common denominator, the
+    product of their distinct denominators: each numerator is multiplied by
+    the denominators other than its own and canonicalized."""
+    dens = []
+    for nf in nfs:
+        if nf.den != 1 and nf.den not in dens:
+            dens.append(nf.den)
+    return [mono_dict(Mul(nf.num, *[d for d in dens if d != nf.den])) for nf in nfs]
 
 
-def _encode(dicts):
-    """Replace every non-symbol base and fractional power by integer powers
-    of dummy generators so sympy polynomial routines apply."""
-    denom_lcm = {}
-    for d in dicts:
+# --- cancellation in a polynomial ring over QQ ------------------------------
+
+
+def _cancel(num_d, den_d):
+    """Cancel num/den exactly; returns (num dict, den dict, cancelled factors).
+
+    Each base becomes one ring generator base^(1/q), q the lcm of its
+    exponent denominators; a factor with a non-rational exponent, such as
+    2^t, is an opaque generator of its own.  Negative powers are cleared by
+    shifting every generator by its lowest exponent across both sides.
+    """
+    if () in den_d and len(den_d) == 1 and not any(
+        e.is_negative for key in num_d for _b, e in key
+    ):
+        return num_d, den_d, []
+    units = {}  # (base, opaque exponent or None) -> exponent of the generator
+    for d in (num_d, den_d):
         for key in d:
             for base, e in key:
-                if not e.is_Rational:
-                    raise UnsupportedError(f"non-rational exponent on {to_str(base)}")
-                q = denom_lcm.get(base, 1)
-                denom_lcm[base] = q * e.q // math.gcd(q, e.q)
-    gens = {}
-    for base, q in denom_lcm.items():
-        if isinstance(base, Symbol) and q == 1:
-            gens[base] = (base, 1)
-        else:
-            gens[base] = (Dummy(f"g{len(gens)}", positive=True), q)
-    encoded = []
-    for d in dicts:
-        terms = []
-        for key, coeff in d.items():
-            fs = [coeff]
-            for base, e in key:
-                g, q = gens[base]
-                fs.append(Pow(g, Integer(e * q)))
-            terms.append(Mul(*fs))
-        encoded.append(Add(*terms))
-    decode = {g: Pow(base, Rational(1, q)) for base, (g, q) in gens.items() if g is not base}
-    return encoded, decode
+                if e.is_Rational:
+                    q = units.get((base, None), S.One).q
+                    units[(base, None)] = Rational(1, q * e.q // math.gcd(q, e.q))
+                else:
+                    units[(base, e)] = e
+    # generator names and order follow sympy's own choice for expressions,
+    # so cancelled factors keep the sign sympy's factor_list gives them
+    names = {
+        g: g[0] if isinstance(g[0], Symbol) and unit == 1 else Symbol(f"_g{i}")
+        for i, (g, unit) in enumerate(units.items())
+    }
+    order = {n: j for j, n in enumerate(_sort_gens(names.values()))}
+    gens = sorted(units, key=lambda g: order[names[g]])
+    col = {g: j for j, g in enumerate(gens)}
 
+    def vector(key):
+        v = [0] * len(gens)
+        for base, e in key:
+            g = (base, None) if e.is_Rational else (base, e)
+            v[col[g]] = int(e / units[g])
+        return v
 
-def _decode(e, decode):
-    if not decode:
-        return e
-    return e.xreplace(decode)
+    sides = [[(vector(key), QQ(c.p, c.q)) for key, c in d.items()] for d in (num_d, den_d)]
+    low = [min(0, *ks) for ks in zip(*(v for side in sides for v, _c in side))]
+    R = PolyRing([names[g] for g in gens], QQ, lex)
+    pn, pd = (
+        R.from_dict({tuple(k - m for k, m in zip(v, low)): c for v, c in side})
+        for side in sides
+    )
+    common, pn, pd = pn.cofactors(pd)
 
+    def back(p):
+        return _canon_terms(
+            (
+                Rational(c.numerator, c.denominator),
+                [(g[0], k * units[g]) for g, k in zip(gens, m) if k],
+            )
+            for m, c in p.items()
+        )
 
-def _is_const_monomial(d):
-    return len(d) == 1 and () in d
-
-
-def _cancel_pair(num_d, den_d):
-    if _is_const_monomial(den_d):
-        return num_d, den_d, []
-    if len(den_d) == 1 and len(num_d) >= 1:
-        # monomial denominator: divide exponentwise
-        (dkey, dc), = den_d.items()
-        dmap = dict(dkey)
-        out = {}
-        for key, c in num_d.items():
-            fmap = dict(key)
-            for b, e in dmap.items():
-                _add_factor(fmap, b, -e)
-            out[_key(fmap)] = c / dc
-        nn, need = dict_split(out)
-        return nn, {_key(need): S.One}, []
-    (num_e, den_e), decode = _encode([num_d, den_d])
+    # a cancelled power of a single generator adds no note
     cancelled = []
-    g = _sym_gcd(num_e, den_e)
-    if g != 1 and not g.is_Rational:
-        qn, rn = _sym_div(num_e, g)
-        qd, rd = _sym_div(den_e, g)
-        if rn == 0 and rd == 0:
-            num_e, den_e = qn, qd
-            _, parts = factor_list(g)
-            for f, _m in parts:
-                ff = _decode(f, decode)
-                if not ff.is_Rational:
-                    cancelled.append(ff)
-    num_e = _decode(expand(num_e), decode)
-    den_e = _decode(expand(den_e), decode)
-    return mono_dict(num_e), mono_dict(den_e), cancelled
+    if not common.is_ground:
+        cancelled = [
+            dict_to_expr(back(f)) for f, _m in common.factor_list()[1] if len(f) > 1
+        ]
+    return back(pn), back(pd), cancelled
 
 
 def _scale(num_d, den_d):
@@ -501,11 +479,7 @@ def _normalize(e):
     dd = mono_dict(d0)
     if not dd:
         raise InputError("zero denominator")
-    nn, nneed = dict_split(dn)
-    dnn, dneed = dict_split(dd)
-    num_d = dict_mul(nn, {_key(dneed): S.One}) if dneed else nn
-    den_d = dict_mul(dnn, {_key(nneed): S.One}) if nneed else dnn
-    num_d, den_d, cancelled = _cancel_pair(num_d, den_d)
+    num_d, den_d, cancelled = _cancel(dn, dd)
     if not num_d:
         return NormalForm(S.Zero, S.One)
     num_d, den_d = _scale(num_d, den_d)

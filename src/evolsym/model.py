@@ -31,7 +31,7 @@ from .kernel import (
     to_str,
     x,
 )
-from .kernel.normalform import dict_mul, mono_dict
+from .kernel.normalform import common_numerators
 
 
 @dataclass(frozen=True)
@@ -151,18 +151,7 @@ def lie_bracket(q1, q2, r):
 def _slot_coords(funcs):
     """Monomial-coordinate vectors for a list of functions, over a common
     denominator.  Returns (keys, rows of Fractions)."""
-    nfs = [normalize(f) for f in funcs]
-    dens = []
-    for nf in nfs:
-        if nf.den != 1 and nf.den not in dens:
-            dens.append(nf.den)
-    dicts = []
-    for nf in nfs:
-        d = mono_dict(nf.num)
-        for other in dens:
-            if other != nf.den:
-                d = dict_mul(d, mono_dict(other))
-        dicts.append(d)
+    dicts = common_numerators([normalize(f) for f in funcs])
     keys = sorted({k for d in dicts for k in d}, key=repr)
     rows = [[to_fraction(d.get(k, S.Zero)) for k in keys] for d in dicts]
     return keys, rows

@@ -554,13 +554,6 @@ def _root_multiplicity(char, b):
     return m
 
 
-def _apply_operator(coeffs, v, var):
-    res = differentiate(v, var, len(coeffs))
-    for l, c in enumerate(coeffs):
-        res += c * differentiate(v, var, l)
-    return normalize(res).as_expr()
-
-
 def _particular(coeffs, rhs, var):
     """Particular solution of v_n + sum coeffs[l] v_l = rhs for constant
     rational coeffs and rhs in the exp-polynomial span, else None."""
@@ -571,6 +564,7 @@ def _particular(coeffs, rhs, var):
     if groups is None:
         return None
     char = [to_fraction(normalize(c).as_expr()) for c in coeffs] + [Fraction(1)]
+    op = LinearODE(len(coeffs), tuple(coeffs), S.Zero, var)
     total = S.Zero
     for b, poly in groups.items():
         d = max(poly)
@@ -578,9 +572,7 @@ def _particular(coeffs, rhs, var):
         rho = Rational(b.numerator, b.denominator)
         efac = Exp(rho * var) if b != 0 else S.One
         basis = [Pow(var, Integer(m + j)) * efac for j in range(d + 1)]
-        images = [
-            mono_dict(_apply_operator(coeffs, v, var)) for v in basis
-        ]
+        images = [mono_dict(op.residual(v)) for v in basis]
         target = mono_dict(
             normalize(
                 sum(c * Pow(var, Integer(a)) for a, c in poly.items()) * efac

@@ -9,7 +9,7 @@ extension cases.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from sympy import Integer, Mul, Pow, Rational, S
+from sympy import Integer, Pow, Rational, S
 
 from .errors import InputError, InternalError, UnsupportedError
 from .kernel import (
@@ -17,7 +17,6 @@ from .kernel import (
     as_exact,
     differentiate,
     is_zero,
-    mono_dict,
     normalize,
     t,
     to_fraction,
@@ -26,7 +25,7 @@ from .kernel import (
 )
 from .kernel.atoms import Exp
 from .kernel.linalg import nullspace, row_canonical
-from .kernel.normalform import _add_factor, _key
+from .kernel.normalform import _add_factor, _key, common_numerators
 from .model import (
     ReducedEquation,
     SymmetryAlgebra,
@@ -36,6 +35,7 @@ from .model import (
     in_span,
     lie_bracket,
 )
+from .verify import residual_symbolic
 
 __all__ = [
     "AnsatzSpace",
@@ -92,15 +92,6 @@ def classifying_residuals(eq, tau, chi, phi):
     return ClassifyingResiduals(tuple(out))
 
 
-def superposition_residual(eq, eta0):
-    """Residual of the linearity condition: eta0_t - eta0_r - A^l eta0_l."""
-    eta0 = as_exact(eta0)
-    res = differentiate(eta0, t) - differentiate(eta0, x, eq.r)
-    for l in range(eq.r - 1):
-        res -= eq.A[l] * differentiate(eta0, x, l)
-    return normalize(res).as_expr()
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     holds: str  # "yes" | "no" | "unknown"
@@ -112,7 +103,8 @@ def verify_symmetry(eq, Q):
     """Check a vector field against the determining equations exactly."""
     res = classifying_residuals(eq, Q.tau, Q.chi, Q.phi)
     if normalize(Q.eta0).num != 0:
-        res = replace(res, R_lin=superposition_residual(eq, Q.eta0))
+        # the linearity condition: eta0 solves the equation itself
+        res = replace(res, R_lin=residual_symbolic(eq, Q.eta0))
     checked = list(res.R) + ([] if res.R_lin is None else [res.R_lin])
     verdicts = tuple(is_zero(e) for e in checked)
     if all(v is Verdict.ZERO for v in verdicts):
@@ -244,16 +236,10 @@ def _order_factors(eq):
         if j == 0:
             factors["-1"] = normalize(S.NegativeOne)
             terms.append(("phi", 1, "-1"))
-        dens = []
-        for nf in factors.values():
-            if nf.den != 1 and nf.den not in dens:
-                dens.append(nf.den)
-        nums = {}
-        for name, nf in factors.items():
-            others = [d for d in dens if d != nf.den]
-            nums[name] = {
-                k: to_fraction(c) for k, c in mono_dict(Mul(nf.num, *others)).items()
-            }
+        nums = {
+            name: {k: to_fraction(c) for k, c in d.items()}
+            for name, d in zip(factors, common_numerators(factors.values()))
+        }
         out.append((terms, nums))
     return out
 

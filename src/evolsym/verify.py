@@ -27,6 +27,10 @@ from .kernel import (
 from .kernel.polyroot import rational_roots
 from .model import embed_reduced
 
+# Bounds on the realized grid, checked before anything is allocated; the
+# largest grid the library itself builds is 41 x 41.
+MAX_AXIS_POINTS = 1025
+MAX_GRID_POINTS = 2**17
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -36,6 +40,8 @@ class GridSpec:
     uniform subdivision of the ranges.  exclude lists singular x-loci the
     caller acknowledges; grids whose x-range contains a singular coefficient
     locus are refused either way, since a stencil cannot straddle a pole.
+    A grid may have at most MAX_AXIS_POINTS points per axis and
+    MAX_GRID_POINTS points in all.
     """
 
     t_range: tuple
@@ -55,20 +61,34 @@ class GridSpec:
             h = float(getattr(self, name))
             if not 0.0 < h <= rg[1] - rg[0]:
                 raise InputError(f"{name} must lie in (0, range span]")
+            if (rg[1] - rg[0]) / h > MAX_AXIS_POINTS - 1:
+                raise InputError(
+                    f"{name} gives more than MAX_AXIS_POINTS = {MAX_AXIS_POINTS}"
+                    " grid points on its axis"
+                )
             object.__setattr__(self, name, h)
+        nt, nx = self.shape()
+        if nt * nx > MAX_GRID_POINTS:
+            raise InputError(
+                f"grid has {nt} x {nx} points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            )
         if not (
             isinstance(self.order, int) and self.order >= 2 and self.order % 2 == 0
         ):
             raise InputError("stencil order must be an even integer >= 2")
         object.__setattr__(self, "exclude", tuple(float(v) for v in self.exclude))
 
+    def shape(self):
+        """Realized (t, x) point counts."""
+        return tuple(
+            max(2, int(round((hi - lo) / h)) + 1)
+            for (lo, hi), h in ((self.t_range, self.ht), (self.x_range, self.hx))
+        )
+
     def points(self):
         """Realized (t, x) grid point arrays."""
-        out = []
-        for (lo, hi), h in ((self.t_range, self.ht), (self.x_range, self.hx)):
-            n = max(2, int(round((hi - lo) / h)) + 1)
-            out.append(np.linspace(lo, hi, n))
-        return tuple(out)
+        ranges = (self.t_range, self.x_range)
+        return tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(ranges, self.shape()))
 
     def to_doc(self):
         doc = {

@@ -3,8 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from sympy import Float, Integer, Rational, S
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import Add, Float, Integer, Pow, Rational, S, cancel, default_sort_key, gcd
 
 from conftest import exprs, fd_derivative, poly_exprs, rand_points
 from evolsym.errors import (
@@ -220,6 +221,52 @@ def test_normalize_cache_keeps_rejecting_floats():
         normalize(Float("0.5"))
 
 
+# quotients of small polynomials in t, x and one extra generator g, with a
+# shared factor so that cancellation has work to do
+_small_polys = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)),
+    min_size=1,
+    max_size=3,
+).map(lambda ts: Add(*[c * t**i * x**j for c, i, j in ts]))
+_generators = st.sampled_from(
+    [
+        Integer(2) ** Rational(1, 2),
+        Integer(3) ** Rational(1, 3),
+        x ** Rational(1, 2),
+        Exp(t),
+        Sin(x),
+        Ln(t),
+        Integer(2) ** t,
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_polys, _small_polys, _small_polys, _small_polys, _small_polys, _generators)
+def test_normalize_cancels_quotients(a, b, c, d, f, g):
+    den = (c + d * g) * f
+    if den == 0:
+        return
+    e = (a + b * g) * f / den
+    nf = normalize(e)
+    assert cancel(_sympy_heads(nf.as_expr() - e)) == 0
+    # sympy's gcd is the oracle: nothing non-constant is left to cancel
+    assert not gcd(nf.num, nf.den).free_symbols
+    terms = [term.as_coeff_Mul() for term in Add.make_args(nf.den)]
+    assert all(coeff.is_Integer for coeff, _m in terms)
+    assert math.gcd(*[int(coeff) for coeff, _m in terms]) == 1
+    assert min(terms, key=lambda cm: default_sort_key(cm[1]))[0] > 0
+
+
+def test_normalize_opaque_exponent_over_a_sum():
+    # 2^t is a generator of its own, also when the denominator has two terms
+    e = parse_expr("2^t/(x+1)")
+    nf = normalize(e)
+    assert nf.num == Pow(2, t) and nf.den == x + 1
+    assert cancel(_sympy_heads(nf.as_expr() - e)) == 0
+    assert normalize(parse_expr("(4^t - 2^t*x)/(x + 1)")).den == x + 1
+
+
 @pytest.mark.parametrize(
     "bad,error",
     [
@@ -422,11 +469,16 @@ def test_eval_numeric_values_and_errors():
 
 @settings(max_examples=40, deadline=None)
 @given(exprs)
+@example(parse_expr("cos(exp(exp(27/4)/4))"))
 def test_eval_matches_sympy_evalf(e):
     pt = {"t": 0.7, "x": 1.3}
     try:
         got = eval_numeric(e, pt)
     except EvalDomainError:
+        return
+    # float sin/cos of a huge argument keeps fewer correct digits than the
+    # tolerance below asks for
+    if any(abs(eval_numeric(a.args[0], pt)) > 1e6 for a in e.atoms(Sin, Cos)):
         return
     want = _reference_eval(e, pt)
     if want is None or abs(want) > 1e8:
@@ -434,11 +486,10 @@ def test_eval_matches_sympy_evalf(e):
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def _reference_eval(e, pt):
-    # independent reference: rebuild with math functions via lambdify-free walk
+def _sympy_heads(e):
+    """e with sympy's own functions in place of the kernel's atom heads."""
     import sympy
 
-    f = e
     for our, theirs in [
         (Exp, sympy.exp),
         (Ln, sympy.log),
@@ -447,8 +498,13 @@ def _reference_eval(e, pt):
         (AbsV, sympy.Abs),
         (Sgn, sympy.sign),
     ]:
-        f = f.replace(our, theirs)
-    v = f.subs({t: pt["t"], x: pt["x"]}).evalf()
+        e = e.replace(our, theirs)
+    return e
+
+
+def _reference_eval(e, pt):
+    # independent reference: sympy's own functions, evaluated by evalf
+    v = _sympy_heads(e).subs({t: pt["t"], x: pt["x"]}).evalf()
     try:
         return float(v)
     except TypeError:

@@ -105,6 +105,27 @@ class TestGridSpec:
         with pytest.raises(InputError):
             GridSpec((0.0, 1.0), (0.0, 1.0), 0.1, 0.1, 5)
 
+    # oversized grids are only built through the constructor and from_doc,
+    # which validate before anything is allocated; points() is never called
+    def test_point_bounds(self):
+        from evolsym.verify import MAX_AXIS_POINTS, MAX_GRID_POINTS
+
+        span = MAX_AXIS_POINTS - 1
+        g = GridSpec((0.0, float(span)), (0.0, 1.0), 1.0, 1.0)
+        assert g.shape() == (MAX_AXIS_POINTS, 2)
+        with pytest.raises(InputError, match="MAX_AXIS_POINTS"):
+            GridSpec((0.0, float(span + 1)), (0.0, 1.0), 1.0, 1.0)
+        with pytest.raises(InputError, match="MAX_AXIS_POINTS"):
+            GridSpec((0.0, 1.0), (0.0, 1.0), 0.1, 5e-324)
+        side = math.isqrt(MAX_GRID_POINTS) + 1
+        assert side <= MAX_AXIS_POINTS
+        with pytest.raises(InputError, match="MAX_GRID_POINTS"):
+            GridSpec((0.0, 1.0), (0.0, 1.0), 1 / (side - 1), 1 / (side - 1))
+        for h in (1e-9, 0.002):
+            doc = {"t": [0.0, 1.0], "x": [0.0, 1.0], "ht": h, "hx": h}
+            with pytest.raises(InputError, match="MAX_"):
+                GridSpec.from_doc(doc)
+
     def test_points_counts(self):
         g = GridSpec((0.0, 1.0), (0.0, 2.0), 0.25, 0.5)
         tp, xp = g.points()
