@@ -7,6 +7,7 @@ strings ("1/3") so nothing is rounded in transit.  Exit codes: 0 ok,
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -306,13 +307,20 @@ def _batch_worker(item):
         return {"error": str(exc), "exit_code": exc.exit_code}
 
 
+def _worker_count(jobs, ndocs):
+    """Processes for a batch: --jobs, but no more than the documents or the
+    CPUs, since a process pool starts every worker at once."""
+    return max(1, min(jobs, ndocs, os.cpu_count() or 1))
+
+
 def _run_batch(docs, args):
     items = [
         (doc, {"ansatz_degree": args.ansatz_degree, "exp_rates": args.exp_rates})
         for doc in docs
     ]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _worker_count(args.jobs, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_batch_worker, items))
     return [_batch_worker(item) for item in items]
 
@@ -578,6 +586,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except ParseError as exc:
         err = {"error": str(exc), "exit_code": 2}

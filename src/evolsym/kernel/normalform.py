@@ -2,24 +2,42 @@
 
 A normalized expression is a ratio of two expanded polynomials in the
 "generators": symbols, surd constants, and transcendental atom applications.
-Canonicalization rules, applied per monomial:
+normalize builds it in three steps.
+
+Conversion.  One recursive converter turns the expression into polynomials
+of a sparse ring over QQ (sympy.polys.rings).  A first pass collects the raw
+generators: t, x and parameters; base^(1/q) for a base with rational
+exponents, q the lcm of their denominators; an opaque base^e for each
+non-rational exponent e, such as 2^t; and the atoms, whose arguments are
+normalized first and written out term by term.  A second pass makes sums,
+products and integer powers ring operations on sums of fractions grouped by
+denominator; a negative power of a sum adds that sum as a denominator
+factor, and the groups go over one common denominator at the end.  That
+combines denominator factors as sympy's together did after expand, the
+path that tests/slowpath.py keeps as the oracle.
+
+Canonicalization, applied per monomial:
 
   * exp factors merge:            exp(a)^p * exp(b)^q -> exp(p*a + q*b)
   * sgn(a)^n -> sgn(a)^(n mod 2)
   * abs(a)^q -> a^m * sgn(a)^(m mod 2) * abs(a)^(q-m),  m = floor(q),
     so abs carries only a fractional exponent in [0, 1)
   * cos(a)^n with n >= 2 -> (1 - sin(a)^2)^(n//2) * cos(a)^(n mod 2)
+  * surds split over primes, so sqrt(2)*sqrt(3) == sqrt(6)
 
-The num/den gcd is cancelled exactly in a sparse polynomial ring over QQ
-(sympy.polys.rings).  Each base is one ring generator, base^(1/q) with q
-the lcm of its exponent denominators, and negative powers are cleared by
-shifting each generator by its lowest exponent on either side.  A factor
-with a non-rational exponent, such as 2^t, is an opaque generator of its
-own: it cancels only against itself.  The den is then cleared of rational
-content and its leading monomial made positive, so equal rational
-expressions get identical normal forms.  Domain notes record denominator
-loci, cancelled factors of two or more terms, ln positivity,
-fractional-power positivity and abs/sgn punctures.
+Cancellation.  The num/den gcd is cancelled exactly in a second ring over
+the canonical generators, negative powers cleared by shifting each generator
+by its lowest exponent on either side; an opaque generator cancels only
+against itself.  The den is then cleared of rational content and its
+leading monomial made positive, so equal rational expressions get identical
+normal forms.  Domain notes record denominator loci, cancelled factors of
+two or more terms, ln positivity, fractional-power positivity and abs/sgn
+punctures.
+
+Budgets.  A power of a sum whose multinomial term count exceeds TERM_BUDGET,
+any converted polynomial longer than that, and non-rational exponents nested
+deeper than EXPONENT_DEPTH_BUDGET raise UnsupportedError (exit 3) naming the
+budget, before the work is done where the bound can be known in advance.
 """
 
 import math
@@ -37,10 +55,8 @@ from sympy import (
     S,
     Symbol,
     default_sort_key,
-    expand,
     nan,
     oo,
-    together,
     zoo,
 )
 from sympy.polys.domains import QQ
@@ -118,25 +134,18 @@ def _adopt_foreign_heads(e):
     return walk(e)
 
 
-def _canonical_atom_args(e):
-    # normalize transcendental arguments so sin(t+t) and sin(2*t) agree
-    # before the monomial pass sees them; normalize walks the argument
-    # itself, and exp arguments are left to _canon_monomial, which
-    # normalizes the merged exponent, so each nested atom is normalized once
-    if e.is_Atom or isinstance(e, Exp):
-        return e
-    if isinstance(e, ATOM_HEADS):
-        return type(e)(normalize(e.args[0]).as_expr())
-    return e.func(*(_canonical_atom_args(a) for a in e.args))
-
-
 # --- monomial dictionaries -------------------------------------------------
 # A monomial is a factor map {base: exponent} plus a Rational coefficient;
 # a polynomial is {key: coeff} with key the sorted tuple of (base, exponent).
 
 
+@lru_cache(maxsize=4096)
+def _order(base):
+    return default_sort_key(base)
+
+
 def _key(fmap):
-    return tuple(sorted(fmap.items(), key=lambda be: default_sort_key(be[0])))
+    return tuple(sorted(fmap.items(), key=lambda be: _order(be[0])))
 
 
 def _add_factor(fmap, base, e):
@@ -255,18 +264,6 @@ def _canon_monomial(coeff, factors):
     return coeff, fmap
 
 
-def _term_parts(term):
-    coeff = S.One
-    factors = []
-    for f in Mul.make_args(term):
-        if f.is_Rational:
-            coeff *= f
-        else:
-            b, e = f.as_base_exp()
-            factors.append((b, e))
-    return coeff, factors
-
-
 def _accumulate(out, key, coeff):
     cur = out.get(key, S.Zero) + coeff
     if cur == 0:
@@ -277,7 +274,7 @@ def _accumulate(out, key, coeff):
 
 def mono_dict(e):
     """Expand e into the canonical polynomial dict {key: Rational coeff}."""
-    return _canon_terms(_term_parts(term) for term in Add.make_args(expand(e)))
+    return _canon_terms(_raw_terms(e))
 
 
 def _canon_terms(terms):
@@ -295,7 +292,7 @@ def _canon_terms(terms):
             base.is_Add and e2.is_Integer and e2 > 0 for key in out for base, e2 in key
         ):
             return out
-        terms = [_term_parts(term) for term in Add.make_args(expand(dict_to_expr(out)))]
+        terms = _raw_terms(dict_to_expr(out))
     raise UnsupportedError("monomial canonicalization did not stabilize")
 
 
@@ -328,14 +325,12 @@ def _reduce_cos(out):
 
 
 def fmap_to_expr(fmap):
-    return Mul(
-        *[Pow(b, e) for b, e in sorted(fmap.items(), key=lambda be: default_sort_key(be[0]))]
-    )
+    return Mul(*[Pow(b, e) for b, e in _key(fmap)])
 
 
 def dict_to_expr(d):
-    terms = sorted(d.items(), key=lambda kc: default_sort_key(fmap_to_expr(dict(kc[0]))))
-    return Add(*[coeff * fmap_to_expr(dict(key)) for key, coeff in terms])
+    # Add and Mul order their arguments themselves
+    return Add(*[Mul(coeff, *[Pow(b, e) for b, e in key]) for key, coeff in d.items()])
 
 
 def common_numerators(nfs):
@@ -346,7 +341,392 @@ def common_numerators(nfs):
     for nf in nfs:
         if nf.den != 1 and nf.den not in dens:
             dens.append(nf.den)
-    return [mono_dict(Mul(nf.num, *[d for d in dens if d != nf.den])) for nf in nfs]
+    conv = _Converter(canonical=False)
+    nums = [conv.rewrite(nf.num) for nf in nfs]
+    dnodes = [conv.rewrite(d) for d in dens]
+    conv.start()
+    dens = [(d, conv.evaluate(node)) for d, node in zip(dens, dnodes)]
+    out = []
+    for nf, node in zip(nfs, nums):
+        value = conv.evaluate(node)
+        for d, dvalue in dens:
+            if d != nf.den:
+                value = _v_mul(conv.R, value, dvalue)
+        out.append(_canon_terms(conv.value_terms(value)))
+    return out
+
+
+# --- the converter: Expr -> polynomials over raw generators ---------------
+# A raw generator is a key (base, None), standing for base^(1/q) with q the
+# lcm of the exponent denominators seen for base, or (base, e) for a factor
+# base^e with a non-rational exponent e.  A first pass rewrites the Expr
+# into a tree of monomials ("m"), sums ("+"), products ("*") and integer
+# powers ("^") and collects the keys; a second pass evaluates the tree in
+# one ring.  A value is {denominator: numerator}, a sum of fractions grouped
+# by denominator, each denominator a frozenset of (factor, multiplicity).
+# As in sympy's expand, powers of one factor add up; as in its together,
+# _one_fraction then takes each distinct power of a sum once.  So the
+# factors the final cancellation notes are the ones it noted when normalize
+# went through those two.
+
+# most terms a polynomial may reach while an expression is converted
+TERM_BUDGET = 20000
+
+# deepest nesting of non-rational exponents, as in the tower x^x^...^x
+EXPONENT_DEPTH_BUDGET = 8
+
+
+def _exponent_depth(e):
+    """How deep non-rational exponents nest in e."""
+    if e.is_Atom:
+        return 0
+    depths = [_exponent_depth(a) for a in e.args]
+    if e.is_Pow and not e.exp.is_Rational:
+        depths[1] += 1
+    return max(depths)
+
+
+def _over_budget(what):
+    return UnsupportedError(
+        f"term budget exceeded: {what} has more than {TERM_BUDGET} terms"
+    )
+
+
+def _checked(p):
+    if len(p) > TERM_BUDGET:
+        raise _over_budget("a product")
+    return p
+
+
+def _multinomial_check(terms, n):
+    # bound the multinomial term count before expanding a power of a sum
+    if terms > 1 and math.comb(n + terms - 1, terms - 1) > TERM_BUDGET:
+        raise _over_budget(f"the {n}th power of a {terms}-term sum")
+
+
+def _power(p, n):
+    _multinomial_check(len(p), n)
+    return _checked(p**n)
+
+
+def _v_sum(R, values):
+    groups = {}
+    for value in values:
+        for d, n in value.items():
+            acc = groups.setdefault(d, {})
+            for m, c in n.items():
+                acc[m] = acc.get(m, 0) + c
+    out = {}
+    for d, acc in groups.items():
+        p = _checked(R.from_dict(acc))
+        if p:
+            out[d] = p
+    return out
+
+
+def _v_mul(R, a, b):
+    products = []
+    for d1, n1 in a.items():
+        for d2, n2 in b.items():
+            den = dict(d1)
+            for f, m in d2:
+                den[f] = den.get(f, 0) + m
+            products.append({frozenset(den.items()): _checked(n1 * n2)})
+    return _v_sum(R, products)
+
+
+def _v_pow(R, a, n):
+    if len(a) != 1:
+        _multinomial_check(sum(len(p) for p in a.values()), n)
+        out = a
+        for _ in range(n - 1):
+            out = _v_mul(R, out, a)
+        return out
+    ((d, num),) = a.items()
+    return {frozenset((f, m * n) for f, m in d): _power(num, n)}
+
+
+def _one_fraction(R, a):
+    """(numerator, denominator) of a over one common denominator.
+
+    As in sympy's together after expand, a power s^m of a sum is one factor,
+    its expansion, and the common denominator takes each distinct factor
+    once; generators take their highest power."""
+    expanded = {}  # (s, m) -> s^m multiplied out
+    dens = []
+    for d in a:
+        den = {}
+        for f, m in d:
+            if len(f) > 1:
+                if (f, m) not in expanded:
+                    expanded[(f, m)] = _power(f, m)
+                f, m = expanded[(f, m)], 1
+            den[f] = den.get(f, 0) + m
+        dens.append(den)
+    lcm = {}
+    for den in dens:
+        for f, m in den.items():
+            lcm[f] = max(m, lcm.get(f, 0))
+    num = R.zero
+    for den, n in zip(dens, a.values()):
+        for f, m in lcm.items():
+            if m > den.get(f, 0):
+                n = _checked(n * f ** (m - den.get(f, 0)))
+        num = _checked(num + n)
+    den = R.one
+    for f, m in lcm.items():
+        den = _checked(den * f**m)
+    return num, den
+
+
+@lru_cache(maxsize=64)
+def _raw_ring(n):
+    return _ring(tuple(Symbol(f"_r{i}") for i in range(n)))
+
+
+@lru_cache(maxsize=256)
+def _ring(symbols):
+    return PolyRing(symbols, QQ, lex)
+
+
+def _signed_atom(r, head):
+    """(sign, atom) when r is head(a) or -head(a), else None."""
+    if isinstance(r, head):
+        return 1, r
+    if r.is_Mul and len(r.args) == 2 and r.args[0] is S.NegativeOne:
+        if isinstance(r.args[1], head):
+            return -1, r.args[1]
+    return None
+
+
+def _canonical_atom(e):
+    """The atom e with its argument normalized and written out term by term,
+    so sin(t+t) and sin(2*t) agree; the head's own rules may instead turn
+    it into a sign times an atom, or into another expression."""
+    head = type(e)
+    nf = normalize(e.args[0])
+    first = head(nf.as_expr())
+    if _signed_atom(first, head) is None:
+        return first
+    return head(_written_out(nf))
+
+
+def _written_out(nf):
+    """A normal form as a sum of numerator terms over the denominator, exp
+    arguments inside it written out the same way."""
+    num = _exp_args_written_out(nf.num)
+    if nf.den == 1:
+        return num
+    inv = Pow(_exp_args_written_out(nf.den), -1)
+    return Add(*[Mul(term, inv) for term in Add.make_args(num)])
+
+
+def _exp_args_written_out(e):
+    if isinstance(e, Exp):
+        return Exp(_written_out(_normalize(e.args[0])))
+    if e.is_Atom or isinstance(e, ATOM_HEADS) or not e.has(Exp):
+        return e
+    return e.func(*[_exp_args_written_out(a) for a in e.args])
+
+
+def _inner(b):
+    """Canonical written-out form of a base or exponent under a power."""
+    if b.is_Symbol or b.is_Rational:
+        return b
+    if isinstance(b, ATOM_HEADS) and not isinstance(b, Exp):
+        return _canonical_atom(b)
+    return _written_out(_normalize(b))
+
+
+class _Converter:
+    """Expr -> fraction of polynomials over raw generators, in two passes.
+
+    canonical: atoms get canonical arguments and a negative power of a sum
+    becomes a denominator factor (normalize); otherwise atoms are taken as
+    they stand and b^(-n) is one more generator power (mono_dict)."""
+
+    def __init__(self, canonical):
+        self.canonical = canonical
+        self.units = {}  # key -> q (base^(1/q)) or the opaque exponent
+
+    # --- first pass: Expr -> tree ---------------------------------------------
+
+    def leaf(self, base, e):
+        if e.is_Rational:
+            key = (base, None)
+            q = self.units.get(key, 1)
+            self.units[key] = q * e.q // math.gcd(q, e.q)
+            return key, e
+        # a non-rational exponent: base^e is a generator of its own, and
+        # base^(-e) its inverse, as as_numer_denom splits them
+        neg = e.is_negative or (
+            e.is_Mul and not e.is_positive and e.could_extract_minus_sign()
+        )
+        key = (base, -e if neg else e)
+        self.units[key] = key[1]
+        return key, -1 if neg else 1
+
+    def monomial(self, p):
+        """Monomial node of a product of powers with rational or opaque
+        exponents, as sympy evaluated it."""
+        coeff = S.One
+        factors = []
+        for f in Mul.make_args(p):
+            if f.is_Rational:
+                coeff *= f
+            else:
+                factors.append(self.leaf(*f.as_base_exp()))
+        return ("m", coeff, tuple(factors))
+
+    def rewrite(self, e):
+        if e.is_Rational:
+            return ("m", e, ())
+        if e.is_Add:
+            return ("+", [self.rewrite(a) for a in e.args])
+        if e.is_Mul:
+            coeff = S.One
+            factors = []
+            rest = []
+            for a in e.args:
+                node = self.rewrite(a)
+                if node[0] == "m":
+                    coeff *= node[1]
+                    factors += node[2]
+                else:
+                    rest.append(node)
+            mono = ("m", coeff, tuple(factors))
+            return ("*", [mono] + rest) if rest else mono
+        if e.is_Pow:
+            return self.rewrite_pow(*e.args)
+        if isinstance(e, ATOM_HEADS) and not isinstance(e, Exp) and self.canonical:
+            r = _canonical_atom(e)
+            signed = _signed_atom(r, type(e))
+            if signed is None:
+                return self.rewrite(r)
+            return ("m", Integer(signed[0]), (self.leaf(signed[1], S.One),))
+        return ("m", S.One, (self.leaf(e, S.One),))
+
+    def rewrite_pow(self, b, n):
+        if n.is_Integer:
+            if b.is_Add and n < 0 and not self.canonical:
+                return ("m", S.One, (self.leaf(b, n),))
+            node = self.rewrite(b)
+            if node[0] == "m":
+                c, factors = node[1], node[2]
+                return ("m", c**n, tuple((k, x * n) for k, x in factors))
+            return ("^", node, int(n))
+        if not self.canonical:
+            return ("m", S.One, (self.leaf(b, n),))
+        b = _inner(b)
+        if n.is_Rational:
+            # a sum's positive content comes out of the root, as sympy
+            # takes it out of c*(x + 1) under a rational power
+            c, b = b.as_content_primitive() if b.is_Add else (S.One, b)
+            return self.monomial(Pow(c, n) * Pow(b, n))
+        if _exponent_depth(n) >= EXPONENT_DEPTH_BUDGET:
+            raise UnsupportedError(
+                "exponent nesting budget exceeded: non-rational exponents "
+                f"nest more than {EXPONENT_DEPTH_BUDGET} deep"
+            )
+        # b^(e1 + e2) -> b^e1 b^e2 where sympy's expand would split it
+        n = _inner(n)
+        parts = [n]
+        if n.is_Add and (b.is_zero is False or n._all_nonneg_or_nonppos()):
+            parts = n.args
+        return self.monomial(Mul(*[Pow(b, p) for p in parts]))
+
+    # --- second pass: tree -> (numerator, {denominator factor: mult}) ---------
+
+    def start(self):
+        self.keys = list(self.units)
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.R = _raw_ring(len(self.keys))
+        self.gen_index = {g: i for i, g in enumerate(self.R.gens)}
+
+    def evaluate(self, node):
+        """{denominator: numerator} of a tree: a sum of fractions, grouped by
+        denominator, each a frozenset of (factor, multiplicity)."""
+        tag = node[0]
+        R = self.R
+        if tag == "m":
+            return self.eval_monomial(node[1], node[2])
+        if tag == "+":
+            return _v_sum(R, [self.evaluate(child) for child in node[1]])
+        if tag == "*":
+            acc = self.evaluate(node[1][0])
+            for child in node[1][1:]:
+                acc = _v_mul(R, acc, self.evaluate(child))
+            return acc
+        value, n = self.evaluate(node[1]), node[2]
+        if n > 0:
+            return _v_pow(R, value, n)
+        num, den = _one_fraction(R, value)
+        if not num:
+            raise InputError("zero denominator")
+        k = -n
+        inv = _power(den, k)
+        if len(num) == 1:
+            ((monom, c),) = num.items()
+            den = frozenset((R.gens[i], e * k) for i, e in enumerate(monom) if e)
+            return {den: inv.quo_ground(c**k)}
+        lc = num.LC
+        return {frozenset([(num.quo_ground(lc), k)]): inv.quo_ground(lc**k)}
+
+    def eval_monomial(self, coeff, factors):
+        R = self.R
+        exps = [0] * len(R.gens)
+        for key, e in factors:
+            i = self.index[key]
+            exps[i] += e if key[1] is not None else e.p * (self.units[key] // e.q)
+        den = {}
+        for i, k in enumerate(exps):
+            if k < 0:
+                den[R.gens[i]] = -k
+                exps[i] = 0
+        if coeff == 0:
+            return {}
+        return {frozenset(den.items()): R.term_new(tuple(exps), QQ(coeff.p, coeff.q))}
+
+    def terms(self, num, den=()):
+        """(coeff, [(base, exponent)]) of num over a monomial den."""
+        shift = [0] * len(self.keys)
+        for g, m in den:
+            shift[self.gen_index[g]] = m
+        gens = [
+            (base, opaque, self.units[(base, opaque)]) for base, opaque in self.keys
+        ]
+        out = []
+        for monom, c in num.items():
+            factors = []
+            for (base, opaque, unit), k, s in zip(gens, monom, shift):
+                k -= s
+                if k:
+                    e = Rational(k, unit) if opaque is None else k * opaque
+                    factors.append((base, e))
+            out.append((Rational(c.numerator, c.denominator), factors))
+        return out
+
+    def value_terms(self, value):
+        """Raw terms of a value whose denominators are monomials."""
+        return [term for d, n in value.items() for term in self.terms(n, d)]
+
+
+def _raw_terms(e):
+    """Raw (coeff, [(base, exponent)]) terms of e written out, atoms as
+    they stand and negative powers kept as factors."""
+    conv = _Converter(canonical=False)
+    node = conv.rewrite(e)
+    conv.start()
+    return conv.value_terms(conv.evaluate(node))
+
+
+def _fraction(e):
+    """Raw numerator and denominator terms of e over one denominator."""
+    conv = _Converter(canonical=True)
+    node = conv.rewrite(e)
+    conv.start()
+    num, den = _one_fraction(conv.R, conv.evaluate(node))
+    return conv.terms(num), conv.terms(den)
 
 
 # --- cancellation in a polynomial ring over QQ ------------------------------
@@ -392,7 +772,7 @@ def _cancel(num_d, den_d):
 
     sides = [[(vector(key), QQ(c.p, c.q)) for key, c in d.items()] for d in (num_d, den_d)]
     low = [min(0, *ks) for ks in zip(*(v for side in sides for v, _c in side))]
-    R = PolyRing([names[g] for g in gens], QQ, lex)
+    R = _ring(tuple(names[g] for g in gens))
     pn, pd = (
         R.from_dict({tuple(k - m for k, m in zip(v, low)): c for v, c in side})
         for side in sides
@@ -471,12 +851,15 @@ def normalize(e):
 
 @lru_cache(maxsize=4096)
 def _normalize(e):
-    e = _canonical_atom_args(e)
-    n0, d0 = together(expand(e), deep=True).as_numer_denom()
-    dn = mono_dict(n0)
+    num_terms, den_terms = _fraction(e)
+    dn = _canon_terms(num_terms)
     if not dn:
         return NormalForm(S.Zero, S.One)
-    dd = mono_dict(d0)
+    return _finish(dn, _canon_terms(den_terms))
+
+
+def _finish(dn, dd):
+    """Normal form of the canonical dicts num/den: cancel, scale, notes."""
     if not dd:
         raise InputError("zero denominator")
     num_d, den_d, cancelled = _cancel(dn, dd)

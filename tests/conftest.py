@@ -7,6 +7,7 @@ antiderivatives against adaptive quadrature.
 
 import random
 
+from hypothesis import settings
 from hypothesis import strategies as st
 from sympy import Integer, Rational
 
@@ -31,6 +32,18 @@ def rand_points(names, n, seed, lo=0.3, hi=1.7):
 
 
 # --- hypothesis strategies --------------------------------------------------
+
+# a thorough run of the slow-path oracle properties:
+#   pytest tests/test_kernel.py -k matches_slow_path_oracle --hypothesis-profile=oracle
+settings.register_profile("oracle", max_examples=1000, deadline=None)
+
+
+def oracle_examples(short):
+    """max_examples of a slow-path oracle property: `short` in a plain run,
+    the oracle profile's count when that profile is loaded."""
+    profile = settings.get_profile("oracle")
+    return profile.max_examples if settings.default is profile else short
+
 
 _leaf = st.one_of(
     st.integers(-4, 4).map(Integer),

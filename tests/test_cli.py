@@ -1,10 +1,12 @@
 """Command-line surface: document round trips, report shapes, exit codes."""
 
 import json
+import time
 
 import pytest
 
 from evolsym.cli import (
+    _worker_count,
     equation_to_document,
     main,
     parse_equation_document,
@@ -153,6 +155,38 @@ class TestClassify:
         assert res[0]["case"] == "5"
         assert res[1]["exit_code"] == 2 and "limit of 50 levels" in res[1]["error"]
         assert res[2]["case"] == "2"
+
+    def test_jobs_below_one_exit2(self, capsys, tmp_path):
+        p = write(tmp_path, "b.json", [FREE3, CASE2_R4])
+        for jobs in ("0", "-3"):
+            code, out, err = run(capsys, "--jobs", jobs, "classify", p)
+            assert code == 2 and out == ""
+            assert "--jobs must be at least 1" in json.loads(err)["error"]
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        # the helper only: no pool is started with these values
+        monkeypatch.setattr("evolsym.cli.os.cpu_count", lambda: 2)
+        assert _worker_count(10**6, 10**6) == 2
+        assert _worker_count(10**6, 1) == 1
+        assert _worker_count(1, 50) == 1
+        monkeypatch.setattr("evolsym.cli.os.cpu_count", lambda: None)
+        assert _worker_count(8, 50) == 1
+
+    def test_term_budget_exit3(self, capsys, tmp_path):
+        doc = {"order": 3, "form": "reduced", "coefficients": {"A0": "(x+t+1)^400"}}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", write(tmp_path, "eq.json", doc))
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert "term budget exceeded" in json.loads(err)["error"]
+
+    def test_power_tower_exit3(self, capsys, tmp_path):
+        doc = {"order": 3, "form": "reduced", "coefficients": {"A0": "^".join(["x"] * 50)}}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", write(tmp_path, "eq.json", doc))
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert "exponent nesting budget exceeded" in json.loads(err)["error"]
 
     def test_batch_jobs_matches_serial(self, capsys, tmp_path):
         p = write(tmp_path, "b.json", [FREE3, CASE2_R4])

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Add, Float, Integer, Pow, Rational, S, cancel, default_sort_key, gcd
 
-from conftest import exprs, fd_derivative, poly_exprs, rand_points
+import slowpath
+from conftest import exprs, fd_derivative, oracle_examples, poly_exprs, rand_points
 from evolsym.errors import (
     EvalDomainError,
     InputError,
@@ -20,6 +21,7 @@ from evolsym.kernel import (
     Cos,
     Exp,
     Ln,
+    NormalForm,
     Sgn,
     Sin,
     Verdict,
@@ -256,6 +258,72 @@ def test_normalize_cancels_quotients(a, b, c, d, f, g):
     assert all(coeff.is_Integer for coeff, _m in terms)
     assert math.gcd(*[int(coeff) for coeff, _m in terms]) == 1
     assert min(terms, key=lambda cm: default_sort_key(cm[1]))[0] > 0
+
+
+def _quotient(a, b, c, d, f, g):
+    den = (c + d * g) * f
+    return None if den == 0 else (a + b * g) * f / den
+
+
+_quotients = st.builds(
+    _quotient, _small_polys, _small_polys, _small_polys, _small_polys, _small_polys, _generators
+).filter(lambda e: e is not None)
+
+
+def _outcome(fn, e):
+    try:
+        return fn(e)
+    except (InputError, UnsupportedError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=oracle_examples(40), deadline=None)
+@given(st.one_of(exprs, poly_exprs, _quotients))
+def test_normalize_matches_slow_path_oracle(e):
+    # the expand/together front half in tests/slowpath.py is the oracle
+    got = _outcome(normalize, e)
+    want = _outcome(slowpath.normal_form, e)
+    if not isinstance(want, NormalForm):
+        assert got == want
+        return
+    assert (got.num, got.den, got.atoms) == (want.num, want.den, want.atoms)
+    # together may cancel a factor without noting it; no note is lost
+    assert set(want.domain_notes) <= set(got.domain_notes)
+
+
+@pytest.mark.parametrize(
+    "src,notes,hidden",
+    [
+        # together cancels the common x + 1 before the ring sees it
+        ("1/(x+1) + x/(x+1)", ("x + 1 != 0",), ("x + 1 != 0",)),
+        ("(x^2-1)/(x-1)", ("x - 1 != 0",), ()),
+        # deep=True puts the root's base over x; it is written out again
+        ("(1/x + 1)^(1/2)", ("1 + x^(-1) > 0",), ()),
+    ],
+)
+def test_normalize_slow_path_pins(src, notes, hidden):
+    e = parse_expr(src)
+    got, want = normalize(e), slowpath.normal_form(e)
+    assert (got.num, got.den, got.atoms) == (want.num, want.den, want.atoms)
+    assert got.domain_notes == notes
+    assert set(notes) - set(want.domain_notes) == set(hidden)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="exp(k*a) for different k are independent ring generators (CHANGES.md, FOUND)",
+)
+def test_normalize_exp_powers_share_a_generator():
+    got = normalize(parse_expr("(exp(2*t) - 1)/(exp(t) - 1)"))
+    assert got.as_expr() == normalize(parse_expr("exp(t) + 1")).as_expr()
+
+
+def test_normalize_term_budget():
+    with pytest.raises(UnsupportedError, match="term budget exceeded: the 400th power"):
+        normalize(parse_expr("(x + t + 1)^400"))
+    with pytest.raises(UnsupportedError, match="term budget exceeded: a product"):
+        normalize(parse_expr("(x + 1)^150*(t + 1)^150"))
+    assert len(Add.make_args(normalize(parse_expr("(x + t + 1)^40")).num)) == 861
 
 
 def test_normalize_opaque_exponent_over_a_sum():
