@@ -22,9 +22,7 @@ from .equivalence import (
 from .errors import EvolsymError, InputError, ParseError, UnsupportedError
 from .kernel import (
     Verdict,
-    as_exact,
     is_zero,
-    normalize,
     parse_expr,
     sym,
     substitute,
@@ -36,6 +34,7 @@ from .model import (
     EvolutionEquation,
     ReducedEquation,
     VectorField,
+    _reduced_shape,
     as_reduced,
     embed_reduced,
 )
@@ -127,32 +126,21 @@ def parse_equation_document(doc):
 def equation_to_document(eq):
     """Inverse of parse_equation_document, in the tightest form that fits."""
     eq = embed_reduced(eq)
-    reduced_shape = (
-        is_zero(normalize(eq.A[eq.r] - 1).as_expr()) is Verdict.ZERO
-        and is_zero(eq.A[eq.r - 1]) is Verdict.ZERO
-    )
+    reduced_shape = _reduced_shape(eq, homogeneous=False)
     bzero = is_zero(eq.B) is Verdict.ZERO
     if reduced_shape:
-        cmap = {
-            f"A{k}": to_str(normalize(eq.A[k]).as_expr())
-            for k in range(eq.r - 1)
-            if normalize(eq.A[k]).num != 0
-        }
+        cmap = {f"A{k}": to_str(eq.A[k]) for k in range(eq.r - 1) if eq.A[k] != 0}
         if bzero:
             return {"order": eq.r, "form": "reduced", "coefficients": cmap}
-        cmap["B"] = to_str(normalize(eq.B).as_expr())
+        cmap["B"] = to_str(eq.B)
         return {
             "order": eq.r,
             "form": "reduced-inhomogeneous",
             "coefficients": cmap,
         }
-    cmap = {
-        f"A{k}": to_str(normalize(eq.A[k]).as_expr())
-        for k in range(eq.r + 1)
-        if normalize(eq.A[k]).num != 0
-    }
+    cmap = {f"A{k}": to_str(eq.A[k]) for k in range(eq.r + 1) if eq.A[k] != 0}
     if not bzero:
-        cmap["B"] = to_str(normalize(eq.B).as_expr())
+        cmap["B"] = to_str(eq.B)
     return {"order": eq.r, "form": "general", "coefficients": cmap}
 
 
@@ -170,10 +158,7 @@ def parse_field_document(doc, declared=()):
 
 def _basis_sort_key(q):
     """Display order: I-block, then D-block, then P-block, length-lex inside."""
-    tau = to_str(normalize(q.tau).as_expr())
-    chi = to_str(normalize(q.chi).as_expr())
-    phi = to_str(normalize(q.phi).as_expr())
-    eta = to_str(normalize(q.eta0).as_expr())
+    tau, chi, phi, eta = (to_str(c) for c in (q.tau, q.chi, q.phi, q.eta0))
     if tau == "0" and chi == "0" and eta == "0":
         block = 0
     elif tau != "0":
@@ -254,11 +239,7 @@ def _to_reduced(eq):
     if isinstance(eq, ReducedEquation):
         return eq, ()
     eq = embed_reduced(eq)
-    if (
-        is_zero(normalize(eq.A[eq.r] - 1).as_expr()) is Verdict.ZERO
-        and is_zero(eq.A[eq.r - 1]) is Verdict.ZERO
-        and is_zero(eq.B) is Verdict.ZERO
-    ):
+    if _reduced_shape(eq):
         return as_reduced(eq), ()
     red, report = gauge_all(eq)
     steps = [step.to_doc() for step in report.chain]

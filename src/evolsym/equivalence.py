@@ -94,9 +94,15 @@ def expand_special(e):
     return e
 
 
+def _pull_back(e, mapping):
+    """e with the symbols of mapping substituted, exp/ln compositions
+    folded by expand_special, as a normal form."""
+    return normalize(expand_special(substitute(e, mapping))).as_expr()
+
+
 def compose_scalar(f, g):
     """f(g(t)) as a tidied expression in t."""
-    return normalize(expand_special(substitute(as_exact(f), {t: g}))).as_expr()
+    return _pull_back(f, {t: g})
 
 
 def nth_root(f, r):
@@ -163,7 +169,7 @@ def recognize_scalar(f):
     power a*t^q+c, exponential a*exp(b*t)+c, logarithm a*ln(b*t+c)+d.
     Returns a CatalogEntry or None."""
     f = normalize(f).as_expr()
-    fp = normalize(differentiate(f, t)).as_expr()
+    fp = differentiate(f, t)
     if fp == 0:
         return None
     if _tfree(fp):
@@ -172,7 +178,7 @@ def recognize_scalar(f):
         if not _tfree(c):
             return None
         return CatalogEntry("affine", (a, c), f, normalize((t - c) / a).as_expr(), "all t")
-    fpp = normalize(differentiate(fp, t)).as_expr()
+    fpp = differentiate(fp, t)
     # exponential: f''/f' = b constant, nonzero
     b = normalize(fpp / fp).as_expr()
     if _tfree(b) and b != 0:
@@ -203,7 +209,7 @@ def recognize_scalar(f):
     # logarithm: read the Ln atom directly
     for node in f.atoms(Ln):
         arg = node.args[0]
-        db = normalize(differentiate(arg, t)).as_expr()
+        db = differentiate(arg, t)
         if not _tfree(db) or db == 0:
             continue
         cc = normalize(arg - db * t).as_expr()
@@ -258,27 +264,29 @@ class EquivTransformation:
             raise InputError("eps must be +1 or -1")
         if self.eps == -1 and self.r % 2 == 1:
             raise InputError("eps = -1 exists only for even order")
-        for name in ("T", "X0", "U1", "U0"):
-            object.__setattr__(self, name, as_exact(getattr(self, name)))
-        for name in ("T", "X0"):
-            if x in getattr(self, name).free_symbols:
+        names = ("T", "X0", "U1", "U0")
+        T, X0, U1, U0 = (as_exact(getattr(self, name)) for name in names)
+        for name, c in (("T", T), ("X0", X0)):
+            if x in c.free_symbols:
                 raise InputError(f"{name} must not depend on x")
-        Tt = differentiate(self.T, t)
+        Tt = differentiate(T, t)
         if is_zero(Tt) is not Verdict.NONZERO:
             raise InputError("T_t must be certifiably nonzero")
-        if is_zero(self.U1) is not Verdict.NONZERO:
+        if is_zero(U1) is not Verdict.NONZERO:
             raise InputError("U1 must be certifiably nonzero")
         if self.X1 is None:
             # for even order a certifiably negative T_t has no real root
             if self.r % 2 == 0 and is_zero(AbsV(Tt) + Tt) is Verdict.ZERO:
                 raise InputError("even order requires T_t > 0")
-            object.__setattr__(self, "X1", self.eps * nth_root(Tt, self.r))
+            X1 = self.eps * nth_root(Tt, self.r)
         else:
-            object.__setattr__(self, "X1", as_exact(self.X1))
-            if x in self.X1.free_symbols:
+            X1 = as_exact(self.X1)
+            if x in X1.free_symbols:
                 raise InputError("X1 must not depend on x")
-            if is_zero(self.X1) is not Verdict.NONZERO:
+            if is_zero(X1) is not Verdict.NONZERO:
                 raise InputError("X1 must be certifiably nonzero")
+        for name, c in zip(names + ("X1",), (T, X0, U1, U0, X1)):
+            object.__setattr__(self, name, normalize(c).as_expr())
 
     @property
     def X_expr(self):
@@ -286,7 +294,7 @@ class EquivTransformation:
 
     def inverse_map(self):
         """Substitution {t, x} -> old coordinates as functions of the new."""
-        if normalize(self.T - t).num == 0:
+        if self.T == t:
             tin = t
         else:
             tin = invert_scalar(self.T).T_inverse
@@ -298,16 +306,11 @@ class EquivTransformation:
     def to_doc(self):
         from .kernel import to_str
 
-        doc = {
-            "T": to_str(normalize(self.T).as_expr()),
-            "X0": to_str(normalize(self.X0).as_expr()),
-            "U1": to_str(normalize(self.U1).as_expr()),
-            "U0": to_str(normalize(self.U0).as_expr()),
-            "eps": self.eps,
-        }
+        doc = {name: to_str(getattr(self, name)) for name in ("T", "X0", "U1", "U0")}
+        doc["eps"] = self.eps
         derived = self.eps * nth_root(differentiate(self.T, t), self.r)
         if normalize(self.X1 - derived).num != 0:
-            doc["X1"] = to_str(normalize(self.X1).as_expr())
+            doc["X1"] = to_str(self.X1)
         return doc
 
     @classmethod
@@ -406,11 +409,9 @@ def pushforward_equation(eq, tr):
             raise InternalError("conjugation left an unresolved derivative term")
 
     inv = tr.inverse_map()
-
-    def tosub(e):
-        return normalize(expand_special(substitute(e, inv))).as_expr()
-
-    return EvolutionEquation(r, tuple(tosub(a) for a in Atil), tosub(Btil))
+    return EvolutionEquation(
+        r, tuple(_pull_back(a, inv) for a in Atil), _pull_back(Btil, inv)
+    )
 
 
 def compose(tr1, tr2):
@@ -422,14 +423,13 @@ def compose(tr1, tr2):
     if recognize_scalar(T) is None and normalize(T - t).num != 0:
         raise UnsupportedError("composed time map leaves the invertible catalog")
     push = {t: tr1.T, x: tr1.X_expr}
-
-    def at1(e):
-        return normalize(expand_special(substitute(as_exact(e), push))).as_expr()
-
-    X1 = normalize(at1(tr2.X1) * tr1.X1).as_expr()
-    X0 = normalize(at1(tr2.X1) * tr1.X0 + compose_scalar(tr2.X0, tr1.T)).as_expr()
-    U1 = normalize(at1(tr2.U1) * tr1.U1).as_expr()
-    U0 = normalize(at1(tr2.U1) * tr1.U0 + at1(tr2.U0)).as_expr()
+    X1_2 = _pull_back(tr2.X1, push)
+    U1_2 = _pull_back(tr2.U1, push)
+    # the constructor stores the normal forms of these
+    X1 = X1_2 * tr1.X1
+    X0 = X1_2 * tr1.X0 + compose_scalar(tr2.X0, tr1.T)
+    U1 = U1_2 * tr1.U1
+    U0 = U1_2 * tr1.U0 + _pull_back(tr2.U0, push)
     eps = tr1.eps * tr2.eps
     if r % 2 == 1:
         eps = 1
@@ -440,16 +440,11 @@ def invert(tr):
     r = tr.r
     inv = tr.inverse_map()
     tin = inv[t]
-
-    def ati(e):
-        return normalize(expand_special(substitute(as_exact(e), inv))).as_expr()
-
     X1i = normalize(1 / compose_scalar(tr.X1, tin)).as_expr()
     X0i = normalize(-compose_scalar(tr.X0, tin) * X1i).as_expr()
-    U1i = normalize(1 / ati(tr.U1)).as_expr()
-    U0i = normalize(-ati(tr.U0) * U1i).as_expr()
-    Tin = tin if tin != t else t
-    return EquivTransformation(r, Tin, X0i, U1i, U0i, tr.eps, X1i)
+    U1i = normalize(1 / _pull_back(tr.U1, inv)).as_expr()
+    U0i = normalize(-_pull_back(tr.U0, inv) * U1i).as_expr()
+    return EquivTransformation(r, tin, X0i, U1i, U0i, tr.eps, X1i)
 
 
 # --- gauging -------------------------------------------------------------------
@@ -506,13 +501,12 @@ def gauge_subleading(eq):
     if is_zero(eq.A[r] - 1) is not Verdict.ZERO:
         raise InputError("gauge the leading coefficient first")
     b = eq.A[r - 1]
-    if normalize(b).num == 0:
+    if b == 0:
         return eq, GaugeReport((), "subleading-gauged", ())
     prim = integrate(b, x)
     if prim is None:
         raise UnsupportedError("no closed-form antiderivative for the subleading coefficient")
-    U1 = normalize(expand_special(Exp(Rational(1, r) * prim))).as_expr()
-    tr = EquivTransformation(r, U1=U1, X1=S.One)
+    tr = EquivTransformation(r, U1=expand_special(Exp(Rational(1, r) * prim)), X1=S.One)
     out = pushforward_equation(eq, tr)
     check = is_zero(out.A[r - 1])
     if check is not Verdict.ZERO:
@@ -530,9 +524,9 @@ def gauge_inhomogeneity(eq, w):
     pre = is_zero(residual_symbolic(eq, w))
     if pre is not Verdict.ZERO:
         raise InputError("w is not a particular solution of the equation")
-    if normalize(eq.B).num == 0 and normalize(w).num == 0:
+    if eq.B == 0 and normalize(w).num == 0:
         return ReducedEquation(r, eq.A[: r - 1]), GaugeReport((), "reduced-homogeneous", ())
-    tr = EquivTransformation(r, U0=normalize(-w).as_expr(), X1=S.One)
+    tr = EquivTransformation(r, U0=-w, X1=S.One)
     out = pushforward_equation(eq, tr)
     check = is_zero(out.B)
     if check is not Verdict.ZERO:
@@ -564,7 +558,7 @@ def find_particular_solution(eq, ansatz_degree):
         return mono_dict(normalize(resid).as_expr())
 
     cols = [residual_coeffs(Pow(t, i) * Pow(x, j)) for i, j in monos]
-    rhsd = mono_dict(normalize(eq.B).as_expr())
+    rhsd = mono_dict(eq.B)
     keys = sorted({k for d in cols + [rhsd] for k in d}, key=repr)
     mat = [[to_fraction(col.get(k, S.Zero)) for col in cols] for k in keys]
     rhs = [to_fraction(rhsd.get(k, S.Zero)) for k in keys]
@@ -588,7 +582,7 @@ def gauge_all(eq, particular=None, max_degree=6):
     """
     eq = embed_reduced(eq)
     if particular is None:
-        if normalize(eq.B).num == 0:
+        if eq.B == 0:
             particular = S.Zero
         else:
             for d in range(1, max_degree + 1):
@@ -668,7 +662,7 @@ def equivalence_flow(gen, eps_val, r):
     if kind == "P":
         return EquivTransformation(r, X0=normalize(e * fn).as_expr())
     if kind == "I":
-        return EquivTransformation(r, U1=normalize(Exp(e * fn)).as_expr())
+        return EquivTransformation(r, U1=Exp(e * fn))
     raise InputError("generator kind must be one of D, P, I")
 
 
@@ -689,17 +683,20 @@ def adjoint_pushforward(Q, step, r):
         tin = entry.T_inverse
         root = nth_root(Tt, r)
 
-        def back(e):
-            return normalize(expand_special(substitute(as_exact(e), {t: tin}))).as_expr()
-
         if eta != 0:
             # the x-preimage can leave the representable scalars (even roots
             # of sign-indefinite maps), so build it only when eta needs it
             xin = normalize(x / compose_scalar(root, tin)).as_expr()
-            eta_new = normalize(expand_special(substitute(eta, {t: tin, x: xin}))).as_expr()
+            eta_new = _pull_back(eta, {t: tin, x: xin})
         else:
             eta_new = S.Zero
-        return VectorField(back(Tt * tau), back(root * chi), back(phi), eta_new)
+        back = {t: tin}
+        return VectorField(
+            _pull_back(Tt * tau, back),
+            _pull_back(root * chi, back),
+            _pull_back(phi, back),
+            eta_new,
+        )
     if kind == "P":
         X0 = as_exact(step[1])
         chi_new = chi + tau * differentiate(X0, t) - Rational(1, r) * differentiate(tau, t) * X0
@@ -716,7 +713,7 @@ def adjoint_pushforward(Q, step, r):
         if r % 2 == 1:
             raise InputError("the reflection exists only for even order")
         eta_new = substitute(eta, {x: -x}) if eta != 0 else S.Zero
-        return VectorField(tau, normalize(-chi).as_expr(), phi, eta_new)
+        return VectorField(tau, -chi, phi, eta_new)
     if kind == "scale":
         c = as_exact(step[1])
         return VectorField(
@@ -811,7 +808,7 @@ def canonicalize_1d(Q, r, assume=None):
             raise InternalError("translation part did not normalize to 1")
         canonical = VectorField(chi=S.One, phi=Q1.phi)
     elif is_zero(phi, assume=assume) is not Verdict.ZERO:
-        if _tfree(normalize(phi).as_expr()):
+        if _tfree(phi):
             chain.append(("scale", normalize(1 / phi).as_expr()))
             canonical = VectorField(phi=S.One)
         else:
@@ -834,6 +831,5 @@ def canonicalize_1d(Q, r, assume=None):
 
 def transport_solution(h, tr):
     """Image of a solution: u~(t~,x~) = U1 h + U0 at the preimage point."""
-    expr = as_exact(tr.U1) * as_exact(h) + as_exact(tr.U0)
-    inv = tr.inverse_map()
-    return normalize(expand_special(substitute(expr, inv))).as_expr()
+    expr = tr.U1 * as_exact(h) + tr.U0
+    return _pull_back(expr, tr.inverse_map())

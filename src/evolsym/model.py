@@ -12,6 +12,11 @@ Symmetry fields are spanned by
     Z(eta) = eta d/du                          (eta a function of t and x)
 
 and VectorField(tau, chi, phi, eta) realizes D(tau)+P(chi)+I(phi)+Z(eta).
+
+Every expression field of these types, and of the transformation and ODE
+types built on them, holds normalize(e).as_expr(): the constructors check
+the input as given, then store its normal form, so consumers compare,
+print and reuse fields without normalizing them again.
 """
 
 from dataclasses import dataclass
@@ -45,13 +50,15 @@ class EvolutionEquation:
             raise InputError("order r must be an integer >= 3")
         if len(self.A) != self.r + 1:
             raise InputError(f"need {self.r + 1} coefficients A^0..A^{self.r}")
-        object.__setattr__(self, "A", tuple(as_exact(a) for a in self.A))
-        object.__setattr__(self, "B", as_exact(self.B))
-        for a in self.A + (self.B,):
+        A = tuple(as_exact(a) for a in self.A)
+        B = as_exact(self.B)
+        for a in A + (B,):
             if _has_bad_vars(a):
                 raise InputError("coefficients may depend on t, x and parameters only")
-        if is_zero(self.A[self.r]) is not Verdict.NONZERO:
+        if is_zero(A[self.r]) is not Verdict.NONZERO:
             raise InputError("leading coefficient A^r must be certifiably nonzero")
+        object.__setattr__(self, "A", tuple(normalize(a).as_expr() for a in A))
+        object.__setattr__(self, "B", normalize(B).as_expr())
 
 
 @dataclass(frozen=True)
@@ -64,10 +71,11 @@ class ReducedEquation:
             raise InputError("order r must be an integer >= 3")
         if len(self.A) != self.r - 1:
             raise InputError(f"need {self.r - 1} coefficients A^0..A^{self.r - 2}")
-        object.__setattr__(self, "A", tuple(as_exact(a) for a in self.A))
-        for a in self.A:
+        A = tuple(as_exact(a) for a in self.A)
+        for a in A:
             if _has_bad_vars(a):
                 raise InputError("coefficients may depend on t, x and parameters only")
+        object.__setattr__(self, "A", tuple(normalize(a).as_expr() for a in A))
 
 
 def _has_bad_vars(e):
@@ -85,14 +93,20 @@ def as_reduced(eq):
     """View a full equation in the reduced form, checking the gauges hold."""
     if isinstance(eq, ReducedEquation):
         return eq
-    r = eq.r
-    if (
-        is_zero(eq.A[r] - 1) is not Verdict.ZERO
-        or is_zero(eq.A[r - 1]) is not Verdict.ZERO
-        or is_zero(eq.B) is not Verdict.ZERO
-    ):
+    if not _reduced_shape(eq):
         raise InputError("equation is not reduced (needs A^r=1, A^(r-1)=0, B=0)")
-    return ReducedEquation(r, eq.A[: r - 1])
+    return ReducedEquation(eq.r, eq.A[: eq.r - 1])
+
+
+def _reduced_shape(eq, homogeneous=True):
+    """A^r = 1 and A^{r-1} = 0, and also B = 0 when homogeneous, each
+    certified ZERO by is_zero."""
+    r = eq.r
+    return (
+        is_zero(eq.A[r] - 1) is Verdict.ZERO
+        and is_zero(eq.A[r - 1]) is Verdict.ZERO
+        and (not homogeneous or is_zero(eq.B) is Verdict.ZERO)
+    )
 
 
 @dataclass(frozen=True)
@@ -103,21 +117,20 @@ class VectorField:
     eta0: Expr = S.Zero
 
     def __post_init__(self):
-        for name in ("tau", "chi", "phi", "eta0"):
-            object.__setattr__(self, name, as_exact(getattr(self, name)))
-        for name in ("tau", "chi", "phi"):
-            if x in getattr(self, name).free_symbols:
+        names = ("tau", "chi", "phi", "eta0")
+        comps = [as_exact(getattr(self, name)) for name in names]
+        for name, c in zip(names[:3], comps):
+            if x in c.free_symbols:
                 raise InputError(f"{name} must not depend on x")
+        for name, c in zip(names, comps):
+            object.__setattr__(self, name, normalize(c).as_expr())
 
     def describe(self):
         parts = []
-        for comp, label in ((self.tau, "D"), (self.chi, "P"), (self.phi, "I")):
-            c = normalize(comp).as_expr()
+        labelled = ((self.tau, "D"), (self.chi, "P"), (self.phi, "I"), (self.eta0, "Z"))
+        for c, label in labelled:
             if c != 0:
                 parts.append(f"{label}({to_str(c)})")
-        z = normalize(self.eta0).as_expr()
-        if z != 0:
-            parts.append(f"Z({to_str(z)})")
         return " + ".join(parts) if parts else "0"
 
 
@@ -137,12 +150,7 @@ def lie_bracket(q1, q2, r):
         act1 = t1 * differentiate(z2, t) + (rr * dt(t1) * x + c1) * differentiate(z2, x) - p1 * z2
         act2 = t2 * differentiate(z1, t) + (rr * dt(t2) * x + c2) * differentiate(z1, x) - p2 * z1
         zeta_b = act1 - act2
-    return VectorField(
-        normalize(tau_b).as_expr(),
-        normalize(chi_b).as_expr(),
-        normalize(phi_b).as_expr(),
-        normalize(zeta_b).as_expr(),
-    )
+    return VectorField(tau_b, chi_b, phi_b, zeta_b)
 
 
 # --- coordinates over a common function basis -------------------------------

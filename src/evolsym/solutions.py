@@ -76,13 +76,10 @@ class LinearODE:
         rhs = as_exact(self.rhs)
         if len(cs) == self.order + 1:
             lead = cs[-1]
-            if is_zero(lead) is not Verdict.ZERO or normalize(lead - 1).num != 0:
-                if is_zero(lead) is not Verdict.NONZERO:
-                    raise InputError("leading coefficient must be nonzero")
-                cs = tuple(normalize(c / lead).as_expr() for c in cs[:-1])
-                rhs = normalize(rhs / lead).as_expr()
-            else:
-                cs = cs[:-1]
+            if is_zero(lead) is not Verdict.NONZERO:
+                raise InputError("leading coefficient must be nonzero")
+            cs = tuple(normalize(c / lead).as_expr() for c in cs[:-1])
+            rhs = normalize(rhs / lead).as_expr()
         if len(cs) != self.order:
             raise InputError(
                 f"need {self.order} or {self.order + 1} coefficients"
@@ -95,8 +92,8 @@ class LinearODE:
                 raise InputError(
                     f"ODE in {self.var} must not involve {other}"
                 )
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "coeffs", tuple(normalize(c).as_expr() for c in cs))
+        object.__setattr__(self, "rhs", normalize(rhs).as_expr())
 
     def residual(self, v):
         """L[v] - rhs, normalized."""
@@ -107,12 +104,12 @@ class LinearODE:
         return normalize(res).as_expr()
 
     def is_constant(self):
-        return all(normalize(c).as_expr().is_Rational for c in self.coeffs)
+        return all(c.is_Rational for c in self.coeffs)
 
     def describe(self):
         parts = [f"v_{self.order}"]
         for l in range(self.order - 1, -1, -1):
-            c = normalize(self.coeffs[l]).as_expr()
+            c = self.coeffs[l]
             if c != 0:
                 parts.append(f"({to_str(c)})*v_{l}")
         return " + ".join(parts) + f" = {to_str(self.rhs)}  [{self.var}]"
@@ -126,6 +123,10 @@ class ReducedSystem:
     unknowns: tuple
     left: tuple
     coupling: tuple
+
+    def __post_init__(self):
+        rows = tuple(tuple(normalize(c).as_expr() for c in row) for row in self.coupling)
+        object.__setattr__(self, "coupling", rows)
 
     def residual(self, values):
         """Residual rows for a candidate {unknown name: Expr} assignment."""
@@ -142,9 +143,9 @@ class ReducedSystem:
         for i, name in enumerate(self.unknowns):
             lhs = self.left[i].describe().split("  [")[0].replace("v_", f"{name}_")
             rhs = [
-                f"({to_str(normalize(c).as_expr())})*{other}"
+                f"({to_str(c)})*{other}"
                 for c, other in zip(self.coupling[i], self.unknowns)
-                if normalize(c).num != 0
+                if c != 0
             ]
             lines.append(f"{lhs[: lhs.index(' = ')]} = " + (" + ".join(rhs) or "0"))
         return lines
@@ -228,7 +229,7 @@ class GeneralizedReduction:
 def certify_symbolic(eq, expr, provenance=None, parameters=()):
     """Wrap expr as a symbolic Solution of eq; the exact residual must be
     certifiably zero, anything else is an internal failure of the caller."""
-    expr = normalize(as_exact(expr)).as_expr()
+    expr = normalize(expr).as_expr()
     res = residual_symbolic(eq, expr)
     if is_zero(res) is not Verdict.ZERO:
         raise InternalError(
@@ -320,7 +321,7 @@ def _p_shape(eq):
     if is_zero(eq.A[1]) is not Verdict.ZERO:
         raise UnsupportedError("the shape needs A^1 = 0")
     for j in range(2, eq.r - 1):
-        if x in normalize(eq.A[j]).as_expr().free_symbols:
+        if x in eq.A[j].free_symbols:
             raise UnsupportedError("the shape needs x-free A^j for j >= 2")
     return f
 
@@ -395,10 +396,8 @@ def lie_reduce(eq, Q):
     the class.
     """
     eq = as_reduced(eq)
-    tau = normalize(Q.tau).as_expr()
-    chi = normalize(Q.chi).as_expr()
-    phi = normalize(Q.phi).as_expr()
-    if normalize(Q.eta0).num != 0:
+    tau, chi, phi = Q.tau, Q.chi, Q.phi
+    if Q.eta0 != 0:
         raise UnsupportedError(
             "superposition parts are handled by the nonlocal generation formula"
         )
@@ -433,10 +432,9 @@ def lie_reduce(eq, Q):
 def _char_coeffs(ode):
     cs = []
     for c in ode.coeffs:
-        e = normalize(c).as_expr()
-        if not e.is_Rational:
+        if not c.is_Rational:
             raise InputError("constant rational coefficients required")
-        cs.append(to_fraction(e))
+        cs.append(to_fraction(c))
     cs.append(Fraction(1))
     return cs
 
@@ -459,7 +457,7 @@ def solve_const_ode(ode):
     corresponding elements carry numeric residual certificates, unless the
     rationalized root happens to be exact.
     """
-    if normalize(ode.rhs).num != 0:
+    if ode.rhs != 0:
         raise InputError("a homogeneous ODE is required")
     char = _char_coeffs(ode)
     rts, rest = rational_roots(char)
@@ -532,7 +530,7 @@ def _exp_poly_groups(e, var):
                 a = int(ex)
             elif isinstance(base, Exp) and ex.is_Integer:
                 arg = base.args[0]
-                slope = normalize(differentiate(arg, var)).as_expr()
+                slope = differentiate(arg, var)
                 if not slope.is_Rational:
                     return None
                 if normalize(arg - slope * var).num != 0:
@@ -557,14 +555,14 @@ def _root_multiplicity(char, b):
 def _particular(coeffs, rhs, var):
     """Particular solution of v_n + sum coeffs[l] v_l = rhs for constant
     rational coeffs and rhs in the exp-polynomial span, else None."""
-    rhs = normalize(as_exact(rhs)).as_expr()
+    rhs = normalize(rhs).as_expr()
     if rhs == 0:
         return S.Zero
     groups = _exp_poly_groups(rhs, var)
     if groups is None:
         return None
-    char = [to_fraction(normalize(c).as_expr()) for c in coeffs] + [Fraction(1)]
     op = LinearODE(len(coeffs), tuple(coeffs), S.Zero, var)
+    char = _char_coeffs(op)
     total = S.Zero
     for b, poly in groups.items():
         d = max(poly)
@@ -671,7 +669,7 @@ def _pair_system(var, ode, nu, cp):
     if nu != 0:
         names += [f"w{s}" for s in range(n)]
         coup = [coup[s] + [d for _, d in cp[s]] for s in range(n)] + [
-            [normalize(-d).as_expr() for _, d in cp[s]] + coup[s]
+            [-d for _, d in cp[s]] + coup[s]
             for s in range(n)
         ]
     left = (ode,) * len(names)
@@ -770,7 +768,7 @@ def _d_real_chain(eq, N, coeffs, top, basis_exact):
     notes = []
 
     def descend(vtop, stop):
-        layers = {stop: normalize(as_exact(vtop)).as_expr()}
+        layers = {stop: normalize(vtop).as_expr()}
         for s in range(stop - 1, -1, -1):
             rhs = Integer(s + 1) * layers[s + 1]
             part = _particular(coeffs, rhs, x)
@@ -869,7 +867,7 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
     ansatz = _ansatz("x", "t", N, nu, mu)
     notes = []
     sols = []
-    if not all(normalize(a).as_expr().is_Rational for a in eq.A):
+    if not all(a.is_Rational for a in eq.A):
         notes.append("non-constant coefficients: closed layer chains unavailable")
     elif nu == 0:
         # exact rational roots, then layer chains by undetermined coefficients
@@ -904,7 +902,7 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
             )
     elif N == 0:
         # floating complex roots of char(z) = mu - i nu
-        char = [to_fraction(normalize(a).as_expr()) for a in eq.A]
+        char = [to_fraction(a) for a in eq.A]
         char += [Fraction(0)] * (eq.r - len(char))
         char.append(Fraction(1))
         cpoly = [complex(float(c), 0.0) for c in char]
@@ -962,7 +960,7 @@ def _gen_reduction_p(eq, N, mu, nu, phi0, numeric):
     n = N + 1
 
     tfree = t not in phat.free_symbols and all(
-        t not in normalize(a).as_expr().free_symbols for a in eq.A
+        t not in a.free_symbols for a in eq.A
     )
     if tfree or N == 0:
         # the diagonal rate integrates to the phase exp(Pint) R(Sint); a
@@ -1069,9 +1067,9 @@ def rk4_integrate(system, init, span, n_steps, params=None):
     var = system.var.name
     extra = dict(params or {})
 
-    cof = [[normalize(c).as_expr() for c in system.left[i].coeffs] for i in range(len(orders))]
-    coup = [[normalize(c).as_expr() for c in row] for row in system.coupling]
-    rhs = [normalize(system.left[i].rhs).as_expr() for i in range(len(orders))]
+    cof = [ode.coeffs for ode in system.left]
+    coup = system.coupling
+    rhs = [ode.rhs for ode in system.left]
 
     def F(w, y):
         env = {var: w, **extra}

@@ -102,7 +102,7 @@ class SymmetryReport:
 def verify_symmetry(eq, Q):
     """Check a vector field against the determining equations exactly."""
     res = classifying_residuals(eq, Q.tau, Q.chi, Q.phi)
-    if normalize(Q.eta0).num != 0:
+    if Q.eta0 != 0:
         # the linearity condition: eta0 solves the equation itself
         res = replace(res, R_lin=residual_symbolic(eq, Q.eta0))
     checked = list(res.R) + ([] if res.R_lin is None else [res.R_lin])
@@ -163,7 +163,7 @@ class AnsatzSpace:
 
 def _check_instantiated(eq):
     for a in eq.A:
-        extra = as_exact(a).free_symbols - {t, x}
+        extra = a.free_symbols - {t, x}
         if extra:
             names = ", ".join(sorted(str(s) for s in extra))
             raise InputError(
@@ -318,13 +318,7 @@ def solve_symmetries(eq, space=None, max_cells=500000):
         for (slot, i), c in zip(slots, v):
             if c:
                 parts[slot] += Rational(c.numerator, c.denominator) * funcs[i]
-        fields.append(
-            VectorField(
-                normalize(parts["tau"]).as_expr(),
-                normalize(parts["chi"]).as_expr(),
-                normalize(parts["phi"]).as_expr(),
-            )
-        )
+        fields.append(VectorField(parts["tau"], parts["chi"], parts["phi"]))
     fields = tuple(fields)
     if in_span(VectorField(phi=S.One), fields) is None:
         raise InternalError("kernel field I(1) missing from the solved algebra")
@@ -371,9 +365,9 @@ def _split_4a_4b(alg):
     a1 != 0 the exponential one."""
     qd = qp = None
     for q in alg.basis:
-        if normalize(q.tau).num != 0:
+        if q.tau != 0:
             qd = q
-        elif normalize(q.chi).num != 0:
+        elif q.chi != 0:
             qp = q
     if qd is None or qp is None:
         return "unknown"

@@ -242,8 +242,7 @@ def _derivative(U, d, p, h, axis):
     return out / h**d, m
 
 
-def _coeff_grid(a, tis, xjs):
-    e = normalize(a).as_expr()
+def _coeff_grid(e, tis, xjs):
     free = e.free_symbols
     shape = (len(tis), len(xjs))
     if not free:
@@ -267,7 +266,7 @@ def _level_residual(eq, U, tpts, xpts, p):
     r = eq.r
     nt, nx = U.shape
     mt, ct = stencil(1, p)
-    ds = [k for k in range(1, r + 1) if normalize(eq.A[k]).num != 0]
+    ds = [k for k in range(1, r + 1) if eq.A[k] != 0]
     mx = max(stencil(d, p)[0] for d in ds)
     if nt < 2 * mt + 1 or nx < 2 * mx + 1:
         return None
@@ -280,7 +279,7 @@ def _level_residual(eq, U, tpts, xpts, p):
     acc = ut[:, mx : nx - mx]
     floor = eps_u * float(sum(abs(c) for c in ct)) / ht
     for k in range(r + 1):
-        if normalize(eq.A[k]).num == 0:
+        if eq.A[k] == 0:
             continue
         if k == 0:
             uxk = U[mt : nt - mt, mx : nx - mx]
@@ -293,7 +292,7 @@ def _level_residual(eq, U, tpts, xpts, p):
         coef = _coeff_grid(eq.A[k], tis, xjs)
         acc = acc - coef * uxk
         floor += eps_u * float(np.max(np.abs(coef))) * wsum
-    if normalize(eq.B).num != 0:
+    if eq.B != 0:
         acc = acc - _coeff_grid(eq.B, tis, xjs)
     return acc, tis, xjs, floor
 

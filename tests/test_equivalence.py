@@ -144,6 +144,30 @@ class TestTransformation:
         with pytest.raises(InputError):
             EquivTransformation(3, U1=S.Zero)
 
+    def test_fields_are_stored_as_normal_forms(self):
+        raw = {
+            "T": (t**2 - 1) / (t - 1),
+            "X0": Exp(t) * (Exp(t) + 1),
+            "U1": (x**2 - 1) / (x - 1),
+            "U0": t + t,
+            "X1": 1 / Exp(t) ** 2,
+        }
+        tr = EquivTransformation(3, **raw)
+        for name, e in raw.items():
+            assert getattr(tr, name) == normalize(e).as_expr()
+        assert tr.T != raw["T"] and tr.X0 != raw["X0"]
+        # the derived X1 is stored as a normal form too
+        derived = EquivTransformation(4, T=raw["T"], eps=-1).X1
+        assert derived == normalize(derived).as_expr()
+
+    def test_rejections_read_the_input_as_given(self):
+        bad_x = (x**2 - 1) / (x - 1) - x
+        assert normalize(bad_x).as_expr() == 1
+        for name in ("T", "X0", "X1"):
+            kw = {name: t + bad_x} if name == "T" else {name: bad_x}
+            with pytest.raises(InputError, match=f"{name} must not depend on x"):
+                EquivTransformation(3, **kw)
+
     def test_doc_roundtrip(self):
         tr = EquivTransformation(3, T=2 * t, X0=t**2, U1=Exp(t), U0=t * x)
         doc = tr.to_doc()

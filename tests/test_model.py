@@ -220,6 +220,41 @@ class TestEquationModel:
         with pytest.raises(InputError):
             EvolutionEquation(3, (Symbol("u"), S.Zero, S.Zero, S.One))
 
+    def test_fields_are_stored_as_normal_forms(self):
+        from evolsym.kernel import Exp
+
+        raw = (
+            (x**2 - 1) / (x - 1),
+            t + t,
+            Exp(t) * (Exp(t) + 1),
+            (t**2 - 1) / (t - 1),
+        )
+        assert normalize(raw[0]).as_expr() != raw[0]
+        assert normalize(raw[2]).as_expr() != raw[2]
+        want = tuple(normalize(e).as_expr() for e in raw)
+        eq = EvolutionEquation(3, raw, raw[0] * raw[2])
+        assert eq.A == want
+        assert eq.B == normalize(raw[0] * raw[2]).as_expr()
+        assert ReducedEquation(4, raw[:3]).A == want[:3]
+        q = VectorField(tau=raw[3], chi=raw[2], phi=raw[1], eta0=raw[0])
+        assert (q.tau, q.chi, q.phi, q.eta0) == (want[3], want[2], want[1], want[0])
+
+    def test_rejections_read_the_input_as_given(self):
+        # the bad variable cancels in the normal form, and is still rejected
+        bad_u = (u**2 - 1) / (u - 1) - u
+        assert normalize(bad_u).as_expr() == 1
+        with pytest.raises(InputError, match="t, x and parameters only"):
+            EvolutionEquation(3, (bad_u, S.Zero, S.Zero, S.One))
+        with pytest.raises(InputError, match="t, x and parameters only"):
+            EvolutionEquation(3, (S.Zero, S.Zero, S.Zero, S.One), bad_u)
+        with pytest.raises(InputError, match="t, x and parameters only"):
+            ReducedEquation(3, (bad_u, S.Zero))
+        bad_x = (x**2 - 1) / (x - 1) - x
+        assert normalize(bad_x).as_expr() == 1
+        for name in ("tau", "chi", "phi"):
+            with pytest.raises(InputError, match=f"{name} must not depend on x"):
+                VectorField(**{name: bad_x})
+
     def test_leading_coefficient_certificates(self):
         # a parameter that is generically nonzero is accepted
         a = symbols("a")

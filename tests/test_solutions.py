@@ -87,6 +87,32 @@ class TestLinearODE:
         with pytest.raises(InputError):
             LinearODE(2, (S.One, S.One, S.Zero))
 
+    def test_fields_are_stored_as_normal_forms(self):
+        raw = ((x**2 - 1) / (x - 1), Exp(x) * (Exp(x) + 1))
+        rhs = (x + x) * (x - 1)
+        ode = LinearODE(2, raw, rhs, x)
+        assert ode.coeffs == tuple(normalize(c).as_expr() for c in raw)
+        assert ode.coeffs != raw and ode.rhs != rhs
+        assert ode.rhs == normalize(rhs).as_expr()
+        # a leading entry divides, and the quotients are normal forms too
+        lead = LinearODE(2, raw + (x + 1,), rhs, x)
+        assert lead.coeffs == (S.One, normalize(raw[1] / (x + 1)).as_expr())
+        assert lead.rhs == normalize(rhs / (x + 1)).as_expr()
+        coupling = (((t**2 - 1) / (t - 1), t + t), (Exp(t) * (Exp(t) + 1), S.Zero))
+        left = (LinearODE(1, (S.Zero,), S.Zero, t),) * 2
+        system = ReducedSystem(t, ("v0", "v1"), left, coupling)
+        assert system.coupling == tuple(
+            tuple(normalize(c).as_expr() for c in row) for row in coupling
+        )
+
+    def test_variable_check_reads_the_input_as_given(self):
+        bad_t = (t**2 - 1) / (t - 1) - t
+        assert normalize(bad_t).as_expr() == 1
+        with pytest.raises(InputError, match="must not involve t"):
+            LinearODE(2, (bad_t, S.Zero), S.Zero, x)
+        with pytest.raises(InputError, match="must not involve t"):
+            LinearODE(2, (S.Zero, S.Zero), bad_t, x)
+
 
 class TestReduceD1:
     def test_free_equation(self):
