@@ -12,7 +12,7 @@ the equation, and the transformed coefficients are read off triangularly.
 
 from dataclasses import dataclass, field
 
-from sympy import Add, Expr, Integer, Mul, Pow, Rational, S, expand
+from sympy import Add, Expr, Pow, Rational, S, expand
 
 from .errors import InputError, InternalError, UnsupportedError
 from .kernel import (
@@ -25,16 +25,20 @@ from .kernel import (
     differentiate,
     integrate,
     is_zero,
-    mono_dict,
     normalize,
     parse_expr,
-    solve_affine,
     substitute,
     t,
-    to_fraction,
     x,
 )
-from .model import EvolutionEquation, ReducedEquation, VectorField, embed_reduced
+from .model import (
+    EvolutionEquation,
+    ReducedEquation,
+    VectorField,
+    _combination,
+    _slot_coords,
+    embed_reduced,
+)
 from .verify import residual_symbolic
 
 __all__ = [
@@ -112,9 +116,8 @@ def nth_root(f, r):
     if nf.num == 0:
         return S.Zero
     e = nf.as_expr()
-    d = mono_dict(nf.num)
-    if nf.den == 1 and len(d) == 1:
-        ((key, coeff),) = d.items()
+    if nf.den == 1 and len(nf.num_terms) == 1:
+        ((key, coeff),) = nf.num_terms.items()
         c = Rational(coeff)
         out = S.One
         if c < 0:
@@ -161,7 +164,7 @@ class CatalogEntry:
 
 
 def _tfree(e):
-    return t not in as_exact(e).free_symbols
+    return t not in e.free_symbols
 
 
 def recognize_scalar(f):
@@ -420,7 +423,7 @@ def compose(tr1, tr2):
         raise InputError("orders do not match")
     r = tr1.r
     T = compose_scalar(tr2.T, tr1.T)
-    if recognize_scalar(T) is None and normalize(T - t).num != 0:
+    if recognize_scalar(T) is None and T != t:
         raise UnsupportedError("composed time map leaves the invertible catalog")
     push = {t: tr1.T, x: tr1.X_expr}
     X1_2 = _pull_back(tr2.X1, push)
@@ -470,7 +473,7 @@ def gauge_leading(eq):
     a = eq.A[r]
     if x in a.free_symbols:
         raise UnsupportedError("leading coefficient must depend on t only")
-    if normalize(a - 1).num == 0:
+    if a == 1:
         return eq, GaugeReport((), "leading-normalized", ())
     if r % 2 == 0:
         if is_zero(AbsV(a) - a) is not Verdict.ZERO:
@@ -545,31 +548,24 @@ def find_particular_solution(eq, ansatz_degree):
         nf = normalize(e)
         if nf.den != 1:
             raise InputError("polynomial coefficients required")
-        for key in mono_dict(nf.num):
+        for key in nf.num_terms:
             for base, expo in key:
                 if base not in (t, x) or not expo.is_Integer or expo < 0:
                     raise InputError("polynomial coefficients required")
     monos = [(i, j) for i in range(dt_ + 1) for j in range(dx_ + 1)]
 
-    def residual_coeffs(w):
-        resid = differentiate(w, t) - sum(
+    def residual(w):
+        return differentiate(w, t) - sum(
             eq.A[k] * differentiate(w, x, k) for k in range(eq.r + 1)
         )
-        return mono_dict(normalize(resid).as_expr())
 
-    cols = [residual_coeffs(Pow(t, i) * Pow(x, j)) for i, j in monos]
-    rhsd = mono_dict(eq.B)
-    keys = sorted({k for d in cols + [rhsd] for k in d}, key=repr)
-    mat = [[to_fraction(col.get(k, S.Zero)) for col in cols] for k in keys]
-    rhs = [to_fraction(rhsd.get(k, S.Zero)) for k in keys]
-    got = solve_affine(mat, rhs)
-    if got is None:
+    residuals = [residual(Pow(t, i) * Pow(x, j)) for i, j in monos]
+    part = _combination(_slot_coords(residuals + [eq.B])[1])
+    if part is None:
         return None
-    part = got[0]
-    w = normalize(
+    return normalize(
         Add(*[Rational(c) * Pow(t, i) * Pow(x, j) for c, (i, j) in zip(part, monos)])
     ).as_expr()
-    return w
 
 
 def gauge_all(eq, particular=None, max_degree=6):
@@ -657,10 +653,10 @@ def equivalence_flow(gen, eps_val, r):
         if b == 0:
             T = t + a * e
         else:
-            T = normalize(t * Exp(b * e) + a * (Exp(b * e) - 1) / b).as_expr()
+            T = t * Exp(b * e) + a * (Exp(b * e) - 1) / b
         return EquivTransformation(r, T=T)
     if kind == "P":
-        return EquivTransformation(r, X0=normalize(e * fn).as_expr())
+        return EquivTransformation(r, X0=e * fn)
     if kind == "I":
         return EquivTransformation(r, U1=Exp(e * fn))
     raise InputError("generator kind must be one of D, P, I")
@@ -701,14 +697,13 @@ def adjoint_pushforward(Q, step, r):
         X0 = as_exact(step[1])
         chi_new = chi + tau * differentiate(X0, t) - Rational(1, r) * differentiate(tau, t) * X0
         eta_new = substitute(eta, {x: x - X0}) if eta != 0 else S.Zero
-        return VectorField(tau, normalize(chi_new).as_expr(), phi, eta_new)
+        return VectorField(tau, chi_new, phi, eta_new)
     if kind == "I":
         U1 = as_exact(step[1])
         if is_zero(U1) is not Verdict.NONZERO:
             raise InputError("U1 must be certifiably nonzero")
         phi_new = phi + tau * differentiate(U1, t) / U1
-        eta_new = normalize(U1 * eta).as_expr() if eta != 0 else S.Zero
-        return VectorField(tau, chi, normalize(phi_new).as_expr(), eta_new)
+        return VectorField(tau, chi, phi_new, U1 * eta)
     if kind == "X":
         if r % 2 == 1:
             raise InputError("the reflection exists only for even order")
@@ -716,12 +711,7 @@ def adjoint_pushforward(Q, step, r):
         return VectorField(tau, -chi, phi, eta_new)
     if kind == "scale":
         c = as_exact(step[1])
-        return VectorField(
-            normalize(c * tau).as_expr(),
-            normalize(c * chi).as_expr(),
-            normalize(c * phi).as_expr(),
-            normalize(c * eta).as_expr(),
-        )
+        return VectorField(c * tau, c * chi, c * phi, c * eta)
     raise InputError(f"unknown elementary transformation {kind!r}")
 
 
@@ -791,7 +781,7 @@ def canonicalize_1d(Q, r, assume=None):
         canonical = VectorField(tau=S.One)
     elif is_zero(chi, assume=assume) is not Verdict.ZERO:
         unit = None
-        if normalize(chi - 1).num != 0:
+        if chi != 1:
             sgn = _sign_certificate(chi, assume=assume)
             if r % 2 == 0 and sgn == 0:
                 raise UnsupportedError("sign of chi must be definite for even order")

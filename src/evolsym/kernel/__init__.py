@@ -3,7 +3,7 @@
 from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, atom_heads_in, sym, t, x
 from .calculus import differentiate, integrate, substitute
 from .linalg import nullspace, rank, row_canonical, rref, solve_affine, to_fraction
-from .normalform import NormalForm, as_exact, dict_to_expr, mono_dict, normalize
+from .normalform import NormalForm, as_exact, dict_to_expr, normalize
 from .numeric import eval_numeric
 from .parse import parse_expr
 from .printer import to_str
@@ -26,7 +26,6 @@ __all__ = [
     "eval_numeric",
     "integrate",
     "is_zero",
-    "mono_dict",
     "normalize",
     "nullspace",
     "parse_expr",

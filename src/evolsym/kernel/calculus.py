@@ -2,11 +2,11 @@
 
 from functools import lru_cache
 
-from sympy import Add, Dummy, Integer, Mul, Pow, Rational, S, Symbol, apart
+from sympy import Add, Dummy, Mul, Pow, S, apart
 
 from ..errors import InputError
 from .atoms import ATOM_HEADS, Cos, Exp, Ln, Sin, sym
-from .normalform import as_exact, mono_dict, normalize
+from .normalform import _exact_input, as_exact, normalize
 
 
 def _as_sym(var):
@@ -24,7 +24,7 @@ def differentiate(e, var, n=1):
     if not (isinstance(n, int) and n >= 0):
         raise InputError("derivative order must be a nonnegative integer")
     var = _as_sym(var)
-    d = as_exact(e)
+    d = _exact_input(e)
     if n == 0:
         return normalize(d).as_expr()
     for _ in range(n):
@@ -34,7 +34,8 @@ def differentiate(e, var, n=1):
 
 @lru_cache(maxsize=4096)
 def _derivative(e, var):
-    return normalize(e.diff(var)).as_expr()
+    # validated on a miss only, as in normalize
+    return normalize(as_exact(e).diff(var)).as_expr()
 
 
 def substitute(e, bindings):
@@ -101,9 +102,11 @@ def _integrate_rational(expr, var):
         base, m = d.as_base_exp()
         if not m.is_Integer or m < 1:
             return None
-        dpoly = mono_dict(base)
+        dpoly = normalize(base)
+        if dpoly.den != 1:
+            return None
         a = b = S.Zero
-        for key, c in dpoly.items():
+        for key, c in dpoly.num_terms.items():
             if key == ():
                 b = c
             elif len(key) == 1 and key[0][0] == var and key[0][1] == 1:

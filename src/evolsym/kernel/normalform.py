@@ -34,6 +34,10 @@ normal forms.  Domain notes record denominator loci, cancelled factors of
 two or more terms, ln positivity, fractional-power positivity and abs/sgn
 punctures.
 
+Terms.  A NormalForm keeps the canonical dicts that num and den print as
+num_terms and den_terms: monomial coordinates are read off them, never
+derived from num or den again.
+
 Budgets.  A power of a sum whose multinomial term count exceeds TERM_BUDGET,
 any converted polynomial longer than that, and non-rational exponents nested
 deeper than EXPONENT_DEPTH_BUDGET raise UnsupportedError (exit 3) naming the
@@ -41,9 +45,10 @@ budget, before the work is done where the bound can be known in advance.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from sympy import (
     Add,
@@ -71,10 +76,15 @@ from .printer import to_str
 
 @dataclass(frozen=True)
 class NormalForm:
+    """num/den of an expression; num_terms and den_terms are the canonical
+    dicts {key: Rational} that num and den print, read-only."""
+
     num: Expr
     den: Expr
     atoms: tuple = ()
     domain_notes: tuple = ()
+    num_terms: MappingProxyType = field(compare=False, kw_only=True)
+    den_terms: MappingProxyType = field(compare=False, kw_only=True)
 
     def as_expr(self):
         if self.den == 1:
@@ -85,6 +95,11 @@ class NormalForm:
         if self.den == 1:
             return to_str(self.num)
         return f"({to_str(self.num)})/({to_str(self.den)})"
+
+
+_ZERO = NormalForm(
+    S.Zero, S.One, num_terms=MappingProxyType({}), den_terms=MappingProxyType({(): S.One})
+)
 
 
 def as_exact(e):
@@ -272,11 +287,6 @@ def _accumulate(out, key, coeff):
         out[key] = cur
 
 
-def mono_dict(e):
-    """Expand e into the canonical polynomial dict {key: Rational coeff}."""
-    return _canon_terms(_raw_terms(e))
-
-
 def _canon_terms(terms):
     """Canonical polynomial dict of (coeff, [(base, exponent)]) terms."""
     for _round in range(6):
@@ -335,24 +345,17 @@ def dict_to_expr(d):
 
 def common_numerators(nfs):
     """Numerator dicts of normal forms over one common denominator, the
-    product of their distinct denominators: each numerator is multiplied by
-    the denominators other than its own and canonicalized."""
-    dens = []
-    for nf in nfs:
-        if nf.den != 1 and nf.den not in dens:
-            dens.append(nf.den)
-    conv = _Converter(canonical=False)
-    nums = [conv.rewrite(nf.num) for nf in nfs]
-    dnodes = [conv.rewrite(d) for d in dens]
-    conv.start()
-    dens = [(d, conv.evaluate(node)) for d, node in zip(dens, dnodes)]
+    product of their distinct denominators: each numerator's terms are
+    multiplied by those of the denominators other than its own and
+    canonicalized."""
+    dens = {nf.den: nf.den_terms for nf in nfs if nf.den != 1}
     out = []
-    for nf, node in zip(nfs, nums):
-        value = conv.evaluate(node)
-        for d, dvalue in dens:
-            if d != nf.den:
-                value = _v_mul(conv.R, value, dvalue)
-        out.append(_canon_terms(conv.value_terms(value)))
+    for nf in nfs:
+        others = [d for den, d in dens.items() if den != nf.den]
+        terms = [(c, key) for key, c in nf.num_terms.items()]
+        for d in others:
+            terms = [(c1 * c2, k1 + k2) for c1, k1 in terms for k2, c2 in d.items()]
+        out.append(_canon_terms(terms) if others else nf.num_terms)
     return out
 
 
@@ -543,7 +546,7 @@ class _Converter:
 
     canonical: atoms get canonical arguments and a negative power of a sum
     becomes a denominator factor (normalize); otherwise atoms are taken as
-    they stand and b^(-n) is one more generator power (mono_dict)."""
+    they stand and b^(-n) is one more generator power (_raw_terms)."""
 
     def __init__(self, canonical):
         self.canonical = canonical
@@ -713,7 +716,8 @@ class _Converter:
 
 def _raw_terms(e):
     """Raw (coeff, [(base, exponent)]) terms of e written out, atoms as
-    they stand and negative powers kept as factors."""
+    they stand and negative powers kept as factors; _canon_terms re-expands
+    with it."""
     conv = _Converter(canonical=False)
     node = conv.rewrite(e)
     conv.start()
@@ -838,23 +842,32 @@ def _domain_notes(num_d, den_d, cancelled, den_e):
     return tuple(sorted(notes))
 
 
+def _exact_input(e):
+    # refuse, before a cache lookup, what as_exact never accepts
+    if not isinstance(e, (Expr, int, Fraction, NormalForm)):
+        raise InputError(f"not an expression: {e!r}")
+    return e
+
+
 def normalize(e):
     """Normal form of e.  Raises InputError on malformed input and
     UnsupportedError outside the fragment.
 
-    Results are memoized per exact expression in a bounded LRU; the input
-    is validated on every call, and errors are not cached.  A NormalForm is
-    frozen and holds only immutable sympy objects, so callers may share it.
+    Results are memoized per input in a bounded LRU and as_exact validates
+    the input on a miss only: a hit needs an equal key, and no exact input
+    equals an inexact one (Float(2.0) != Integer(2), though their hashes
+    agree).  Errors are not cached.  A NormalForm is frozen and holds only
+    immutable values, so callers may share it.
     """
-    return _normalize(as_exact(e))
+    return _normalize(_exact_input(e))
 
 
 @lru_cache(maxsize=4096)
 def _normalize(e):
-    num_terms, den_terms = _fraction(e)
+    num_terms, den_terms = _fraction(as_exact(e))
     dn = _canon_terms(num_terms)
     if not dn:
-        return NormalForm(S.Zero, S.One)
+        return _ZERO
     return _finish(dn, _canon_terms(den_terms))
 
 
@@ -864,7 +877,7 @@ def _finish(dn, dd):
         raise InputError("zero denominator")
     num_d, den_d, cancelled = _cancel(dn, dd)
     if not num_d:
-        return NormalForm(S.Zero, S.One)
+        return _ZERO
     num_d, den_d = _scale(num_d, den_d)
     num_e = dict_to_expr(num_d)
     den_e = dict_to_expr(den_d)
@@ -875,4 +888,5 @@ def _finish(dn, dd):
         )
     )
     notes = _domain_notes(num_d, den_d, cancelled, den_e)
-    return NormalForm(num_e, den_e, atoms, notes)
+    num_t, den_t = MappingProxyType(num_d), MappingProxyType(den_d)
+    return NormalForm(num_e, den_e, atoms, notes, num_terms=num_t, den_terms=den_t)

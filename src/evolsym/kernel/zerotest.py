@@ -12,7 +12,7 @@ from enum import Enum
 from sympy import Add, Symbol
 
 from ..errors import EvalDomainError
-from .normalform import NormalForm, mono_dict, normalize
+from .normalform import NormalForm, normalize
 from .numeric import eval_numeric
 
 
@@ -22,18 +22,14 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown"
 
 
-def _structurally_nonzero(num):
+def _structurally_nonzero(nf):
     # distinct power products of symbols and prime surds are linearly
     # independent as functions on the positive orthant
-    d = mono_dict(num)
-    for key in d:
-        for base, _e in key:
-            if isinstance(base, Symbol):
-                continue
-            if base.is_Rational and base > 0:
-                continue
-            return False
-    return True
+    return all(
+        isinstance(base, Symbol) or (base.is_Rational and base > 0)
+        for key in nf.num_terms
+        for base, _e in key
+    )
 
 
 def is_zero(e, probes=8, seed=1729, tol=1e-9, assume=None):
@@ -45,7 +41,7 @@ def is_zero(e, probes=8, seed=1729, tol=1e-9, assume=None):
     nf = e if isinstance(e, NormalForm) else normalize(e)
     if nf.num == 0:
         return Verdict.ZERO
-    if _structurally_nonzero(nf.num):
+    if _structurally_nonzero(nf):
         return Verdict.NONZERO
     assume = assume or {}
     rnd = random.Random(seed)

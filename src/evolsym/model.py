@@ -31,6 +31,7 @@ from .kernel import (
     is_zero,
     normalize,
     rank,
+    solve_affine,
     t,
     to_fraction,
     to_str,
@@ -165,6 +166,14 @@ def _slot_coords(funcs):
     return keys, rows
 
 
+def _combination(rows):
+    """Exact coefficients that write the last coordinate row as a
+    combination of the others, or None."""
+    *cols, target = rows
+    got = solve_affine([[c[k] for c in cols] for k in range(len(target))], target)
+    return None if got is None else got[0]
+
+
 def field_coordinates(basis):
     """Stacked exact coordinate rows for (tau | chi | phi | eta0) slots."""
     blocks = []
@@ -193,16 +202,7 @@ def algebra_signature(basis):
 
 def in_span(field, basis):
     """Exact coordinates of field in span(basis), or None."""
-    rows = field_coordinates(list(basis) + [field])
-    width = len(rows[0])
-    mat = [[rows[i][c] for i in range(len(basis))] for c in range(width)]
-    rhs = [rows[len(basis)][c] for c in range(width)]
-    from .kernel import solve_affine
-
-    got = solve_affine(mat, rhs)
-    if got is None:
-        return None
-    return got[0]
+    return _combination(field_coordinates(list(basis) + [field]))
 
 
 def bracket_closure_check(basis, r):

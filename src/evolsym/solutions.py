@@ -28,10 +28,8 @@ from .kernel import (
     eval_numeric,
     integrate,
     is_zero,
-    mono_dict,
     normalize,
     parse_expr,
-    solve_affine,
     substitute,
     sym,
     t,
@@ -46,7 +44,7 @@ from .kernel.polyroot import (
     numeric_roots,
     rational_roots,
 )
-from .model import as_reduced
+from .model import _combination, _slot_coords, as_reduced
 from .symmetry import verify_symmetry
 from .verify import GridSpec, residual_numeric, residual_symbolic
 
@@ -520,7 +518,7 @@ def _exp_poly_groups(e, var):
     if nf.den != 1:
         return None
     groups = {}
-    for key, c in mono_dict(nf.num).items():
+    for key, c in nf.num_terms.items():
         if not c.is_Rational:
             return None
         a = 0
@@ -570,23 +568,13 @@ def _particular(coeffs, rhs, var):
         rho = Rational(b.numerator, b.denominator)
         efac = Exp(rho * var) if b != 0 else S.One
         basis = [Pow(var, Integer(m + j)) * efac for j in range(d + 1)]
-        images = [mono_dict(op.residual(v)) for v in basis]
-        target = mono_dict(
-            normalize(
-                sum(c * Pow(var, Integer(a)) for a, c in poly.items()) * efac
-            ).as_expr()
-        )
-        keys = sorted({k for img in images for k in img} | set(target), key=repr)
-        rows = [
-            [to_fraction(img.get(key, S.Zero)) for img in images] for key in keys
-        ]
-        rhs_vec = [to_fraction(target.get(key, S.Zero)) for key in keys]
-        got = solve_affine(rows, rhs_vec)
+        images = [op.residual(v) for v in basis]
+        target = sum(c * Pow(var, Integer(a)) for a, c in poly.items()) * efac
+        got = _combination(_slot_coords(images + [target])[1])
         if got is None:
             raise InternalError("undetermined-coefficient system inconsistent")
         total += sum(
-            Rational(q.numerator, q.denominator) * v
-            for q, v in zip(got[0], basis)
+            Rational(q.numerator, q.denominator) * v for q, v in zip(got, basis)
         )
     return normalize(total).as_expr()
 

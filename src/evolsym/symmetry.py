@@ -187,20 +187,25 @@ def _ansatz_derivative(k, lam, d):
     return out
 
 
-def _times_ansatz(key, p, lam):
+def _times_ansatz(key, p, lam, merged):
     """Monomial key times t^p e^(lam t).  The exponential merges into the
-    key's own Exp factor: mono_dict keeps at most one per monomial, and a
-    second one would give equal functions distinct keys."""
+    key's own Exp factor: a normal-form monomial has at most one, and a
+    second one would give equal functions distinct keys.  merged memoizes
+    the merged factor per (Exp factors of the key, lam)."""
     fmap = dict(key)
     if p:
         _add_factor(fmap, t, Integer(p))
     if lam:
-        arg = Rational(lam.numerator, lam.denominator) * t
-        for base in [b for b in fmap if isinstance(b, Exp)]:
-            arg += fmap.pop(base) * base.args[0]
-        merged = Exp(normalize(arg).as_expr())
-        if merged != 1:
-            _add_factor(fmap, merged, S.One)
+        exps = tuple((b, e) for b, e in key if isinstance(b, Exp))
+        if (exps, lam) not in merged:
+            arg = Rational(lam.numerator, lam.denominator) * t
+            for base, e in exps:
+                arg += e * base.args[0]
+            merged[(exps, lam)] = Exp(normalize(arg).as_expr())
+        for base, _e in exps:
+            del fmap[base]
+        if merged[(exps, lam)] != 1:
+            _add_factor(fmap, merged[(exps, lam)], S.One)
     return _key(fmap)
 
 
@@ -252,6 +257,7 @@ def _determining_system(eq, space, max_cells=500000):
         (k, Fraction(lam.p, lam.q)) for lam in space.rates for k in range(space.Kmax + 1)
     ]
     slots = [(s, f) for s in ("tau", "chi", "phi") for f in funcs]
+    merged = {}  # (Exp factors, lam) -> their product with e^(lam t)
     rows = []
     for terms, nums in _order_factors(eq):
         shifted = {}  # (factor, p, lam) -> numerator times t^p e^(lam t)
@@ -265,7 +271,8 @@ def _determining_system(eq, space, max_cells=500000):
                     sk = (name, p, lam)
                     if sk not in shifted:
                         shifted[sk] = [
-                            (_times_ansatz(key, p, lam), a) for key, a in nums[name].items()
+                            (_times_ansatz(key, p, lam, merged), a)
+                            for key, a in nums[name].items()
                         ]
                     for key, a in shifted[sk]:
                         col[key] = col.get(key, 0) + c * a

@@ -18,7 +18,6 @@ from .kernel import (
     as_exact,
     differentiate,
     eval_numeric,
-    mono_dict,
     normalize,
     solve_affine,
     t,
@@ -149,11 +148,11 @@ def residual_symbolic(eq, u):
     return normalize(res).as_expr()
 
 
-def _poly_coeffs_1d(e, var):
-    """Fraction coefficient list of e as a polynomial in var alone, or None."""
-    d = mono_dict(e)
+def _poly_coeffs_1d(terms, var):
+    """Fraction coefficient list of the canonical terms of a polynomial in
+    var alone, or None."""
     coeffs = {}
-    for key, c in d.items():
+    for key, c in terms.items():
         if not c.is_Rational:
             return None
         if key == ():
@@ -181,12 +180,12 @@ def singular_loci(eq):
     eq = embed_reduced(eq)
     out = {"t": set(), "x": set()}
     for a in eq.A + (eq.B,):
-        den = normalize(a).den
-        free = den.free_symbols
+        nf = normalize(a)
+        free = nf.den.free_symbols
         for var, name in ((t, "t"), (x, "x")):
             if free != {var}:
                 continue
-            coeffs = _poly_coeffs_1d(den, var)
+            coeffs = _poly_coeffs_1d(nf.den_terms, var)
             if coeffs is None or len(coeffs) < 2:
                 continue
             roots, _rest = rational_roots(coeffs)

@@ -38,7 +38,7 @@ from evolsym.kernel import (
     to_str,
     x,
 )
-from evolsym.kernel.normalform import _normalize
+from evolsym.kernel.normalform import _normalize, common_numerators
 
 
 # --- parsing ----------------------------------------------------------------
@@ -213,6 +213,21 @@ def test_normalize_cache_keeps_rejecting_floats():
         normalize(0.5)
     with pytest.raises(InputError):
         normalize(Float("0.5"))
+    # Float(2.0) hashes like Integer(2): a cached Integer(2) must not
+    # answer for it
+    assert normalize(Integer(2)).as_expr() == 2
+    with pytest.raises(InputError):
+        normalize(2.0)
+    with pytest.raises(InputError):
+        normalize(Float("2.0"))
+    assert differentiate(Integer(2) * t, t) == 2
+    with pytest.raises(InputError):
+        differentiate(Float("2.0") * t, t)
+    # unhashable and non-Expr inputs are refused before the cache lookup
+    with pytest.raises(InputError):
+        normalize([t])
+    with pytest.raises(InputError):
+        differentiate({t: 1}, t)
 
 
 # quotients of small polynomials in t, x and one extra generator g, with a
@@ -291,6 +306,18 @@ def test_normalize_matches_slow_path_oracle(e):
     assert (got.num, got.den, got.atoms) == (want.num, want.den, want.atoms)
     # together may cancel a factor without noting it; no note is lost
     assert set(want.domain_notes) <= set(got.domain_notes)
+    # the stored terms are the dicts that num and den print
+    assert dict(got.num_terms) == slowpath.mono_dict(got.num)
+    assert dict(got.den_terms) == slowpath.mono_dict(got.den)
+
+
+@settings(max_examples=oracle_examples(40), deadline=None)
+@given(st.lists(_quotients, min_size=1, max_size=3))
+def test_common_numerators_oracle(es):
+    # multiplying stored terms agrees with converting num and den again
+    nfs = [normalize(e) for e in es]
+    got = common_numerators(nfs)
+    assert [dict(d) for d in got] == slowpath.common_numerators(nfs)
 
 
 @pytest.mark.parametrize(

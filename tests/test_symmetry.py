@@ -287,6 +287,27 @@ def test_assembly_matches_per_slot_oracle(eq, space):
     assert row_canonical(nullspace(_determining_system(eq, space), n)) == want
 
 
+def test_assembly_normalizes_once_per_exp_factor_and_rate(monkeypatch):
+    # the merged exponential depends only on a monomial's Exp factor and the
+    # rate, so the number of normalize calls does not grow with the number
+    # of monomials of the coefficients
+    import evolsym.symmetry as sm
+
+    def count(a0):
+        calls = []
+
+        def counting(e):
+            calls.append(e)
+            return normalize(e)
+
+        monkeypatch.setattr(sm, "normalize", counting)
+        _determining_system(ReducedEquation(3, (a0, S.Zero)), AnsatzSpace())
+        monkeypatch.undo()
+        return len(calls)
+
+    assert count((x + t + 1) ** 6) == count((x + t + 1) ** 2)
+
+
 class TestBoundsCheck:
     def test_negative_control(self):
         # five independent fields cannot be an essential algebra
