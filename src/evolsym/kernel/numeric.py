@@ -1,57 +1,109 @@
-"""Pointwise floating evaluation with explicit domain errors."""
+"""Pointwise floating evaluation with explicit domain errors.
+
+Each exact expression is validated and compiled once into nested closures,
+which are kept in a bounded LRU keyed on the expression; evaluating it on a
+grid then costs one cache lookup per point.  The closures do the float
+operations of a recursive walk of the tree in the same order, and every
+error of evaluation (a domain error, an unbound symbol, a node outside the
+fragment, overflow) is raised when evaluation reaches it, never at compile
+time.  Validation errors are not cached.
+"""
 
 import math
+from functools import lru_cache
 
-from sympy import Expr, Symbol
+from sympy import Symbol
 
 from ..errors import EvalDomainError, InputError
 from .atoms import AbsV, Cos, Exp, Ln, Sgn, Sin
-from .normalform import as_exact
+from .normalform import _exact_input, as_exact
+
+ZERO_TOL = 1e-12
 
 
-def eval_numeric(e, point, zero_tol=1e-12):
+def eval_numeric(e, point):
     """Evaluate at point (a name -> float mapping).
 
-    Raises EvalDomainError for ln of a nonpositive value, sgn/abs only at
-    exact zero arguments of fractional powers, even roots of negatives,
-    division by zero within zero_tol, and overflow.
+    Raises EvalDomainError for ln of a value <= ZERO_TOL, a negative power
+    of a value within ZERO_TOL of zero, an even root of a negative value, a
+    negative base under a symbolic exponent, an unbound symbol, and overflow.
     """
-    e = as_exact(e)
+    f = _compiled(_exact_input(e))
     env = {}
     for k, v in point.items():
         env[k if isinstance(k, str) else k.name] = float(v)
     try:
-        return _ev(e, env, zero_tol)
+        return f(env)
     except OverflowError:
         raise EvalDomainError("numeric overflow") from None
 
 
-def _ev(e, env, zt):
+@lru_cache(maxsize=4096)
+def _compiled(e):
+    # a hit needs an equal key, and no exact input equals an inexact one
+    return _compile(as_exact(e))
+
+
+def _compile(e):
+    """Closure env -> float of the validated expression e."""
     if e.is_Rational:
-        return e.p / e.q
+        p, q = e.p, e.q
+        return lambda env: p / q
     if isinstance(e, Symbol):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalDomainError(f"unbound symbol {e.name!r}") from None
+        name = e.name
+
+        def symbol(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalDomainError(f"unbound symbol {name!r}") from None
+
+        return symbol
     if e.is_Add:
-        return math.fsum(_ev(a, env, zt) for a in e.args)
+        terms = [_compile(a) for a in e.args]
+        # a generator, so that fsum's intermediate overflow stops evaluation
+        return lambda env: math.fsum(f(env) for f in terms)
     if e.is_Mul:
-        v = 1.0
-        for a in e.args:
-            v *= _ev(a, env, zt)
-        return v
+        factors = [_compile(a) for a in e.args]
+
+        def product(env):
+            v = 1.0
+            for f in factors:
+                v *= f(env)
+            return v
+
+        return product
     if e.is_Pow:
-        base, expo = e.args
-        b = _ev(base, env, zt)
-        if expo.is_Integer:
-            n = int(expo)
-            if n < 0 and abs(b) <= zt:
+        return _compile_pow(*e.args)
+    for head, fn in _UNARY:
+        if isinstance(e, head):
+            return fn(_compile(e.args[0]))
+    message = f"cannot evaluate node of type {type(e).__name__}"
+
+    def unknown(env):
+        raise InputError(message)
+
+    return unknown
+
+
+def _compile_pow(base, expo):
+    fb = _compile(base)
+    if expo.is_Integer:
+        n = int(expo)
+
+        def integer_power(env):
+            b = fb(env)
+            if n < 0 and abs(b) <= ZERO_TOL:
                 raise EvalDomainError("division by zero within tolerance")
             return b**n
-        if expo.is_Rational:
-            p, q = expo.p, expo.q
-            if p < 0 and abs(b) <= zt:
+
+        return integer_power
+    if expo.is_Rational:
+        p, q = expo.p, expo.q
+
+        def rational_power(env):
+            b = fb(env)
+            if p < 0 and abs(b) <= ZERO_TOL:
                 raise EvalDomainError("division by zero within tolerance")
             if b < 0:
                 if q % 2 == 0:
@@ -59,26 +111,46 @@ def _ev(e, env, zt):
                 # real odd root
                 return (-1.0) ** p * abs(b) ** (p / q)
             return b ** (p / q)
-        ev = _ev(expo, env, zt)
+
+        return rational_power
+    fe = _compile(expo)
+
+    def power(env):
+        b = fb(env)
+        ev = fe(env)
         if b < 0:
             raise EvalDomainError("negative base under symbolic exponent")
-        if abs(b) <= zt and ev < 0:
+        if abs(b) <= ZERO_TOL and ev < 0:
             raise EvalDomainError("division by zero within tolerance")
         return b**ev
-    if isinstance(e, Exp):
-        return math.exp(_ev(e.args[0], env, zt))
-    if isinstance(e, Ln):
-        v = _ev(e.args[0], env, zt)
-        if v <= zt:
+
+    return power
+
+
+def _ln(fa):
+    def ln(env):
+        v = fa(env)
+        if v <= ZERO_TOL:
             raise EvalDomainError("ln of a nonpositive value")
         return math.log(v)
-    if isinstance(e, Sin):
-        return math.sin(_ev(e.args[0], env, zt))
-    if isinstance(e, Cos):
-        return math.cos(_ev(e.args[0], env, zt))
-    if isinstance(e, AbsV):
-        return abs(_ev(e.args[0], env, zt))
-    if isinstance(e, Sgn):
-        v = _ev(e.args[0], env, zt)
+
+    return ln
+
+
+def _sgn(fa):
+    def sgn(env):
+        v = fa(env)
         return 0.0 if v == 0 else math.copysign(1.0, v)
-    raise InputError(f"cannot evaluate node of type {type(e).__name__}")
+
+    return sgn
+
+
+# in the order a recursive walk tests the heads
+_UNARY = (
+    (Exp, lambda fa: lambda env: math.exp(fa(env))),
+    (Ln, _ln),
+    (Sin, lambda fa: lambda env: math.sin(fa(env))),
+    (Cos, lambda fa: lambda env: math.cos(fa(env))),
+    (AbsV, lambda fa: lambda env: abs(fa(env))),
+    (Sgn, _sgn),
+)

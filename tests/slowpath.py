@@ -1,4 +1,4 @@
-"""Slow paths kept as oracles for the normal form.
+"""Slow paths kept as oracles for the normal form and numeric evaluation.
 
 normal_form: normalize turns an expression into num/den dicts with one
 recursive converter to a polynomial ring.  The code below is the path it
@@ -11,12 +11,19 @@ between the two is a difference of the front halves.
 common_numerators: the library multiplies the stored num_terms/den_terms of
 normal forms; the oracle converts num and den back into ring polynomials and
 multiplies those.
+
+eval_numeric: the library compiles each expression once into closures and
+evaluates those at every point; the oracle walks the validated tree
+recursively at every call.  Both must give the same float bit for bit, or
+raise the same error.
 """
 
-from sympy import Add, Mul, S, expand, together
+import math
 
-from evolsym.errors import UnsupportedError
-from evolsym.kernel.atoms import ATOM_HEADS, Exp
+from sympy import Add, Mul, S, Symbol, expand, together
+
+from evolsym.errors import EvalDomainError, InputError, UnsupportedError
+from evolsym.kernel.atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin
 from evolsym.kernel.normalform import (
     _ZERO,
     _accumulate,
@@ -31,6 +38,7 @@ from evolsym.kernel.normalform import (
     dict_to_expr,
     normalize,
 )
+from evolsym.kernel.numeric import ZERO_TOL
 
 
 def canonical_atom_args(e):
@@ -102,3 +110,74 @@ def common_numerators(nfs):
                 value = _v_mul(conv.R, value, dvalue)
         out.append(_canon_terms(conv.value_terms(value)))
     return out
+
+
+def eval_numeric(e, point):
+    """eval_numeric by a recursive walk of as_exact(e) at every call."""
+    e = as_exact(e)
+    env = {}
+    for k, v in point.items():
+        env[k if isinstance(k, str) else k.name] = float(v)
+    try:
+        return _ev(e, env)
+    except OverflowError:
+        raise EvalDomainError("numeric overflow") from None
+
+
+def _ev(e, env):
+    zt = ZERO_TOL
+    if e.is_Rational:
+        return e.p / e.q
+    if isinstance(e, Symbol):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise EvalDomainError(f"unbound symbol {e.name!r}") from None
+    if e.is_Add:
+        return math.fsum(_ev(a, env) for a in e.args)
+    if e.is_Mul:
+        v = 1.0
+        for a in e.args:
+            v *= _ev(a, env)
+        return v
+    if e.is_Pow:
+        base, expo = e.args
+        b = _ev(base, env)
+        if expo.is_Integer:
+            n = int(expo)
+            if n < 0 and abs(b) <= zt:
+                raise EvalDomainError("division by zero within tolerance")
+            return b**n
+        if expo.is_Rational:
+            p, q = expo.p, expo.q
+            if p < 0 and abs(b) <= zt:
+                raise EvalDomainError("division by zero within tolerance")
+            if b < 0:
+                if q % 2 == 0:
+                    raise EvalDomainError("even root of a negative value")
+                # real odd root
+                return (-1.0) ** p * abs(b) ** (p / q)
+            return b ** (p / q)
+        ev = _ev(expo, env)
+        if b < 0:
+            raise EvalDomainError("negative base under symbolic exponent")
+        if abs(b) <= zt and ev < 0:
+            raise EvalDomainError("division by zero within tolerance")
+        return b**ev
+    if isinstance(e, Exp):
+        return math.exp(_ev(e.args[0], env))
+    if isinstance(e, Ln):
+        v = _ev(e.args[0], env)
+        if v <= zt:
+            raise EvalDomainError("ln of a nonpositive value")
+        return math.log(v)
+    if isinstance(e, Sin):
+        return math.sin(_ev(e.args[0], env))
+    if isinstance(e, Cos):
+        return math.cos(_ev(e.args[0], env))
+    if isinstance(e, AbsV):
+        return abs(_ev(e.args[0], env))
+    if isinstance(e, Sgn):
+        v = _ev(e.args[0], env)
+        return 0.0 if v == 0 else math.copysign(1.0, v)
+    raise InputError(f"cannot evaluate node of type {type(e).__name__}")

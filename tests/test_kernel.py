@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Add, Float, Integer, Pow, Rational, S, cancel, default_sort_key, gcd
@@ -583,10 +584,114 @@ def test_eval_matches_sympy_evalf(e):
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
+_eval_values = st.one_of(
+    # zero, both sides of ZERO_TOL, negatives and values that overflow exp
+    st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 3e-13, -3e-13, 1e-300, -2.0, 700.0, 1e200]),
+    st.floats(-4, 4),
+)
+# some points leave t or x unbound
+_eval_points = st.one_of(
+    st.fixed_dictionaries({"t": _eval_values, "x": _eval_values}),
+    st.dictionaries(st.sampled_from(["t", "x"]), _eval_values),
+)
+_huge_rationals = st.sampled_from(
+    [Integer(10**400), Rational(-(10**400), 3), Rational(1, 10**400), Rational(10**401 + 1, 10**400)]
+)
+_eval_exprs = st.one_of(
+    exprs,
+    poly_exprs,
+    _quotients,
+    st.builds(lambda r, e: r + e, _huge_rationals, exprs),
+    st.builds(lambda r, e: r * e, _huge_rationals, poly_exprs),
+    # rational and symbolic powers of sums: roots of negatives, poles
+    st.builds(
+        lambda a, b, p: (a + b) ** p,
+        poly_exprs,
+        poly_exprs,
+        st.one_of(
+            st.builds(Rational, st.integers(-3, 3), st.integers(1, 4)),
+            st.sampled_from([t, -x]),
+        ),
+    ),
+    st.builds(lambda h, a: h(a), st.sampled_from([Ln, AbsV, Sgn]), st.one_of(poly_exprs, exprs)),
+)
+
+
+def _eval_outcome(fn, e, point):
+    try:
+        return repr(fn(e, point))
+    except Exception as exc:  # whatever either side raises is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=oracle_examples(100), deadline=None)
+@given(_eval_exprs, _eval_points)
+@example(Integer(10**400), {})
+@example(Add(Ln(t), sympy.tan(x), evaluate=False), {"t": -1.0, "x": 1.0})
+@example(Add(sympy.tan(x), Ln(t), evaluate=False), {"t": -1.0, "x": 1.0})
+@example(Exp(Exp(x)), {"x": 10.0})
+@example(x ** Integer(10**400), {"x": 0.5})
+# fsum, not a running sum: 0.3 + 0.1 + 0.2 rounds twice
+@example(Add(Rational(3, 10), t, x, evaluate=False), {"t": 0.1, "x": 0.2})
+# fsum's intermediate overflow stops evaluation before ln(-t) is reached
+@example(Add(x, t, Ln(-t), evaluate=False), {"t": 1e308, "x": 1e308})
+# the tolerance is inclusive
+@example(Ln(t), {"t": 1e-12})
+@example(1 / t, {"t": -1e-12})
+@example(t ** Rational(-1, 3), {"t": -1e-12})
+@example(x**t, {"t": -1.0, "x": 1e-12})
+def test_eval_numeric_matches_slow_path_oracle(e, point):
+    # the recursive walk in tests/slowpath.py is the oracle: the same float
+    # bit for bit (repr tells -0.0 from 0.0) or the same error; each input
+    # is evaluated twice, so the second library call is a cache hit
+    want = _eval_outcome(slowpath.eval_numeric, e, point)
+    assert _eval_outcome(eval_numeric, e, point) == want
+    assert _eval_outcome(eval_numeric, e, point) == want
+
+
+def test_eval_numeric_errors_are_raised_at_evaluation_time():
+    with pytest.raises(EvalDomainError, match="^numeric overflow$"):
+        eval_numeric(Rational(10**400), {})
+    with pytest.raises(EvalDomainError, match="^numeric overflow$"):
+        eval_numeric(Exp(Exp(x)), {"x": 10.0})
+    with pytest.raises(InputError, match="^cannot evaluate node of type tan$"):
+        eval_numeric(t + sympy.tan(x), {"t": 1.0, "x": 1.0})
+    # a term evaluated before the unknown head still raises its own error
+    with pytest.raises(EvalDomainError, match="^ln of a nonpositive value$"):
+        eval_numeric(Add(Ln(t), sympy.tan(x), evaluate=False), {"t": -1.0, "x": 1.0})
+    with pytest.raises(EvalDomainError, match="^unbound symbol 't'$"):
+        eval_numeric(x + t, {"x": 1.0})
+    # an unbound symbol is not an error where evaluation does not read it
+    assert eval_numeric(x, {"x": 2.0}) == 2.0
+
+
+def test_eval_numeric_cache_safety():
+    assert eval_numeric(x + 2, {"x": 1.0}) == 3.0
+    # x + 2.0 hashes like x + 2 but does not equal it: the compiled x + 2
+    # must not answer for it
+    with pytest.raises(InputError, match="float literals"):
+        eval_numeric(x + Float("2.0"), {"x": 1.0})
+    # unhashable and non-Expr inputs are refused before the cache lookup
+    for bad in ([t], {t: 1}, 0.5):
+        with pytest.raises(InputError, match="not an expression"):
+            eval_numeric(bad, {"t": 1.0})
+    # errors are not cached, at validation or at evaluation
+    for bad, point, error in [
+        (x + Float("2.0"), {"x": 1.0}, InputError),
+        (1 / t, {"t": 0.0}, EvalDomainError),
+        (Rational(10**400), {}, EvalDomainError),
+    ]:
+        for _ in range(2):
+            with pytest.raises(error):
+                eval_numeric(bad, point)
+    nf = normalize((t**2 + 1) / (x - 2))
+    point = {"t": 0.3, "x": 1.7}
+    assert repr(eval_numeric(nf, point)) == repr(eval_numeric(nf.as_expr(), point))
+    assert eval_numeric(1 / t, {"t": 2.0}) == 0.5
+
+
 def _sympy_heads(e):
     """e with sympy's own functions in place of the kernel's atom heads."""
-    import sympy
-
     for our, theirs in [
         (Exp, sympy.exp),
         (Ln, sympy.log),
