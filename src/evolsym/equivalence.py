@@ -77,9 +77,13 @@ def expand_special(e):
 
     Needed after substituting a catalog inverse: compositions like
     exp(b * (ln(s)/b)) must collapse back to s."""
-    e = as_exact(e)
+    return _expand_special(as_exact(e))
+
+
+def _expand_special(e):
+    # e is validated, and so is each of its subtrees
     if e.args:
-        e = e.func(*[expand_special(a) for a in e.args])
+        e = e.func(*[_expand_special(a) for a in e.args])
     if isinstance(e, Ln) and isinstance(e.args[0], Exp):
         return e.args[0].args[0]
     if isinstance(e, Exp):

@@ -1,6 +1,6 @@
 """Exact symbolic kernel: the closed expression fragment and its operations."""
 
-from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, atom_heads_in, sym, t, x
+from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, sym, t, x
 from .calculus import differentiate, integrate, substitute
 from .linalg import nullspace, rank, row_canonical, rref, solve_affine, to_fraction
 from .normalform import NormalForm, as_exact, dict_to_expr, normalize
@@ -20,7 +20,6 @@ __all__ = [
     "Sin",
     "Verdict",
     "as_exact",
-    "atom_heads_in",
     "dict_to_expr",
     "differentiate",
     "eval_numeric",

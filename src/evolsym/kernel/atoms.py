@@ -167,9 +167,3 @@ class Sgn(Function):
 
 ATOM_HEADS = (Exp, Ln, Sin, Cos, AbsV, Sgn)
 FUNC_BY_NAME = {cls.fname: cls for cls in ATOM_HEADS}
-
-
-def atom_heads_in(expr):
-    """Sorted tuple of distinct transcendental applications inside expr."""
-    found = expr.atoms(*ATOM_HEADS)
-    return tuple(sorted(found, key=lambda a: a.sort_key()))

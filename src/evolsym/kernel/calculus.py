@@ -16,10 +16,11 @@ def _as_sym(var):
 def differentiate(e, var, n=1):
     """n-fold partial derivative, returned normalized.
 
-    abs and sgn are differentiated away from their zero locus; the
-    restriction shows up in the result's normal-form domain notes.  The
-    n-th derivative is built from n memoized single steps, each normalized,
-    so asking for orders 0..r of one expression costs r steps in all.
+    abs and sgn are differentiated away from their zero locus (d/dt abs(t)
+    is sgn(t), d/dt sgn(t) is 0); the result does not record that
+    restriction.  The n-th derivative is built from n memoized single
+    steps, each normalized, so asking for orders 0..r of one expression
+    costs r steps in all.
     """
     if not (isinstance(n, int) and n >= 0):
         raise InputError("derivative order must be a nonnegative integer")
@@ -58,13 +59,13 @@ def integrate(e, var):
     """
     var = _as_sym(var)
     nf = normalize(e)
-    num, den = nf.num, nf.den
-    if var not in nf.as_expr().free_symbols:
-        return normalize(nf.as_expr() * var).as_expr()
+    num, den, expr = nf.num, nf.den, nf.as_expr()
+    if var not in expr.free_symbols:
+        return normalize(expr * var).as_expr()
     if var in den.free_symbols:
-        if any(var in a.free_symbols for a in nf.atoms):
+        if any(var in a.free_symbols for a in expr.atoms(*ATOM_HEADS)):
             return None
-        return _integrate_rational(nf.as_expr(), var)
+        return _integrate_rational(expr, var)
     parts = []
     for term in Add.make_args(num):
         anti = _integrate_term(term, var)

@@ -25,14 +25,13 @@ Canonicalization, applied per monomial:
   * cos(a)^n with n >= 2 -> (1 - sin(a)^2)^(n//2) * cos(a)^(n mod 2)
   * surds split over primes, so sqrt(2)*sqrt(3) == sqrt(6)
 
-Cancellation.  The num/den gcd is cancelled exactly in a second ring over
-the canonical generators, negative powers cleared by shifting each generator
-by its lowest exponent on either side; an opaque generator cancels only
+Cancellation.  The num/den gcd is cancelled exactly in a ring over the
+canonical generators, negative powers cleared by shifting each generator by
+its lowest exponent on either side; an opaque generator cancels only
 against itself.  The den is then cleared of rational content and its
 leading monomial made positive, so equal rational expressions get identical
-normal forms.  Domain notes record denominator loci, cancelled factors of
-two or more terms, ln positivity, fractional-power positivity and abs/sgn
-punctures.
+normal forms.  The gcd is unique up to a rational unit, which that scaling
+fixes, so the order of the ring's generators does not show in the result.
 
 Terms.  A NormalForm keeps the canonical dicts that num and den print as
 num_terms and den_terms: monomial coordinates are read off them, never
@@ -66,12 +65,10 @@ from sympy import (
 )
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
-from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
 from ..errors import InputError, UnsupportedError
-from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, atom_heads_in
-from .printer import to_str
+from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin
 
 
 @dataclass(frozen=True)
@@ -81,25 +78,16 @@ class NormalForm:
 
     num: Expr
     den: Expr
-    atoms: tuple = ()
-    domain_notes: tuple = ()
-    num_terms: MappingProxyType = field(compare=False, kw_only=True)
-    den_terms: MappingProxyType = field(compare=False, kw_only=True)
+    num_terms: MappingProxyType = field(compare=False)
+    den_terms: MappingProxyType = field(compare=False)
 
     def as_expr(self):
         if self.den == 1:
             return self.num
         return self.num / self.den
 
-    def __str__(self):
-        if self.den == 1:
-            return to_str(self.num)
-        return f"({to_str(self.num)})/({to_str(self.den)})"
 
-
-_ZERO = NormalForm(
-    S.Zero, S.One, num_terms=MappingProxyType({}), den_terms=MappingProxyType({(): S.One})
-)
+_ZERO = NormalForm(S.Zero, S.One, MappingProxyType({}), MappingProxyType({(): S.One}))
 
 
 def as_exact(e):
@@ -320,9 +308,11 @@ def _reduce_cos(out):
         if target is None:
             return
         key, base, e = target
+        n2, nrem = int(e) // 2, int(e) % 2
+        if n2 + 1 > TERM_BUDGET:
+            raise _over_budget(f"the {e}th power of a cosine")
         coeff = out.pop(key)
         rest = {b: q for b, q in key if b is not base}
-        n2, nrem = int(e) // 2, int(e) % 2
         a = base.args[0]
         for k in range(n2 + 1):
             c = coeff * Integer(math.comb(n2, k)) * Integer(-1) ** k
@@ -332,6 +322,7 @@ def _reduce_cos(out):
             if nrem:
                 _add_factor(fmap, base, S.One)
             _accumulate(out, _key(fmap), c)
+        _checked(out)
 
 
 def fmap_to_expr(fmap):
@@ -368,9 +359,7 @@ def common_numerators(nfs):
 # one ring.  A value is {denominator: numerator}, a sum of fractions grouped
 # by denominator, each denominator a frozenset of (factor, multiplicity).
 # As in sympy's expand, powers of one factor add up; as in its together,
-# _one_fraction then takes each distinct power of a sum once.  So the
-# factors the final cancellation notes are the ones it noted when normalize
-# went through those two.
+# _one_fraction then takes each distinct power of a sum once.
 
 # most terms a polynomial may reach while an expression is converted
 TERM_BUDGET = 20000
@@ -483,13 +472,8 @@ def _one_fraction(R, a):
 
 
 @lru_cache(maxsize=64)
-def _raw_ring(n):
-    return _ring(tuple(Symbol(f"_r{i}") for i in range(n)))
-
-
-@lru_cache(maxsize=256)
-def _ring(symbols):
-    return PolyRing(symbols, QQ, lex)
+def _ring(n):
+    return PolyRing(tuple(Symbol(f"_r{i}") for i in range(n)), QQ, lex)
 
 
 def _signed_atom(r, head):
@@ -643,7 +627,7 @@ class _Converter:
     def start(self):
         self.keys = list(self.units)
         self.index = {k: i for i, k in enumerate(self.keys)}
-        self.R = _raw_ring(len(self.keys))
+        self.R = _ring(len(self.keys))
         self.gen_index = {g: i for i, g in enumerate(self.R.gens)}
 
     def evaluate(self, node):
@@ -737,7 +721,7 @@ def _fraction(e):
 
 
 def _cancel(num_d, den_d):
-    """Cancel num/den exactly; returns (num dict, den dict, cancelled factors).
+    """Cancel num/den exactly; returns (num dict, den dict).
 
     Each base becomes one ring generator base^(1/q), q the lcm of its
     exponent denominators; a factor with a non-rational exponent, such as
@@ -747,7 +731,7 @@ def _cancel(num_d, den_d):
     if () in den_d and len(den_d) == 1 and not any(
         e.is_negative for key in num_d for _b, e in key
     ):
-        return num_d, den_d, []
+        return num_d, den_d
     units = {}  # (base, opaque exponent or None) -> exponent of the generator
     for d in (num_d, den_d):
         for key in d:
@@ -757,14 +741,7 @@ def _cancel(num_d, den_d):
                     units[(base, None)] = Rational(1, q * e.q // math.gcd(q, e.q))
                 else:
                     units[(base, e)] = e
-    # generator names and order follow sympy's own choice for expressions,
-    # so cancelled factors keep the sign sympy's factor_list gives them
-    names = {
-        g: g[0] if isinstance(g[0], Symbol) and unit == 1 else Symbol(f"_g{i}")
-        for i, (g, unit) in enumerate(units.items())
-    }
-    order = {n: j for j, n in enumerate(_sort_gens(names.values()))}
-    gens = sorted(units, key=lambda g: order[names[g]])
+    gens = list(units)
     col = {g: j for j, g in enumerate(gens)}
 
     def vector(key):
@@ -776,12 +753,12 @@ def _cancel(num_d, den_d):
 
     sides = [[(vector(key), QQ(c.p, c.q)) for key, c in d.items()] for d in (num_d, den_d)]
     low = [min(0, *ks) for ks in zip(*(v for side in sides for v, _c in side))]
-    R = _ring(tuple(names[g] for g in gens))
+    R = _ring(len(gens))
     pn, pd = (
         R.from_dict({tuple(k - m for k, m in zip(v, low)): c for v, c in side})
         for side in sides
     )
-    common, pn, pd = pn.cofactors(pd)
+    _common, pn, pd = pn.cofactors(pd)
 
     def back(p):
         return _canon_terms(
@@ -792,13 +769,7 @@ def _cancel(num_d, den_d):
             for m, c in p.items()
         )
 
-    # a cancelled power of a single generator adds no note
-    cancelled = []
-    if not common.is_ground:
-        cancelled = [
-            dict_to_expr(back(f)) for f, _m in common.factor_list()[1] if len(f) > 1
-        ]
-    return back(pn), back(pd), cancelled
+    return back(pn), back(pd)
 
 
 def _scale(num_d, den_d):
@@ -817,29 +788,6 @@ def _scale(num_d, den_d):
     if s == 1:
         return num_d, den_d
     return {k: c * s for k, c in num_d.items()}, {k: c * s for k, c in den_d.items()}
-
-
-def _domain_notes(num_d, den_d, cancelled, den_e):
-    notes = set()
-    for f in cancelled:
-        notes.add(f"{to_str(f)} != 0")
-    if len(den_d) > 1:
-        notes.add(f"{to_str(den_e)} != 0")
-    else:
-        for key in den_d:
-            for base, _e in key:
-                if not base.is_Rational:
-                    notes.add(f"{to_str(base)} != 0")
-    for d in (num_d, den_d):
-        for key in d:
-            for base, e in key:
-                if isinstance(base, (AbsV, Sgn)):
-                    notes.add(f"{to_str(base.args[0])} != 0")
-                elif not e.is_Integer and not base.is_Rational and not isinstance(base, Exp):
-                    notes.add(f"{to_str(base)} > 0")
-                for sub in base.atoms(Ln):
-                    notes.add(f"{to_str(sub.args[0])} > 0")
-    return tuple(sorted(notes))
 
 
 def _exact_input(e):
@@ -872,21 +820,16 @@ def _normalize(e):
 
 
 def _finish(dn, dd):
-    """Normal form of the canonical dicts num/den: cancel, scale, notes."""
+    """Normal form of the canonical dicts num/den: cancel, scale, build."""
     if not dd:
         raise InputError("zero denominator")
-    num_d, den_d, cancelled = _cancel(dn, dd)
+    num_d, den_d = _cancel(dn, dd)
     if not num_d:
         return _ZERO
     num_d, den_d = _scale(num_d, den_d)
-    num_e = dict_to_expr(num_d)
-    den_e = dict_to_expr(den_d)
-    atoms = tuple(
-        sorted(
-            set(atom_heads_in(num_e)) | set(atom_heads_in(den_e)),
-            key=default_sort_key,
-        )
+    return NormalForm(
+        dict_to_expr(num_d),
+        dict_to_expr(den_d),
+        MappingProxyType(num_d),
+        MappingProxyType(den_d),
     )
-    notes = _domain_notes(num_d, den_d, cancelled, den_e)
-    num_t, den_t = MappingProxyType(num_d), MappingProxyType(den_d)
-    return NormalForm(num_e, den_e, atoms, notes, num_terms=num_t, den_terms=den_t)

@@ -15,6 +15,12 @@ Nesting is bounded by MAX_DEPTH: every open parenthesis, function call,
 unary minus and '^' exponent counts one level while it is open, so
 "-(x^(2^y))" reaches depth 4.  Deeper input raises ParseError instead of
 exhausting the interpreter's recursion limit.
+
+A power of two rational literals is evaluated exactly, so its size is
+bounded too: when |exponent| times the bit length of the base's numerator
+or denominator exceeds MAX_POWER_BITS, ParseError is raised at the '^'
+before the power is built.  2^(10^8) would otherwise take a 10^8-bit
+integer, and the cost grows linearly in the exponent.
 """
 
 from sympy import Integer, Mul, Pow, Rational, S
@@ -25,6 +31,8 @@ from .atoms import FUNC_BY_NAME, sym
 _OPS = set("+-*/^()")
 
 MAX_DEPTH = 50
+
+MAX_POWER_BITS = 100_000
 
 
 class _Tok:
@@ -146,9 +154,17 @@ class _Parser:
     def power(self):
         base = self.atom()
         if self.peek().kind == "^":
-            self.nest(self.next())
+            tok = self.next()
+            self.nest(tok)
             expo = self.factor()
             self.depth -= 1
+            if base.is_Rational and expo.is_Rational and abs(base) not in (0, 1):
+                bits = max(abs(base.p).bit_length(), base.q.bit_length())
+                if abs(expo) * bits > MAX_POWER_BITS:
+                    raise ParseError(
+                        f"power of a rational exceeds the limit of {MAX_POWER_BITS} bits",
+                        tok.offset,
+                    )
             return Pow(base, expo)
         return base
 

@@ -5,7 +5,7 @@ recursive converter to a polynomial ring.  The code below is the path it
 replaced: canonicalize atom arguments, put the expression over one
 denominator with sympy's together(expand(e), deep=True), expand numerator
 and denominator again term by term and canonicalize each monomial.  The back
-half (ring cancellation, scaling, domain notes) is shared, so any difference
+half (ring cancellation and scaling) is shared, so any difference
 between the two is a difference of the front halves.
 
 common_numerators: the library multiplies the stored num_terms/den_terms of

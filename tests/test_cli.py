@@ -147,6 +147,18 @@ class TestClassify:
         assert "limit of 50 levels" in payload["error"]
         assert payload["offset"] == 50
 
+    def test_huge_rational_power_exit2(self, capsys, tmp_path):
+        # refused at the '^' before a 10^8-bit integer is built
+        doc = {"order": 3, "form": "reduced", "coefficients": {"A0": "x + 2^(10^8)"}}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", write(tmp_path, "eq.json", doc))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["exit_code"] == 2
+        assert "limit of 100000 bits" in payload["error"]
+        assert payload["offset"] == 5
+
     def test_deep_nesting_in_batch_is_isolated(self, capsys, tmp_path):
         deep = {"order": 3, "form": "reduced", "coefficients": {"A0": "-" * 3000 + "x"}}
         batch = [FREE3, deep, CASE2_R4]

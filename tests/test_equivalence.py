@@ -92,6 +92,27 @@ class TestCatalog:
         assert zero(expand_special(Exp(Ln(x) / 2 + t)) - Pow(x, Rational(1, 2)) * Exp(t))
         assert expand_special(Ln(Exp(t**2))) == t**2
 
+    def test_expand_special_validates_once(self, monkeypatch):
+        # subtrees of a validated tree are not validated again, so the cost
+        # is linear in depth
+        import evolsym.equivalence as eqm
+
+        e = x
+        for _ in range(6):
+            e = Exp(Ln(x) / 2 + t * e)
+        calls = []
+        inner = eqm.as_exact
+
+        def counting(arg):
+            calls.append(arg)
+            return inner(arg)
+
+        monkeypatch.setattr(eqm, "as_exact", counting)
+        got = expand_special(e)
+        assert len(calls) == 1
+        # every level's exp(ln(x)/2 + ...) is folded
+        assert not got.has(Ln) and got.count(Pow(x, Rational(1, 2))) == 6
+
 
 class TestNthRoot:
     @pytest.mark.parametrize(
