@@ -4,6 +4,9 @@ The fragment is: rational functions of t, x and declared parameters over Q,
 composed with exp, ln, sin, cos, abs, sgn.  The six transcendental heads are
 custom Function subclasses so that exactly the documented evaluation rules
 fire and nothing else (in particular no exp/ln collapse, no trig expansion).
+Their fdiff methods serve sympy's Expr.diff, which the library no longer
+calls (kernel.calculus reads derivatives off the normal form) but the
+slow-path derivative oracle still does.
 """
 
 from sympy import Function, Integer, Rational, S, Symbol

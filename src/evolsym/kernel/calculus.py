@@ -5,8 +5,8 @@ from functools import lru_cache
 from sympy import Add, Dummy, Mul, Pow, S, apart
 
 from ..errors import InputError
-from .atoms import ATOM_HEADS, Cos, Exp, Ln, Sin, sym
-from .normalform import _exact_input, as_exact, normalize
+from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, sym
+from .normalform import _exact_input, as_exact, dict_to_expr, normalize
 
 
 def _as_sym(var):
@@ -16,11 +16,13 @@ def _as_sym(var):
 def differentiate(e, var, n=1):
     """n-fold partial derivative, returned normalized.
 
-    abs and sgn are differentiated away from their zero locus (d/dt abs(t)
-    is sgn(t), d/dt sgn(t) is 0); the result does not record that
-    restriction.  The n-th derivative is built from n memoized single
-    steps, each normalized, so asking for orders 0..r of one expression
-    costs r steps in all.
+    Each step is read off the stored terms of the normal form: the product
+    rule over the factors of every monomial, with one table of base
+    derivatives, and the result normalized once.  abs and sgn are
+    differentiated away from their zero locus (d/dt abs(t) is sgn(t),
+    d/dt sgn(t) is 0); the result does not record that restriction.  The
+    n-th derivative is built from n memoized single steps, so asking for
+    orders 0..r of one expression costs r steps in all.
     """
     if not (isinstance(n, int) and n >= 0):
         raise InputError("derivative order must be a nonnegative integer")
@@ -35,8 +37,83 @@ def differentiate(e, var, n=1):
 
 @lru_cache(maxsize=4096)
 def _derivative(e, var):
-    # validated on a miss only, as in normalize
-    return normalize(as_exact(e).diff(var)).as_expr()
+    """One step, read off the stored terms of e's normal form and
+    normalized once; normalize validates e on a miss.
+
+    The quotient is N' D^-1 + N (D^-1)'.  A monomial D is inverted factor
+    by factor, so a root's powers stay on its generator; otherwise
+    (D^-1)' is -D' D^-2, not folded into (N' D - N D') / D^2, over which
+    exp(2 t)/(exp(t) - 1) and (exp(2 t) - 1)/(exp(t) - 1) would get
+    different normal forms."""
+    nf = normalize(e)
+    if len(nf.den_terms) == 1:
+        ((key, c),) = nf.den_terms.items()
+        inv_terms = {tuple((b, -q) for b, q in key): 1 / c}
+        inv = dict_to_expr(inv_terms)
+        dinv = _terms_derivative(inv_terms, var)
+    else:
+        inv = Pow(nf.den, -1)
+        dinv = -_terms_derivative(nf.den_terms, var) * inv**2
+    d = _terms_derivative(nf.num_terms, var) * inv + nf.num * dinv
+    return normalize(d).as_expr()
+
+
+def _terms_derivative(terms, var):
+    """Product rule over a polynomial dict {key: coeff}: each factor of a
+    monomial is differentiated in turn, in place."""
+    out = []
+    for key, c in terms.items():
+        factors = [Pow(b, q) for b, q in key]
+        for i, f in enumerate(factors):
+            if var in f.free_symbols:
+                d = _factor_derivative(f, var)
+                if d != 0:
+                    out.append(Mul(c, *factors[:i], d, *factors[i + 1 :]))
+    return Add(*out)
+
+
+def _factor_derivative(f, var):
+    """d/dvar of one factor b^q as sympy evaluates it.  A power takes
+    sympy's Pow rule b^q (q' ln b + q b'/b), in the shape Expr.diff built.
+    Anything else is a generator (a first power, or exp(a)^q, which is
+    exp(q a)) and takes its own rule: exp(a) by the Pow rule would leave
+    exp(a) exp(-a) unmerged."""
+    if not f.is_Pow:
+        return _base_derivative(f, var)
+    b, q = f.args
+    db = _base_derivative(b, var)
+    if q.is_Rational:
+        return f * (db * q / b)
+    return f * (_derivative(q, var) * Ln(b) + db * q / b)
+
+
+# d/da of head(a), as a function of the atom and its argument
+_BASE_RULES = {
+    Exp: lambda atom, a: atom,
+    Ln: lambda atom, a: 1 / a,
+    Sin: lambda atom, a: Cos(a),
+    Cos: lambda atom, a: -Sin(a),
+    # away from the zero locus of a; sgn is constant there
+    AbsV: lambda atom, a: Sgn(a),
+}
+
+
+def _base_derivative(b, var):
+    """d/dvar of a generator: a symbol, a surd's prime, an atom, or an
+    opaque base (a sum under a root, an unsound nested power), which
+    recurses like an atom's argument."""
+    if b.is_Symbol:
+        return S.One if b == var else S.Zero
+    if b.is_Rational or isinstance(b, Sgn):
+        return S.Zero
+    rule = _BASE_RULES.get(type(b))
+    if rule is None:
+        return _derivative(b, var)
+    a = b.args[0]
+    da = _derivative(a, var)
+    if da == 0:
+        return S.Zero
+    return rule(b, a) * da
 
 
 def substitute(e, bindings):
@@ -139,12 +216,12 @@ def _integrate_term(term, var):
                 return None
             k = e
         elif isinstance(b, Exp) and e == 1:
-            a = b.args[0].diff(var)
+            a = differentiate(b.args[0], var)
             if var in a.free_symbols or exp_arg is not None:
                 return None
             exp_arg = b.args[0]
         elif isinstance(b, (Sin, Cos)) and e == 1:
-            w = b.args[0].diff(var)
+            w = differentiate(b.args[0], var)
             if var in w.free_symbols or trig is not None:
                 return None
             trig = b
@@ -160,7 +237,7 @@ def _integrate_term(term, var):
     if k is not None and not (k.is_Integer and k >= 0):
         return None
     deg = int(k) if k is not None else 0
-    a = exp_arg.diff(var) if exp_arg is not None else S.Zero
+    a = differentiate(exp_arg, var) if exp_arg is not None else S.Zero
     if trig is None:
         # solve q' + a*q = var^deg by downward recurrence
         if a == 0:
@@ -171,7 +248,7 @@ def _integrate_term(term, var):
             q[j] = -(j + 1) * q[j + 1] / a
         qpoly = Add(*[q[j] * var**j for j in range(deg + 1)])
         return c * qpoly * Exp(exp_arg)
-    w = trig.args[0].diff(var)
+    w = differentiate(trig.args[0], var)
     det = a * a + w * w
     if det == 0:
         return None

@@ -262,6 +262,7 @@ def _determining_system(eq, space, max_cells=500000):
     for terms, nums in _order_factors(eq):
         shifted = {}  # (factor, p, lam) -> numerator times t^p e^(lam t)
         cols = []
+        index = {}  # monomial key -> row, grown column by column
         for slot, (k, lam) in slots:
             col = {}
             for s, d, name in terms:
@@ -276,15 +277,15 @@ def _determining_system(eq, space, max_cells=500000):
                         ]
                     for key, a in shifted[sk]:
                         col[key] = col.get(key, 0) + c * a
-            cols.append({key: v for key, v in col.items() if v})
-        index = {}
-        for col in cols:
+            col = {key: v for key, v in col.items() if v}
             for key in col:
                 index.setdefault(key, len(index))
-        if len(index) * len(slots) > max_cells:
-            raise UnsupportedError(
-                "classifying system exceeds the size bound; shrink the ansatz"
-            )
+            # the index only grows, so the bound can fail before the block
+            if len(index) * len(slots) > max_cells:
+                raise UnsupportedError(
+                    "classifying system exceeds the size bound; shrink the ansatz"
+                )
+            cols.append(col)
         block = [[0] * len(slots) for _ in index]
         for m, col in enumerate(cols):
             for key, v in col.items():

@@ -12,6 +12,11 @@ common_numerators: the library multiplies the stored num_terms/den_terms of
 normal forms; the oracle converts num and den back into ring polynomials and
 multiplies those.
 
+derivative: the library reads a derivative off the stored terms of the
+normal form, with the product rule and one table of base derivatives; the
+oracle differentiates the expression tree with sympy's Expr.diff and
+normalizes the result.
+
 eval_numeric: the library compiles each expression once into closures and
 evaluates those at every point; the oracle walks the validated tree
 recursively at every call.  Both must give the same float bit for bit, or
@@ -110,6 +115,11 @@ def common_numerators(nfs):
                 value = _v_mul(conv.R, value, dvalue)
         out.append(_canon_terms(conv.value_terms(value)))
     return out
+
+
+def derivative(e, var, n=1):
+    """n passes of Expr.diff on as_exact(e), normalized once at the end."""
+    return normalize(as_exact(e).diff(var, n)).as_expr()
 
 
 def eval_numeric(e, point):

@@ -461,7 +461,7 @@ def test_differentiate_abs_power_chain():
 
 def _raw_derivative(e, v, k):
     # the one-pass path: k raw diff passes, normalized once at the end
-    return normalize(as_exact(e).diff(v, k)).as_expr()
+    return slowpath.derivative(e, v, k)
 
 
 @settings(max_examples=25, deadline=None)
@@ -492,6 +492,81 @@ def test_differentiate_stepwise_matches_raw_diff_on_coefficients(src):
     for v in (t, x):
         for k in range(6):
             assert differentiate(e, v, k) == _raw_derivative(e, v, k)
+
+
+def _stepwise_derivative(e, v, k):
+    # the stepwise path differentiate replaced, from the normal form it
+    # reads: a raw tree whose normal form is not canonical (a surd in a
+    # denominator, a root of a product) can differentiate by Expr.diff to
+    # another normal form of the same value, and one outside the fragment
+    # is refused instead of differentiated
+    e = normalize(e).as_expr()
+    for _ in range(k):
+        e = slowpath.derivative(e, v)
+    return e
+
+
+def _derivative_outcomes(fn, e):
+    return [_outcome(lambda e: fn(e, v, k), e) for v in (t, x) for k in (1, 2, 3)]
+
+
+# rational powers of sums and ln, abs, sgn atoms, which exprs does not draw
+_root_exprs = st.one_of(
+    st.builds(
+        lambda a, b, p: (a + b) ** p,
+        poly_exprs,
+        poly_exprs,
+        st.builds(Rational, st.integers(-3, 3), st.integers(2, 3)),
+    ),
+    st.builds(lambda h, a: h(a), st.sampled_from([Ln, AbsV, Sgn]), poly_exprs),
+)
+
+
+# third derivatives of the larger quotients take seconds each, in both
+# paths, hence the short run's small count; the oracle profile draws 1000
+@settings(max_examples=oracle_examples(5), deadline=None)
+@given(st.one_of(exprs, poly_exprs, _quotients, _root_exprs))
+# a surd denominator: from the raw tree Expr.diff gives
+# (12 + 9 sqrt(2))/(7 + 5 sqrt(2)), from the normal form 3 sqrt(2)/(1 + sqrt(2))
+@example(3 * sympy.sqrt(2) * x**2 / (x + sympy.sqrt(2) * x))
+def test_differentiate_matches_slow_path_oracle(e):
+    # the product rule over the stored terms gives what Expr.diff did,
+    # step by step, or the same error
+    assert _derivative_outcomes(differentiate, e) == _derivative_outcomes(
+        _stepwise_derivative, e
+    )
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        # a first power takes the base's own rule: exp's Pow rule would leave
+        # exp(9 t) exp(-9 t) unmerged, and order 3 would exceed the budget
+        "(x^2 - 2*exp(t))/((2 - t^2)*exp(t) + 2)",
+        # rational powers of a symbol and of a sum
+        "x^(1/3)*(x + 1)^(-2/3)",
+        # a monomial den is a product of inverse powers, so a root's powers
+        # stay on its generator
+        "(x + 1)^(1/2)*(x - 1)^(1/2)",
+        "x^(1/2)*(x + t)^(-1/2)",
+        # a quotient is N' D^-1 - N D' D^-2, not (N' D - N D')/D^2
+        "exp(2*t)/(exp(t) - 1)",
+        "(exp(2*t) - 1)/(exp(t) - 1)",
+        # symbolic exponents: b^e (e' ln b + e b'/b)
+        "x^x",
+        "x^(x^x)",
+        "2^t",
+        "(1/3)^t",
+        "(t^2 + 1)^x",
+        "abs(t + x)^(5/3)",
+        "ln(x)^(1/2)",
+    ],
+)
+def test_differentiate_matches_slow_path_oracle_pins(src):
+    e = parse_expr(src)
+    assert _derivative_outcomes(differentiate, e) == _derivative_outcomes(
+        _stepwise_derivative, e
+    )
 
 
 def test_differentiate_order_zero_and_bad_orders():

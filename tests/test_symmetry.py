@@ -5,6 +5,7 @@ import random
 import pytest
 from sympy import Integer, Pow, Rational, S
 
+import evolsym.symmetry as symmetry
 from evolsym.equivalence import (
     EquivTransformation,
     equivalence_flow,
@@ -228,6 +229,26 @@ class TestSolveSymmetries:
         with pytest.raises(UnsupportedError, match="size bound"):
             solve_symmetries(red, max_cells=100)
         assert solve_symmetries(red, max_cells=10000).dim == 3
+
+    def test_size_bound_stops_at_the_first_column_past_it(self, monkeypatch):
+        # the bound is checked as each unknown's column grows the row index,
+        # not after the whole order block has been built
+        red = ReducedEquation(3, (x, S.Zero))
+        calls = []
+        real = symmetry._ansatz_derivative
+
+        def counted(k, lam, d):
+            calls.append((k, lam, d))
+            return real(k, lam, d)
+
+        monkeypatch.setattr(symmetry, "_ansatz_derivative", counted)
+        msg = "^classifying system exceeds the size bound; shrink the ansatz$"
+        with pytest.raises(UnsupportedError, match=msg):
+            solve_symmetries(red, max_cells=1)
+        # A is t-free, so tau = 1 adds no order-0 monomial and tau = t is the
+        # first column past the bound: two terms each, where the whole
+        # order-0 block takes 48
+        assert len(calls) == 4
 
 
 def per_slot_system(eq, space):
