@@ -1,16 +1,18 @@
 """Equivalence transformations of linear evolution equations.
 
-Point transformations t~ = T(t), x~ = X1(t) x + X0(t), u~ = U1 u + U0(t,x)
-map the class u_t = A^k u_k + B to itself.  The subgroup preserving the
-reduced form (A^r = 1, A^{r-1} = 0, B = 0) has X1 = eps (T_t)^{1/r} with
-eps^r = 1 and U1 = U1(t); gauge transformations use a free X1.
+Point transformations t~ = T(t), x~ = X1(t) x + X0(t),
+u~ = U1(t,x) u + U0(t,x) map the class u_t = A^k u_k + B to itself.  The
+subgroup preserving the reduced form (A^r = 1, A^{r-1} = 0, B = 0) has
+X1 = eps (T_t)^{1/r} with eps^r = 1 and U1 = U1(t); gauge transformations
+use a free X1 and an x-dependent U1.
 
-Coefficient pushforwards are computed by operator conjugation: derivatives
-of u~ are carried as expressions linear in u, u_1, ..., eliminating u_t via
-the equation, and the transformed coefficients are read off triangularly.
+Coefficient pushforwards use the closed formula for this class (see
+pushforward_equation): each transformed coefficient is one expression in
+the old coordinates, normalized once and pulled back to the new ones.
 """
 
 from dataclasses import dataclass, field
+from math import comb
 
 from sympy import Add, Expr, Pow, Rational, S, expand
 
@@ -81,17 +83,18 @@ def expand_special(e):
 
 
 def _expand_special(e):
-    # e is validated, and so is each of its subtrees
+    # e is validated, and so is each of its subtrees; a node is rebuilt
+    # only when a child changed, so an unchanged tree comes back as itself
     if e.args:
-        e = e.func(*[_expand_special(a) for a in e.args])
+        args = [_expand_special(a) for a in e.args]
+        if any(a is not b for a, b in zip(args, e.args)):
+            e = e.func(*args)
     if isinstance(e, Ln) and isinstance(e.args[0], Exp):
         return e.args[0].args[0]
-    if isinstance(e, Exp):
-        arg = expand(e.args[0])
-        terms = arg.as_ordered_terms() if isinstance(arg, Add) else [arg]
+    if isinstance(e, Exp) and e.args[0].has(Ln):
         powers = S.One
         rest = []
-        for term in terms:
+        for term in Add.make_args(expand(e.args[0])):
             c, m = term.as_coeff_Mul()
             if isinstance(m, Ln) and c.is_Rational:
                 powers *= Pow(m.args[0], c)
@@ -337,83 +340,40 @@ def identity_transformation(r):
     return EquivTransformation(r)
 
 
-# --- operator conjugation -----------------------------------------------------
-# states (g, cs) stand for g + sum cs[i] * u_i with u_i the i-th x-derivative
-
-
-def _st_dx(st):
-    g, cs = st
-    out = [differentiate(cs[0], x)]
-    for i in range(1, len(cs)):
-        out.append(differentiate(cs[i], x) + cs[i - 1])
-    out.append(cs[-1])
-    return (differentiate(g, x), out)
-
-
-def _st_scale(st, f):
-    g, cs = st
-    return (normalize(f * g).as_expr(), [normalize(f * c).as_expr() for c in cs])
-
-
-def _st_sub(a, b):
-    ga, ca = a
-    gb, cb = b
-    n = max(len(ca), len(cb))
-    ca = ca + [S.Zero] * (n - len(ca))
-    cb = cb + [S.Zero] * (n - len(cb))
-    return (ga - gb, [p - q for p, q in zip(ca, cb)])
+# --- pushforward ----------------------------------------------------------------
 
 
 def pushforward_equation(eq, tr):
     """Transformed equation: coefficients of the image of eq under tr,
-    expressed in the new coordinates."""
+    expressed in the new coordinates.
+
+    With V = 1/U1 and W = -U0/U1 the old unknown is u = V u~ + W.  D, the
+    old x-derivative, is X1 d/dx~ because X1 is x-free, and
+    X_t = X1_t x + X0_t.  Substituting into u_t = A^k u_k + B gives
+
+        A~^j = U1/T_t (X1^j sum_{k>=j} C(k,j) A^k D^{k-j}V - [j=1] X_t V - [j=0] V_t)
+        B~   = U1/T_t (B + sum_k A^k D^k W - W_t)
+
+    in the old coordinates; each is normalized once and pulled back."""
     eq = embed_reduced(eq)
     r = eq.r
     if tr.r != r:
         raise InputError("transformation order does not match the equation")
-    Xe = tr.X_expr
-    Tt = differentiate(tr.T, t)
-    Xx = tr.X1
-    Xt = differentiate(Xe, t)
-
-    rhs = (eq.B, list(eq.A))
-    rhs_dx = [rhs]
-    # u~ and its x~-derivatives
-    base = (tr.U0, [tr.U1])
-    xder = [base]
-    for _k in range(r):
-        xder.append(_st_scale(_st_dx(xder[-1]), 1 / Xx))
-    # t~-derivative: total t-derivative of u~ eliminating u_t, then chain rule
-    g, cs = base
-    dt_g = differentiate(g, t)
-    dt_cs = [differentiate(c, t) for c in cs]
-    acc = (dt_g, dt_cs)
-    for i, c in enumerate(cs):
-        if c == 0:
-            continue
-        while len(rhs_dx) <= i:
-            rhs_dx.append(_st_dx(rhs_dx[-1]))
-        gi, ci = rhs_dx[i]
-        acc = _st_sub(acc, _st_scale((gi, ci), -c))
-    ut = _st_scale(_st_sub(acc, _st_scale(_st_dx(base), Xt / Xx)), 1 / Tt)
-
-    # triangular readoff of the transformed coefficients
-    Atil = [S.Zero] * (r + 1)
-    resid = ut
-    for k in range(r, 0, -1):
-        ck = resid[1][k] if k < len(resid[1]) else S.Zero
-        lead = xder[k][1][k]
-        Ak = normalize(ck / lead).as_expr()
-        Atil[k] = Ak
-        if Ak != 0:
-            resid = _st_sub(resid, _st_scale(xder[k], Ak))
-    A0 = normalize(resid[1][0] / tr.U1).as_expr()
-    Atil[0] = A0
-    resid = _st_sub(resid, _st_scale(base, A0))
-    Btil = normalize(resid[0]).as_expr()
-    for c in resid[1]:
-        if is_zero(c) is not Verdict.ZERO:
-            raise InternalError("conjugation left an unresolved derivative term")
+    A = eq.A
+    scale = tr.U1 / differentiate(tr.T, t)
+    V = normalize(1 / tr.U1).as_expr()
+    W = normalize(-tr.U0 / tr.U1).as_expr()
+    DV = [differentiate(V, x, m) for m in range(r + 1)]
+    Atil = []
+    for j in range(r + 1):
+        a = Pow(tr.X1, j) * Add(*[comb(k, j) * A[k] * DV[k - j] for k in range(j, r + 1)])
+        if j == 1:
+            a -= differentiate(tr.X_expr, t) * V
+        elif j == 0:
+            a -= differentiate(V, t)
+        Atil.append(normalize(scale * a).as_expr())
+    LW = Add(*[A[k] * differentiate(W, x, k) for k in range(r + 1)])
+    Btil = normalize(scale * (eq.B + LW - differentiate(W, t))).as_expr()
 
     inv = tr.inverse_map()
     return EvolutionEquation(

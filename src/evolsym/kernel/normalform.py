@@ -44,11 +44,13 @@ budget, before the work is done where the bound can be known in advance.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
+import sympy
 from sympy import (
     Add,
     Expr,
@@ -100,41 +102,47 @@ def as_exact(e):
         e = Rational(e.numerator, e.denominator)
     if not isinstance(e, Expr):
         raise InputError(f"not an expression: {e!r}")
-    if e.has(nan, oo, -oo, zoo):
-        raise InputError("expression contains an undefined value (zero denominator?)")
-    if any(a.is_Float for a in e.atoms()):
+    # one walk, with a stack (a recursive generator costs the depth per
+    # node); an undefined value wins over a float found before it
+    inexact = foreign = False
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if n.args:
+            stack.extend(n.args)
+            foreign = foreign or type(n) in _FOREIGN_HEADS
+        elif n in _UNDEFINED:
+            raise InputError("expression contains an undefined value (zero denominator?)")
+        else:
+            inexact = inexact or n.is_Float
+    if inexact:
         raise InputError("float literals are outside the exact fragment")
-    return _adopt_foreign_heads(e)
+    return _adopt_foreign_heads(e) if foreign else e
+
+
+_UNDEFINED = frozenset((nan, oo, -oo, zoo))
+# sympy auto-evaluation can mint its own function heads, e.g.
+# (t**2)**(1/2) -> Abs(t) for real t; fold them into our atoms
+_FOREIGN_HEADS = {
+    sympy.Abs: AbsV,
+    sympy.sign: Sgn,
+    sympy.exp: Exp,
+    sympy.log: Ln,
+    sympy.sin: Sin,
+    sympy.cos: Cos,
+}
 
 
 def _adopt_foreign_heads(e):
-    # sympy auto-evaluation can mint its own function heads, e.g.
-    # (t**2)**(1/2) -> Abs(t) for real t; fold them into our atoms
-    import sympy as _sp
-
-    table = {
-        _sp.Abs: AbsV,
-        _sp.sign: Sgn,
-        _sp.exp: Exp,
-        _sp.log: Ln,
-        _sp.sin: Sin,
-        _sp.cos: Cos,
-    }
-    if not e.has(*table.keys()):
+    if not e.args:
         return e
-
-    def walk(n):
-        if not n.args:
-            return n
-        args = [walk(a) for a in n.args]
-        head = table.get(n.func)
-        if head is not None and len(args) == 1:
-            return head(args[0])
-        if all(a is b for a, b in zip(args, n.args)):
-            return n
-        return n.func(*args)
-
-    return walk(e)
+    args = [_adopt_foreign_heads(a) for a in e.args]
+    head = _FOREIGN_HEADS.get(e.func)
+    if head is not None and len(args) == 1:
+        return head(args[0])
+    if all(a is b for a, b in zip(args, e.args)):
+        return e
+    return e.func(*args)
 
 
 # --- monomial dictionaries -------------------------------------------------
@@ -801,17 +809,37 @@ def normalize(e):
     """Normal form of e.  Raises InputError on malformed input and
     UnsupportedError outside the fragment.
 
-    Results are memoized per input in a bounded LRU and as_exact validates
-    the input on a miss only: a hit needs an equal key, and no exact input
-    equals an inexact one (Float(2.0) != Integer(2), though their hashes
-    agree).  Errors are not cached.  A NormalForm is frozen and holds only
-    immutable values, so callers may share it.
+    Results are memoized in a bounded LRU, and as_exact validates the input
+    on a miss only: a hit needs an equal key, and no exact input equals an
+    inexact one (Float(2.0) != Integer(2), though their hashes agree).  A
+    miss also memoizes the result's own expression, which normalizes to the
+    result, so reading a stored field back is a hit.  Errors are not cached.
+    A NormalForm is frozen and holds only immutable values, so callers may
+    share it.
     """
     return _normalize(_exact_input(e))
 
 
-@lru_cache(maxsize=4096)
+# up to two keys per miss: the input and the result's expression
+_MEMO = OrderedDict()
+_MEMO_SIZE = 8192
+
+
 def _normalize(e):
+    nf = _MEMO.get(e)
+    if nf is not None:
+        _MEMO.move_to_end(e)
+        return nf
+    nf = _normal_form(e)
+    for key in (e, nf.as_expr()):
+        _MEMO[key] = nf
+        _MEMO.move_to_end(key)
+    while len(_MEMO) > _MEMO_SIZE:
+        _MEMO.popitem(last=False)
+    return nf
+
+
+def _normal_form(e):
     num_terms, den_terms = _fraction(as_exact(e))
     dn = _canon_terms(num_terms)
     if not dn:

@@ -1,4 +1,5 @@
-"""Slow paths kept as oracles for the normal form and numeric evaluation.
+"""Slow paths kept as oracles for the normal form, derivatives, the
+pushforward of equations and numeric evaluation.
 
 normal_form: normalize turns an expression into num/den dicts with one
 recursive converter to a polynomial ring.  The code below is the path it
@@ -17,6 +18,15 @@ normal form, with the product rule and one table of base derivatives; the
 oracle differentiates the expression tree with sympy's Expr.diff and
 normalizes the result.
 
+pushforward_equation: the library writes each transformed coefficient
+with the closed formula for this class and normalizes it once.  The oracle
+conjugates instead: the x~- and t~-derivatives of u~ are carried as states
+linear in u, u_1, ..., u_r, each entry normalized separately, u_t is
+eliminated through the equation, and the transformed coefficients are read
+off triangularly, one division at a time, so it makes O(r^2) normalize
+calls.  Both pull the coefficients back to the new coordinates the same
+way.
+
 eval_numeric: the library compiles each expression once into closures and
 evaluates those at every point; the oracle walks the validated tree
 recursively at every call.  Both must give the same float bit for bit, or
@@ -27,7 +37,9 @@ import math
 
 from sympy import Add, Mul, S, Symbol, expand, together
 
-from evolsym.errors import EvalDomainError, InputError, UnsupportedError
+from evolsym.equivalence import _pull_back
+from evolsym.errors import EvalDomainError, InputError, InternalError, UnsupportedError
+from evolsym.kernel import Verdict, differentiate, is_zero, t, x
 from evolsym.kernel.atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin
 from evolsym.kernel.normalform import (
     _ZERO,
@@ -44,6 +56,7 @@ from evolsym.kernel.normalform import (
     normalize,
 )
 from evolsym.kernel.numeric import ZERO_TOL
+from evolsym.model import EvolutionEquation, embed_reduced
 
 
 def canonical_atom_args(e):
@@ -120,6 +133,89 @@ def common_numerators(nfs):
 def derivative(e, var, n=1):
     """n passes of Expr.diff on as_exact(e), normalized once at the end."""
     return normalize(as_exact(e).diff(var, n)).as_expr()
+
+
+# states (g, cs) stand for g + sum cs[i] * u_i with u_i the i-th x-derivative
+
+
+def _st_dx(st):
+    g, cs = st
+    out = [differentiate(cs[0], x)]
+    for i in range(1, len(cs)):
+        out.append(differentiate(cs[i], x) + cs[i - 1])
+    out.append(cs[-1])
+    return (differentiate(g, x), out)
+
+
+def _st_scale(st, f):
+    g, cs = st
+    return (normalize(f * g).as_expr(), [normalize(f * c).as_expr() for c in cs])
+
+
+def _st_sub(a, b):
+    ga, ca = a
+    gb, cb = b
+    n = max(len(ca), len(cb))
+    ca = ca + [S.Zero] * (n - len(ca))
+    cb = cb + [S.Zero] * (n - len(cb))
+    return (ga - gb, [p - q for p, q in zip(ca, cb)])
+
+
+def pushforward_equation(eq, tr):
+    """pushforward_equation by conjugating the evolution operator with the
+    states above, read off triangularly."""
+    eq = embed_reduced(eq)
+    r = eq.r
+    if tr.r != r:
+        raise InputError("transformation order does not match the equation")
+    Xe = tr.X_expr
+    Tt = differentiate(tr.T, t)
+    Xx = tr.X1
+    Xt = differentiate(Xe, t)
+
+    rhs = (eq.B, list(eq.A))
+    rhs_dx = [rhs]
+    # u~ and its x~-derivatives
+    base = (tr.U0, [tr.U1])
+    xder = [base]
+    for _k in range(r):
+        xder.append(_st_scale(_st_dx(xder[-1]), 1 / Xx))
+    # t~-derivative: total t-derivative of u~ eliminating u_t, then chain rule
+    g, cs = base
+    dt_g = differentiate(g, t)
+    dt_cs = [differentiate(c, t) for c in cs]
+    acc = (dt_g, dt_cs)
+    for i, c in enumerate(cs):
+        if c == 0:
+            continue
+        while len(rhs_dx) <= i:
+            rhs_dx.append(_st_dx(rhs_dx[-1]))
+        gi, ci = rhs_dx[i]
+        acc = _st_sub(acc, _st_scale((gi, ci), -c))
+    ut = _st_scale(_st_sub(acc, _st_scale(_st_dx(base), Xt / Xx)), 1 / Tt)
+
+    # triangular readoff of the transformed coefficients
+    Atil = [S.Zero] * (r + 1)
+    resid = ut
+    for k in range(r, 0, -1):
+        ck = resid[1][k] if k < len(resid[1]) else S.Zero
+        lead = xder[k][1][k]
+        Ak = normalize(ck / lead).as_expr()
+        Atil[k] = Ak
+        if Ak != 0:
+            resid = _st_sub(resid, _st_scale(xder[k], Ak))
+    A0 = normalize(resid[1][0] / tr.U1).as_expr()
+    Atil[0] = A0
+    resid = _st_sub(resid, _st_scale(base, A0))
+    Btil = normalize(resid[0]).as_expr()
+    for c in resid[1]:
+        if is_zero(c) is not Verdict.ZERO:
+            raise InternalError("conjugation left an unresolved derivative term")
+
+    inv = tr.inverse_map()
+    return EvolutionEquation(
+        r, tuple(_pull_back(a, inv) for a in Atil), _pull_back(Btil, inv)
+    )
 
 
 def eval_numeric(e, point):

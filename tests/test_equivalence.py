@@ -1,11 +1,16 @@
 """Transformations: inversion catalog, conjugation vs closed formulas,
 gauging pipeline, adjoint actions and 1d canonicalization."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Pow, Rational, S, Symbol
 
+import slowpath
+from conftest import oracle_examples, rand_points
 from evolsym.equivalence import (
     EquivTransformation,
     adjoint_chain,
@@ -35,6 +40,7 @@ from evolsym.kernel import (
     AbsV,
     Exp,
     Ln,
+    Sin,
     Verdict,
     differentiate,
     eval_numeric,
@@ -42,6 +48,7 @@ from evolsym.kernel import (
     normalize,
     substitute,
     t,
+    to_str,
     x,
 )
 from evolsym.model import EvolutionEquation, ReducedEquation, VectorField, embed_reduced
@@ -346,6 +353,80 @@ class TestPushforward:
             - out.B
         )
         assert zero(resid)
+
+
+# the transform workload's catalog
+CATALOG_T = (2 * t + 1, t / 2 + 3, Exp(t), 3 * t, t - 4)
+CATALOG_U1 = (Exp(t), Exp(2 * t), S(2), Exp(-t), Exp((x**2 - 2 * x) / 3))
+
+
+def _outcome(eq, tr, push):
+    try:
+        return push(eq, tr)
+    except (InputError, UnsupportedError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("U1", CATALOG_U1)
+@pytest.mark.parametrize("T", CATALOG_T)
+def test_pushforward_matches_slow_path_oracle_pins(T, U1):
+    # on the benchmark's catalog the closed formula gives the oracle's
+    # normal forms byte for byte
+    eq = EvolutionEquation(3, (x**2 - t, t * x + 1, 2 * x, S.One), t * x**2)
+    tr = EquivTransformation(3, T=T, X0=t, U1=U1, U0=x**2 + t)
+    got = pushforward_equation(eq, tr)
+    want = slowpath.pushforward_equation(eq, tr)
+    assert [to_str(a) for a in got.A + (got.B,)] == [to_str(a) for a in want.A + (want.B,)]
+
+
+_monomials = (S.One, t, x, t * x, x**2, Exp(t), Sin(x))
+_coefficients = st.lists(
+    st.tuples(st.integers(-2, 2), st.sampled_from(_monomials)), min_size=1, max_size=2
+).map(lambda terms: sum((c * m for c, m in terms), S.Zero))
+
+
+@settings(max_examples=oracle_examples(3), deadline=None)
+@given(
+    r=st.integers(3, 5),
+    lower=st.lists(_coefficients, min_size=5, max_size=5),
+    lead=st.sampled_from((S.One, S(2), t**2 + 1, Exp(t))),
+    B=_coefficients,
+    T=st.sampled_from(CATALOG_T),
+    X1=st.sampled_from((None, S.One, S(3), Exp(t), t**2 + 1)),
+    X0=st.sampled_from((S.Zero, t, t**2, 1 + 2 * t)),
+    U1=st.sampled_from(CATALOG_U1 + (Exp(x * t), Exp(x**2 / 3), t**2 + 1, x**2 + 1)),
+    U0=st.sampled_from((S.Zero, x**2, t * x, x**3 + t**2, Sin(x))),
+)
+def test_pushforward_matches_slow_path_oracle(r, lower, lead, B, T, X1, X0, U1, U0):
+    # every coefficient agrees with the state-machine conjugation, or both
+    # raise the same error.  Where the normal form is not canonical (surd
+    # denominators, exp(k a) with two rates) the two can differ in form,
+    # not in value
+    eq = EvolutionEquation(r, tuple(lower[:r]) + (lead,), B)
+    tr = EquivTransformation(r, T=T, X0=X0, U1=U1, U0=U0, X1=X1)
+    got = _outcome(eq, tr, pushforward_equation)
+    want = _outcome(eq, tr, slowpath.pushforward_equation)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    for a, b in zip(got.A + (got.B,), want.A + (want.B,)):
+        assert _same_value(a, b), (a, b)
+
+
+def _same_value(a, b):
+    if to_str(a) == to_str(b):
+        return True
+    try:
+        return zero(a - b)
+    except UnsupportedError:
+        # two normal forms of one value (exp(k a) with two rates, as from
+        # X1 = exp(t) with U1 = x^2 + 1) whose difference is over the term
+        # budget: compare them at sample points instead
+        return all(
+            math.isclose(eval_numeric(a, p), eval_numeric(b, p), rel_tol=1e-9)
+            for p in rand_points(["t", "x"], 4, seed=0)
+        )
 
 
 class TestGauges:

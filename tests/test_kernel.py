@@ -40,7 +40,7 @@ from evolsym.kernel import (
     to_str,
     x,
 )
-from evolsym.kernel.normalform import _normalize, common_numerators
+from evolsym.kernel.normalform import _normal_form, common_numerators
 
 
 # --- parsing ----------------------------------------------------------------
@@ -191,6 +191,20 @@ def test_normalize_rejects_floats_and_poles():
         normalize(x / S.Zero)
 
 
+def test_as_exact_precedence_and_foreign_heads():
+    # the walk meets the float first; an undefined value still wins
+    with pytest.raises(InputError, match="undefined value"):
+        as_exact(Add(Float("0.5") * x, sympy.Function("f")(sympy.zoo), evaluate=False))
+    with pytest.raises(InputError, match="float literals"):
+        as_exact(Float("0.5") * x + sympy.sqrt(t**2))
+    # sqrt(t^2) evaluates to sympy's Abs(t)
+    got = as_exact(sympy.sqrt(t**2) * x + sympy.exp(x))
+    assert got == AbsV(t) * x + Exp(x)
+    assert not got.has(sympy.Abs, sympy.exp)
+    e = Exp(t) * x + 1
+    assert as_exact(e) is e
+
+
 @pytest.mark.parametrize("head", ["exp", "ln", "sin", "cos", "abs", "sgn"])
 def test_normalize_nested_atoms_once_per_level(head, monkeypatch):
     # each nested argument is normalized once, so the cost is linear in depth
@@ -230,10 +244,29 @@ def test_normalize_detects_ring_identities(a, b):
 def test_normalize_cache_matches_uncached_body(e):
     # the uncached body is the oracle; NormalForm equality compares num
     # and den
-    want = _normalize.__wrapped__(as_exact(e))
+    want = _normal_form(e)
     assert normalize(e) == want
     # the second call is a cache hit
     assert normalize(e) == want
+
+
+def test_normalize_memo_answers_for_its_outputs(monkeypatch):
+    import evolsym.kernel.normalform as nfm
+
+    calls = []
+    body = nfm._normal_form
+
+    def counting(arg):
+        calls.append(arg)
+        return body(arg)
+
+    monkeypatch.setattr(nfm, "_normal_form", counting)
+    nf = normalize(parse_expr("(exp(3*t) + x)/(t^2 + 7*x - 5) + 13/11"))
+    assert calls
+    del calls[:]
+    # the result's expression is a new input, and a hit
+    assert normalize(nf.as_expr()) is nf
+    assert calls == []
 
 
 def test_normalize_cache_keeps_rejecting_floats():
@@ -311,8 +344,9 @@ _quotients = st.builds(
 def test_normalize_idempotent(e):
     # model types store normalize(e).as_expr() and consumers read it back
     # as it stands, so a stored field must be its own normal form
+    # (the normalize memo answers for its outputs, so this calls the body)
     nf = normalize(e)
-    nf2 = normalize(nf.as_expr())
+    nf2 = _normal_form(nf.as_expr())
     assert nf2.num == nf.num and nf2.den == nf.den
 
 
