@@ -19,16 +19,14 @@ from .equivalence import (
     gauge_all,
     pushforward_equation,
 )
-from .errors import EvolsymError, InputError, ParseError, UnsupportedError
+from .errors import EvolsymError, InputError, ParseError
 from .kernel import (
     Verdict,
     is_zero,
     parse_expr,
     sym,
     substitute,
-    t,
     to_str,
-    x,
 )
 from .model import (
     EvolutionEquation,
@@ -81,9 +79,12 @@ def parse_equation_document(doc):
         raise InputError(f"form must be one of {FORMS}")
     if not isinstance(cmap, dict):
         raise InputError("coefficients must be a name -> expression map")
+    params = doc.get("parameters") or {}
+    if not isinstance(params, dict):
+        raise InputError("equation document: parameters must be a name -> value map")
     declared = []
     bindings = {}
-    for name, val in (doc.get("parameters") or {}).items():
+    for name, val in params.items():
         declared.append(name)
         if val != "symbolic":
             try:

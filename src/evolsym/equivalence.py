@@ -41,6 +41,7 @@ from .model import (
     _slot_coords,
     embed_reduced,
 )
+from .symmetry import classifying_residuals
 from .verify import residual_symbolic
 
 __all__ = [
@@ -167,7 +168,6 @@ class CatalogEntry:
     params: tuple
     T: Expr
     T_inverse: Expr
-    domain: str
 
 
 def _tfree(e):
@@ -187,7 +187,7 @@ def recognize_scalar(f):
         c = normalize(f - a * t).as_expr()
         if not _tfree(c):
             return None
-        return CatalogEntry("affine", (a, c), f, normalize((t - c) / a).as_expr(), "all t")
+        return CatalogEntry("affine", (a, c), f, normalize((t - c) / a).as_expr())
     fpp = differentiate(fp, t)
     # exponential: f''/f' = b constant, nonzero
     b = normalize(fpp / fp).as_expr()
@@ -197,8 +197,7 @@ def recognize_scalar(f):
             c = normalize(f - a * Exp(b * t)).as_expr()
             if _tfree(c):
                 inv = normalize(expand_special(Ln((t - c) / a) / b)).as_expr()
-                dom = _ratio_domain(a, c)
-                return CatalogEntry("exp", (a, b, c), f, inv, dom)
+                return CatalogEntry("exp", (a, b, c), f, inv)
     # power: t f''/f' = q - 1 constant
     qm1 = normalize(t * fpp / fp).as_expr()
     if _tfree(qm1):
@@ -211,11 +210,9 @@ def recognize_scalar(f):
                     if q.is_Integer and q > 0 and q % 2 == 1:
                         s = (t - c) / a
                         inv = normalize(Sgn(s) * Pow(AbsV(s), 1 / q)).as_expr()
-                        dom = "all t"
                     else:
                         inv = normalize(Pow((t - c) / a, 1 / q)).as_expr()
-                        dom = "t > 0 (source); " + _ratio_domain(a, c) + " (target)"
-                    return CatalogEntry("power", (a, q, c), f, inv, dom)
+                    return CatalogEntry("power", (a, q, c), f, inv)
     # logarithm: read the Ln atom directly
     for node in f.atoms(Ln):
         arg = node.args[0]
@@ -232,14 +229,8 @@ def recognize_scalar(f):
         if not _tfree(d):
             continue
         inv = normalize(expand_special((Exp((t - d) / a) - cc) / db)).as_expr()
-        return CatalogEntry("log", (a, db, cc, d), f, inv, f"{db}*t + {cc} > 0")
+        return CatalogEntry("log", (a, db, cc, d), f, inv)
     return None
-
-
-def _ratio_domain(a, c):
-    if a.is_Rational:
-        return f"t > {c}" if a > 0 else f"t < {c}"
-    return f"(t - ({c}))/({a}) > 0"
 
 
 def invert_scalar(f):
@@ -270,8 +261,8 @@ class EquivTransformation:
     def __post_init__(self):
         if not (isinstance(self.r, int) and self.r >= 3):
             raise InputError("order r must be an integer >= 3")
-        if self.eps not in (1, -1):
-            raise InputError("eps must be +1 or -1")
+        if type(self.eps) is not int or self.eps not in (1, -1):
+            raise InputError("transformation eps must be the integer 1 or -1")
         if self.eps == -1 and self.r % 2 == 1:
             raise InputError("eps = -1 exists only for even order")
         names = ("T", "X0", "U1", "U0")
@@ -325,14 +316,15 @@ class EquivTransformation:
 
     @classmethod
     def from_doc(cls, doc, r, params=()):
+        if not isinstance(doc, dict):
+            raise InputError("transformation document must be a JSON object")
+
         def rd(key, default):
             v = doc.get(key, default)
             return parse_expr(v, declared=params) if isinstance(v, str) else as_exact(v)
 
-        eps = doc.get("eps", 1)
-        if eps not in (1, -1):
-            raise InputError("eps must be +1 or -1")
         x1 = rd("X1", None) if "X1" in doc else None
+        eps = doc.get("eps", 1)
         return cls(r, rd("T", t), rd("X0", 0), rd("U1", 1), rd("U0", 0), eps, x1)
 
 
@@ -439,15 +431,11 @@ def gauge_leading(eq):
         raise UnsupportedError("leading coefficient must depend on t only")
     if a == 1:
         return eq, GaugeReport((), "leading-normalized", ())
-    if r % 2 == 0:
-        if is_zero(AbsV(a) - a) is not Verdict.ZERO:
-            raise UnsupportedError("even order requires a positive leading coefficient")
-    else:
-        if (
-            is_zero(AbsV(a) - a) is not Verdict.ZERO
-            and is_zero(AbsV(a) + a) is not Verdict.ZERO
-        ):
-            raise UnsupportedError("leading coefficient must have a fixed sign")
+    sgn = _sign_certificate(a)
+    if r % 2 == 0 and sgn != 1:
+        raise UnsupportedError("even order requires a positive leading coefficient")
+    if sgn == 0:
+        raise UnsupportedError("leading coefficient must have a fixed sign")
     T = integrate(a, t)
     if T is None:
         raise UnsupportedError("no closed-form antiderivative for the leading coefficient")
@@ -532,7 +520,11 @@ def find_particular_solution(eq, ansatz_degree):
     ).as_expr()
 
 
-def gauge_all(eq, particular=None, max_degree=6):
+# gauge_all tries polynomial particular solutions up to this t-degree
+PARTICULAR_MAX_DEGREE = 6
+
+
+def gauge_all(eq, particular=None):
     """Full pipeline to the reduced form; returns (ReducedEquation, GaugeReport).
 
     `particular` is a particular solution of the *input* equation; it is
@@ -545,7 +537,7 @@ def gauge_all(eq, particular=None, max_degree=6):
         if eq.B == 0:
             particular = S.Zero
         else:
-            for d in range(1, max_degree + 1):
+            for d in range(1, PARTICULAR_MAX_DEGREE + 1):
                 particular = find_particular_solution(eq, (d, d + eq.r))
                 if particular is not None:
                     break
@@ -571,37 +563,14 @@ def gauge_all(eq, particular=None, max_degree=6):
 
 def infinitesimal_action(gen, eq):
     """Coefficient directions (dA^0 ... dA^{r-2}) of an equivalence generator
-    acting on a reduced equation; matches d/de at e=0 of the finite action."""
+    acting on a reduced equation; matches d/de at e=0 of the finite action.
+    The classifying conditions are this action, so it is minus the
+    classifying residuals of the generator alone."""
     kind, fn = gen
-    fn = as_exact(fn)
-    r = eq.r
-    A = eq.A
-    out = []
-    if kind == "D":
-        tau = fn
-        tau_t = differentiate(tau, t)
-        for j in range(r - 1):
-            dj = (
-                -Rational(r - j, r) * tau_t * A[j]
-                - tau * differentiate(A[j], t)
-                - Rational(1, r) * tau_t * x * differentiate(A[j], x)
-            )
-            if j == 1:
-                dj -= Rational(1, r) * x * differentiate(tau_t, t)
-            out.append(dj)
-    elif kind == "P":
-        chi = fn
-        for j in range(r - 1):
-            dj = -chi * differentiate(A[j], x)
-            if j == 1:
-                dj -= differentiate(chi, t)
-            out.append(dj)
-    elif kind == "I":
-        for j in range(r - 1):
-            out.append(differentiate(fn, t) if j == 0 else S.Zero)
-    else:
+    if kind not in ("D", "P", "I"):
         raise InputError("generator kind must be one of D, P, I")
-    return tuple(normalize(e).as_expr() for e in out)
+    res = classifying_residuals(eq, *(fn if k == kind else S.Zero for k in "DPI"))
+    return tuple(normalize(-e).as_expr() for e in res)
 
 
 def equivalence_flow(gen, eps_val, r):

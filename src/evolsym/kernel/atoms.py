@@ -9,7 +9,7 @@ calls (kernel.calculus reads derivatives off the normal form) but the
 slow-path derivative oracle still does.
 """
 
-from sympy import Function, Integer, Rational, S, Symbol
+from sympy import Function, Integer, S, Symbol
 
 t = Symbol("t", real=True)
 x = Symbol("x", real=True)

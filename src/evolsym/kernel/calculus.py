@@ -236,28 +236,20 @@ def _integrate_term(term, var):
         return c * Pow(var, k + 1) / (k + 1)
     if k is not None and not (k.is_Integer and k >= 0):
         return None
+    # var^deg e^(a var) times cos or sin(w var), or neither (w = 0, as cos):
+    # e^(a var) (q1 cos + q2 sin), polynomials q1, q2 by downward recurrence
     deg = int(k) if k is not None else 0
     a = differentiate(exp_arg, var) if exp_arg is not None else S.Zero
-    if trig is None:
-        # solve q' + a*q = var^deg by downward recurrence
-        if a == 0:
-            return None
-        q = [S.Zero] * (deg + 1)
-        q[deg] = 1 / a
-        for j in range(deg - 1, -1, -1):
-            q[j] = -(j + 1) * q[j + 1] / a
-        qpoly = Add(*[q[j] * var**j for j in range(deg + 1)])
-        return c * qpoly * Exp(exp_arg)
-    w = differentiate(trig.args[0], var)
+    w = differentiate(trig.args[0], var) if trig is not None else S.Zero
     det = a * a + w * w
     if det == 0:
         return None
     pc = [S.Zero] * (deg + 1)
     ps = [S.Zero] * (deg + 1)
-    if isinstance(trig, Cos):
-        pc[deg] = S.One
-    else:
+    if isinstance(trig, Sin):
         ps[deg] = S.One
+    else:
+        pc[deg] = S.One
     q1 = [S.Zero] * (deg + 2)
     q2 = [S.Zero] * (deg + 2)
     for j in range(deg, -1, -1):
@@ -266,7 +258,9 @@ def _integrate_term(term, var):
         q1[j] = (a * r1 - w * r2) / det
         q2[j] = (w * r1 + a * r2) / det
     q1poly = Add(*[q1[j] * var**j for j in range(deg + 1)])
-    q2poly = Add(*[q2[j] * var**j for j in range(deg + 1)])
     efac = Exp(exp_arg) if exp_arg is not None else S.One
+    if trig is None:
+        return c * efac * q1poly
+    q2poly = Add(*[q2[j] * var**j for j in range(deg + 1)])
     targ = trig.args[0]
     return c * efac * (q1poly * Cos(targ) + q2poly * Sin(targ))

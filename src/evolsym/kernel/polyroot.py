@@ -86,21 +86,25 @@ def numeric_roots(coeffs):
     return list(np.roots(cs))
 
 
-def cluster_roots(vals, tol=1e-8):
+# relative distance within which cluster_roots merges two roots
+CLUSTER_TOL = 1e-8
+
+
+def cluster_roots(vals):
     """Group nearly equal floating roots into (value, multiplicity) pairs;
     conjugate pairs are reported once with positive imaginary part."""
     todo = sorted(vals, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
     out = []
     for z in todo:
         for i, (w, m) in enumerate(out):
-            if abs(z - w) <= tol * max(1.0, abs(w)):
+            if abs(z - w) <= CLUSTER_TOL * max(1.0, abs(w)):
                 out[i] = ((w * m + z) / (m + 1), m + 1)
                 break
         else:
             out.append((z, 1))
     merged = []
     for z, m in out:
-        if abs(z.imag) <= tol * max(1.0, abs(z)):
+        if abs(z.imag) <= CLUSTER_TOL * max(1.0, abs(z)):
             merged.append((complex(z.real, 0.0), m))
         elif z.imag > 0:
             merged.append((z, m))

@@ -4,7 +4,7 @@ to_str(parse_expr(s)) round-trips: the output uses only the surface syntax
 the parser accepts, with deterministic term and factor order.
 """
 
-from sympy import Add, Integer, Mul, Pow, Rational, S, Symbol
+from sympy import S, Symbol
 
 from ..errors import InternalError
 from .atoms import ATOM_HEADS

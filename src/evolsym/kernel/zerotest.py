@@ -32,11 +32,19 @@ def _structurally_nonzero(nf):
     )
 
 
-def is_zero(e, probes=8, seed=1729, tol=1e-9, assume=None):
+# PROBES points from a generator seeded with SEED; one certifies nonzero
+# when |e| exceeds TOL times the sum of its terms' magnitudes
+PROBES = 8
+SEED = 1729
+TOL = 1e-9
+
+
+def is_zero(e, assume=None):
     """Verdict for e == 0 on its domain.
 
-    assume maps symbol names to (lo, hi) sampling intervals, e.g. restrict
-    t to (-3, -1) when working on the negative half-line.
+    Probes sample each symbol in (-3, 3), or in the (lo, hi) interval that
+    assume maps its name to, e.g. restrict t to (-3, -1) when working on the
+    negative half-line; they are seeded, so a verdict is reproducible.
     """
     nf = e if isinstance(e, NormalForm) else normalize(e)
     if nf.num == 0:
@@ -44,10 +52,10 @@ def is_zero(e, probes=8, seed=1729, tol=1e-9, assume=None):
     if _structurally_nonzero(nf):
         return Verdict.NONZERO
     assume = assume or {}
-    rnd = random.Random(seed)
+    rnd = random.Random(SEED)
     syms = sorted(nf.num.free_symbols, key=str)
     terms = Add.make_args(nf.num)
-    for _ in range(probes):
+    for _ in range(PROBES):
         point = None
         for _attempt in range(60):
             cand = {}
@@ -65,6 +73,6 @@ def is_zero(e, probes=8, seed=1729, tol=1e-9, assume=None):
         if point is None:
             return Verdict.UNKNOWN
         val, scale = point
-        if abs(val) > tol * max(scale, 1.0):
+        if abs(val) > TOL * max(scale, 1.0):
             return Verdict.NONZERO
     return Verdict.UNKNOWN

@@ -183,9 +183,14 @@ class Solution:
 
     @classmethod
     def from_doc(cls, doc):
+        if not isinstance(doc, dict):
+            raise InputError("solution document must be a JSON object")
+        params = doc.get("parameters", ())
+        if not isinstance(params, (list, tuple)) or not all(isinstance(p, str) for p in params):
+            raise InputError("solution document: parameters must be a list of names")
+        params = tuple(params)
         try:
             kind = doc["kind"]
-            params = tuple(doc.get("parameters", ()))
             expr = None
             if "expr" in doc:
                 expr = parse_expr(doc["expr"], declared=params)
@@ -213,10 +218,6 @@ class GeneralizedReduction:
     N: int
     ansatz: str
     system: ReducedSystem
-    lam: Expr = None
-    mu: Expr = None
-    nu: Expr = None
-    phi: Expr = None
     solutions: tuple = ()
     notes: tuple = ()
 
@@ -291,6 +292,12 @@ def _expr_numeric_solution(eq, expr, provenance, parameters=()):
     )
 
 
+def _finite(name, v):
+    if not math.isfinite(v):
+        raise InputError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
 def _rat(v, limit=10**12):
     fr = Fraction(float(v)).limit_denominator(limit)
     return Rational(fr.numerator, fr.denominator)
@@ -357,6 +364,7 @@ def reduce_P1Iphi(eq, phi0=None, grid=None, phi0_value=0.0):
     adaptive quadrature with phi0 bound to phi0_value.
     """
     eq = as_reduced(eq)
+    phi0_value = _finite("phi0_value", phi0_value)
     free_phi0 = phi0 is None
     phi0 = sym("phi0") if free_phi0 else as_exact(phi0)
     phi = _phi_of(eq, phi0)
@@ -368,7 +376,7 @@ def reduce_P1Iphi(eq, phi0=None, grid=None, phi0_value=0.0):
         params = ["c0"] + (["phi0"] if free_phi0 else [])
         return certify_symbolic(eq, c0 * Exp(phi * x + G), prov, params)
     tpts, xpts = (grid or default_grid(eq.r)).points()
-    point = {"phi0": float(phi0_value)}
+    point = {"phi0": phi0_value}
     t0 = float(tpts[0])
 
     def gnum(tv):
@@ -379,7 +387,7 @@ def reduce_P1Iphi(eq, phi0=None, grid=None, phi0_value=0.0):
         w = quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
         pv = eval_numeric(phi, {"t": tv, **point})
         vals.append([math.exp(pv * xv + w) for xv in xpts])
-    prov = dict(prov, quadrature="adaptive", phi0_value=float(phi0_value))
+    prov = dict(prov, quadrature="adaptive", phi0_value=phi0_value)
     return _grid_solution(eq, tpts, xpts, vals, prov)
 
 
@@ -923,15 +931,7 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
         )
     if numeric is not None:
         sols.append(_numeric_reduction(eq, "D", system, mu, nu, None, numeric))
-    return GeneralizedReduction(
-        "D",
-        N,
-        ansatz,
-        system,
-        solutions=tuple(sols),
-        notes=tuple(notes),
-        **_rate_fields(mu, nu),
-    )
+    return GeneralizedReduction("D", N, ansatz, system, tuple(sols), tuple(notes))
 
 
 def _gen_reduction_p(eq, N, mu, nu, phi0, numeric):
@@ -996,16 +996,7 @@ def _gen_reduction_p(eq, N, mu, nu, phi0, numeric):
         )
     if numeric is not None:
         sols.append(_numeric_reduction(eq, "P", system, mu, nu, phi, numeric))
-    return GeneralizedReduction(
-        "P",
-        N,
-        ansatz,
-        system,
-        phi=phi,
-        solutions=tuple(sols),
-        notes=tuple(notes),
-        **_rate_fields(mu, nu),
-    )
+    return GeneralizedReduction("P", N, ansatz, system, tuple(sols), tuple(notes))
 
 
 def polynomial_t_solutions(eq, N, top_layer=None, numeric=None):
@@ -1176,15 +1167,14 @@ def generate_nonlocal(
     """
     eq = as_reduced(eq)
     r = eq.r
+    x0, t0, v0 = _finite("x0", x0), _finite("t0", t0), _finite("v0", v0)
+    phi0_value = _finite("phi0_value", phi0_value)
     phi = _phi_of(eq, sym("phi0"))
     hexpr, _params = _solution_expr(eq, h)
     if _params:
         raise InputError("bind the free parameters of h before generating")
     g = _exp_rate(eq, phi)
-    point = {"phi0": float(phi0_value)}
-    x0 = float(x0)
-    t0 = float(t0)
-    v0 = float(v0)
+    point = {"phi0": phi0_value}
     if t_pts is None or x_pts is None:
         gdef = default_grid(r)
         tdef, xdef = gdef.points()
@@ -1240,6 +1230,6 @@ def generate_nonlocal(
         "x0": x0,
         "t0": t0,
         "v0": v0,
-        "phi0_value": float(phi0_value),
+        "phi0_value": phi0_value,
     }
     return _grid_solution(eq, tpts, xpts, vals, prov)

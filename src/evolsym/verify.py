@@ -36,11 +36,11 @@ class GridSpec:
     """Uniform space-time verification grid.
 
     ht and hx are requested steps; the realized grids respace to the nearest
-    uniform subdivision of the ranges.  exclude lists singular x-loci the
-    caller acknowledges; grids whose x-range contains a singular coefficient
-    locus are refused either way, since a stencil cannot straddle a pole.
-    A grid may have at most MAX_AXIS_POINTS points per axis and
-    MAX_GRID_POINTS points in all.
+    uniform subdivision of the ranges.  residual_numeric refuses a grid
+    whose t- or x-range contains a rational singular locus of a coefficient
+    (singular_loci), since a stencil cannot straddle a pole.  A grid may
+    have at most MAX_AXIS_POINTS points per axis and MAX_GRID_POINTS points
+    in all.
     """
 
     t_range: tuple
@@ -48,7 +48,6 @@ class GridSpec:
     ht: float
     hx: float
     order: int = 6
-    exclude: tuple = ()
 
     def __post_init__(self):
         for name in ("t_range", "x_range"):
@@ -75,7 +74,6 @@ class GridSpec:
             isinstance(self.order, int) and self.order >= 2 and self.order % 2 == 0
         ):
             raise InputError("stencil order must be an even integer >= 2")
-        object.__setattr__(self, "exclude", tuple(float(v) for v in self.exclude))
 
     def shape(self):
         """Realized (t, x) point counts."""
@@ -90,16 +88,13 @@ class GridSpec:
         return tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(ranges, self.shape()))
 
     def to_doc(self):
-        doc = {
+        return {
             "t": list(self.t_range),
             "x": list(self.x_range),
             "ht": self.ht,
             "hx": self.hx,
             "order": self.order,
         }
-        if self.exclude:
-            doc["exclude"] = list(self.exclude)
-        return doc
 
     @classmethod
     def from_doc(cls, doc):
@@ -110,7 +105,6 @@ class GridSpec:
                 float(doc["ht"]),
                 float(doc["hx"]),
                 int(doc.get("order", 6)),
-                tuple(doc.get("exclude", ())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed grid document: {exc}") from None
@@ -195,13 +189,7 @@ def singular_loci(eq):
 
 def _grid_values(u, tpts, xpts):
     if isinstance(u, Expr):
-        expr = u
-        return np.array(
-            [
-                [eval_numeric(expr, {"t": tv, "x": xv}) for xv in xpts]
-                for tv in tpts
-            ]
-        )
+        return _coeff_grid(u, tpts, xpts)
     if callable(u):
         return np.array([[float(u(tv, xv)) for xv in xpts] for tv in tpts])
     raise InputError("u must be an expression, a callable or grid data")
@@ -220,6 +208,8 @@ def _as_grid_data(u):
         raise InputError(f"malformed grid data: {exc}") from None
     if vals.shape != (len(tpts), len(xpts)):
         raise InputError("grid values must be shaped (len(t), len(x))")
+    if not all(np.isfinite(a).all() for a in (tpts, xpts, vals)):
+        raise InputError("grid data must be finite: a value overflowed or is NaN")
     for pts, name in ((tpts, "t"), (xpts, "x")):
         if len(pts) < 2:
             raise InputError(f"grid needs at least two {name} points")
@@ -242,6 +232,8 @@ def _derivative(U, d, p, h, axis):
 
 
 def _coeff_grid(e, tis, xjs):
+    """Values of e on the grid tis x xjs, evaluated once per distinct value
+    of its free variables."""
     free = e.free_symbols
     shape = (len(tis), len(xjs))
     if not free:

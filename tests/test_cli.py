@@ -455,6 +455,58 @@ class TestVerify:
         assert rep["max_residual"] < 1e-7
 
 
+DRIFT_SEED = {"kind": "symbolic", "expr": "exp(t*x + 1/4*t^4)"}
+# Python's json reads and writes NaN
+NAN_GRID_SOLUTION = {
+    "kind": "numeric",
+    "grid": {
+        "t": [i / 16 for i in range(17)],
+        "x": [i / 16 for i in range(17)],
+        "values": [[float("nan") if i == j == 8 else 0.0 for j in range(17)] for i in range(17)],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command,document,flags",
+    [
+        ("verify", [1, 2], ()),
+        ("verify", "x", ()),
+        ("verify", {"kind": "symbolic", "expr": "x", "parameters": 5}, ()),
+        ("nonlocal", [1, 2], ()),
+        ("nonlocal", "x", ()),
+        ("nonlocal", {"kind": "symbolic", "expr": "x", "parameters": 5}, ()),
+        ("transform", [1], ()),
+        ("transform", {"eps": True}, ()),
+        ("transform", {"eps": 1.0}, ()),
+        ("classify", {**DRIFT3, "parameters": ["a"]}, ()),
+        ("nonlocal", DRIFT_SEED, ("--x0", "nan")),
+        ("nonlocal", DRIFT_SEED, ("--x0", "inf")),
+        ("nonlocal", DRIFT_SEED, ("--v0", "inf")),
+        ("nonlocal", DRIFT_SEED, ("--t0", "nan")),
+        ("nonlocal", DRIFT_SEED, ("--phi0-value=-inf",)),
+        # finite, but the solution overflows the float range on the grid
+        ("nonlocal", DRIFT_SEED, ("--v0", "1e308")),
+        ("verify", NAN_GRID_SOLUTION, ()),
+    ],
+)
+def test_malformed_documents_and_nonfinite_flags_exit2(
+    capsys, tmp_path, command, document, flags
+):
+    doc = write(tmp_path, "doc.json", document)
+    eq = write(tmp_path, "eq.json", DRIFT3)
+    argv = {
+        "verify": ("verify", eq, doc),
+        "nonlocal": ("solve", eq, "--method", "nonlocal", "--seed", doc),
+        "transform": ("transform", eq, doc),
+        "classify": ("classify", doc),
+    }[command]
+    code, out, err = run(capsys, *argv, *flags)
+    assert code == 2, err
+    assert out == ""
+    assert json.loads(err)["exit_code"] == 2
+
+
 class TestSymmetryCheck:
     def test_yes(self, capsys, tmp_path):
         f = write(tmp_path, "f.json", {"tau": "1"})

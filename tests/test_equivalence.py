@@ -527,6 +527,11 @@ class TestEquivalenceAlgebra:
         out = infinitesimal_action(("D", t), red)
         assert all(zero(e) for e in out)
 
+    @pytest.mark.parametrize("gen", [("Q", t), ("D", x), ("P", t * x), ("I", x**2)])
+    def test_unknown_kind_or_x_dependence_rejected(self, gen):
+        with pytest.raises(InputError):
+            infinitesimal_action(gen, ReducedEquation(3, (x, t)))
+
     @pytest.mark.parametrize(
         "gen",
         [("D", 1 + 2 * t), ("P", t**2), ("I", t)],

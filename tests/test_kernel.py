@@ -670,13 +670,31 @@ def test_substitute_swap():
         ("t^(1/2)", "t"),
         ("3", "t"),
         ("exp(x)/(t + 1)", "t"),
+        ("t^2*exp(a*t)", "t"),
+        ("exp(-t/2)", "t"),
     ],
 )
 def test_integrate_round_trip(src, var):
-    e = parse_expr(src)
+    e = parse_expr(src, declared=("a",))
     F = integrate(e, var)
     assert F is not None
     assert is_zero(differentiate(F, var) - e) == Verdict.ZERO
+
+
+@pytest.mark.parametrize(
+    "src,printed",
+    [
+        ("t^2*exp(3*t)", "1/3*t^2*exp(3*t) - 2/9*t*exp(3*t) + 2/27*exp(3*t)"),
+        ("t^2*exp(a*t)", "a^(-3)*(a^2*t^2*exp(a*t) - 2*a*t*exp(a*t) + 2*exp(a*t))"),
+        ("exp(-t/2)", "-2*exp(-1/2*t)"),
+        ("t*exp(-t)", "-t*exp(-t) - exp(-t)"),
+        ("(a + 1)*exp((a + 1)*t)", "exp(a*t + t)"),
+    ],
+)
+def test_integrate_exp_polynomial_printed(src, printed):
+    # exp times a polynomial, with no sin or cos, runs the rate-pair
+    # recurrence at w = 0; the printed antiderivatives are pinned
+    assert to_str(integrate(parse_expr(src, declared=("a",)), "t")) == printed
 
 
 def test_integrate_quadrature_oracle():

@@ -654,6 +654,16 @@ class TestSolutionDocuments:
         with pytest.raises(InputError):
             Solution.from_doc({"expr": "x"})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_constants_refused(self, bad):
+        tp = np.linspace(0.0, 1.0, 17)
+        for kw in ({"x0": bad}, {"t0": bad}, {"v0": bad}, {"phi0_value": bad}):
+            args = {"x0": 0.0, "t0": 0.0, "v0": 1.0, **kw}
+            with pytest.raises(InputError, match="finite"):
+                generate_nonlocal(FREE3, S.Zero, t_pts=tp, x_pts=tp, **args)
+        with pytest.raises(InputError, match="finite"):
+            reduce_P1Iphi(FREE3, phi0_value=bad)
+
 
 class TestClosureProperties:
     def test_symmetry_action_closure(self):

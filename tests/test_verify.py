@@ -185,6 +185,22 @@ class TestNumericResidual:
         assert mr < 1e-8 * math.exp(2.0)
         assert slope == pytest.approx(6.0, abs=0.5)
 
+    @pytest.mark.parametrize(
+        "eq,u,want",
+        [
+            (
+                ReducedEquation(3, (S.One, S.Zero)),
+                Exp(t),
+                (2.2324364579162648e-11, 6.002353095317076),
+            ),
+            (FREE3, Integer(3), (2.729816372948335e-12, None)),
+        ],
+    )
+    def test_x_free_and_constant_u_pinned(self, eq, u, want):
+        # an x-free u is evaluated once per t and a constant once in all;
+        # the grid values, and so the result, are the same bits as pointwise
+        assert residual_numeric(eq, u, GRID3) == want
+
     def test_grid_required_for_exprs(self):
         with pytest.raises(InputError):
             residual_numeric(FREE3, Exp(x + t))
