@@ -7,6 +7,7 @@ strings ("1/3") so nothing is rounded in transit.  Exit codes: 0 ok,
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -570,6 +571,8 @@ def main(argv=None):
     try:
         if args.jobs < 1:
             raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
+            raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
         return args.func(args)
     except ParseError as exc:
         err = {"error": str(exc), "exit_code": 2}

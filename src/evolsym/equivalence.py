@@ -293,12 +293,13 @@ class EquivTransformation:
     def X_expr(self):
         return self.X1 * x + self.X0
 
+    def time_inverse(self):
+        """Old t as a function of the new."""
+        return t if self.T == t else invert_scalar(self.T).T_inverse
+
     def inverse_map(self):
         """Substitution {t, x} -> old coordinates as functions of the new."""
-        if self.T == t:
-            tin = t
-        else:
-            tin = invert_scalar(self.T).T_inverse
+        tin = self.time_inverse()
         X1i = compose_scalar(self.X1, tin)
         X0i = compose_scalar(self.X0, tin)
         xin = normalize((x - X0i) / X1i).as_expr()
@@ -321,9 +322,14 @@ class EquivTransformation:
 
         def rd(key, default):
             v = doc.get(key, default)
-            return parse_expr(v, declared=params) if isinstance(v, str) else as_exact(v)
+            if isinstance(v, str):
+                return parse_expr(v, declared=params)
+            # exactly int: a JSON true or false is a bool, an int subclass
+            if key in doc and type(v) is not int:
+                raise InputError(f"transformation {key}: expression string or integer required")
+            return v
 
-        x1 = rd("X1", None) if "X1" in doc else None
+        x1 = rd("X1", None)
         eps = doc.get("eps", 1)
         return cls(r, rd("T", t), rd("X0", 0), rd("U1", 1), rd("U0", 0), eps, x1)
 
@@ -414,12 +420,6 @@ class GaugeReport:
     chain: tuple
     target_form: str
     residual_checks: tuple = field(default_factory=tuple)
-
-    def combined(self):
-        tr = None
-        for step in self.chain:
-            tr = step if tr is None else compose(tr, step)
-        return tr
 
 
 def gauge_leading(eq):
@@ -528,9 +528,10 @@ def gauge_all(eq, particular=None):
     """Full pipeline to the reduced form; returns (ReducedEquation, GaugeReport).
 
     `particular` is a particular solution of the *input* equation; it is
-    transported through the leading/subleading gauges before being used to
-    absorb the inhomogeneity.  When omitted, a polynomial one is searched for
-    on the input equation, where the coefficients are still polynomial.
+    transported through the leading and subleading gauges, one step at a
+    time, before being used to absorb the inhomogeneity.  When omitted, a
+    polynomial one is searched for on the input equation, where the
+    coefficients are still polynomial.
     """
     eq = embed_reduced(eq)
     if particular is None:
@@ -547,9 +548,8 @@ def gauge_all(eq, particular=None):
                 )
     eq1, rep1 = gauge_leading(eq)
     eq2, rep2 = gauge_subleading(eq1)
-    done = GaugeReport(rep1.chain + rep2.chain, "").combined()
-    if done is not None:
-        particular = transport_solution(particular, done)
+    for step in rep1.chain + rep2.chain:
+        particular = transport_solution(particular, step)
     red, rep3 = gauge_inhomogeneity(eq2, particular)
     return red, GaugeReport(
         rep1.chain + rep2.chain + rep3.chain,
@@ -600,52 +600,19 @@ def equivalence_flow(gen, eps_val, r):
 
 def adjoint_pushforward(Q, step, r):
     """Pushforward of an essential field by one elementary transformation:
-    ("D", T), ("P", X0), ("I", U1), ("X",) for even r, or ("scale", c)."""
+    ("D", T), ("P", X0), ("I", U1) and ("X",) for even r are the group
+    elements with that T, X0, U1 or eps = -1, pushed by adjoint_general;
+    ("scale", c) multiplies the field by c."""
     kind = step[0]
-    tau, chi, phi, eta = Q.tau, Q.chi, Q.phi, Q.eta0
-    if kind == "D":
-        T = as_exact(step[1])
-        Tt = differentiate(T, t)
-        if r % 2 == 0 and is_zero(AbsV(Tt) + Tt) is Verdict.ZERO:
-            raise InputError("even order requires T_t > 0")
-        entry = invert_scalar(T)
-        tin = entry.T_inverse
-        root = nth_root(Tt, r)
-
-        if eta != 0:
-            # the x-preimage can leave the representable scalars (even roots
-            # of sign-indefinite maps), so build it only when eta needs it
-            xin = normalize(x / compose_scalar(root, tin)).as_expr()
-            eta_new = _pull_back(eta, {t: tin, x: xin})
-        else:
-            eta_new = S.Zero
-        back = {t: tin}
-        return VectorField(
-            _pull_back(Tt * tau, back),
-            _pull_back(root * chi, back),
-            _pull_back(phi, back),
-            eta_new,
-        )
-    if kind == "P":
-        X0 = as_exact(step[1])
-        chi_new = chi + tau * differentiate(X0, t) - Rational(1, r) * differentiate(tau, t) * X0
-        eta_new = substitute(eta, {x: x - X0}) if eta != 0 else S.Zero
-        return VectorField(tau, chi_new, phi, eta_new)
-    if kind == "I":
-        U1 = as_exact(step[1])
-        if is_zero(U1) is not Verdict.NONZERO:
-            raise InputError("U1 must be certifiably nonzero")
-        phi_new = phi + tau * differentiate(U1, t) / U1
-        return VectorField(tau, chi, phi_new, U1 * eta)
-    if kind == "X":
-        if r % 2 == 1:
-            raise InputError("the reflection exists only for even order")
-        eta_new = substitute(eta, {x: -x}) if eta != 0 else S.Zero
-        return VectorField(tau, -chi, phi, eta_new)
     if kind == "scale":
         c = as_exact(step[1])
-        return VectorField(c * tau, c * chi, c * phi, c * eta)
-    raise InputError(f"unknown elementary transformation {kind!r}")
+        return VectorField(c * Q.tau, c * Q.chi, c * Q.phi, c * Q.eta0)
+    if kind == "X":
+        return adjoint_general(Q, EquivTransformation(r, eps=-1))
+    names = {"D": "T", "P": "X0", "I": "U1"}
+    if kind not in names:
+        raise InputError(f"unknown elementary transformation {kind!r}")
+    return adjoint_general(Q, EquivTransformation(r, **{names[kind]: step[1]}))
 
 
 def adjoint_chain(Q, chain, r):
@@ -655,17 +622,33 @@ def adjoint_chain(Q, chain, r):
 
 
 def adjoint_general(Q, tr):
-    """Pushforward by a reduced-class group element, via its factorization
-    into elementary transformations (I, then P, then X, then D)."""
+    """Pushforward of a field by a reduced-class group element.  With
+    xi = (1/r) tau_t x + chi the image is
+
+        tau~ = T_t tau
+        chi~ = X1 chi + tau X0_t - (1/r)(tau_t + tau T_tt/T_t) X0
+        phi~ = phi + tau U1_t/U1
+        eta~ = U1 eta
+
+    in the old coordinates, each pulled back once.  tau, chi and phi depend
+    on t alone, so the t-preimage suffices for them; the x-preimage can
+    leave the representable scalars (even roots of sign-indefinite maps),
+    so it is built only when eta0 != 0.  U0 is ignored: it moves the
+    equation off the reduced class and does not act on fields."""
     r = tr.r
+    tau, chi, phi, eta = Q.tau, Q.chi, Q.phi, Q.eta0
     Tt = differentiate(tr.T, t)
-    root = nth_root(Tt, r)
-    s = normalize(tr.X0 / root).as_expr()
-    chain = [("I", tr.U1), ("P", s if tr.eps == 1 else normalize(-s).as_expr())]
-    if tr.eps == -1:
-        chain.append(("X",))
-    chain.append(("D", tr.T))
-    return adjoint_chain(Q, chain, r)
+    tau_t = differentiate(tau, t)
+    chi_new = (
+        tr.X1 * chi
+        + tau * differentiate(tr.X0, t)
+        - Rational(1, r) * (tau_t + tau * differentiate(Tt, t) / Tt) * tr.X0
+    )
+    phi_new = phi + tau * differentiate(tr.U1, t) / tr.U1
+    inv = tr.inverse_map() if eta != 0 else {t: tr.time_inverse()}
+    return VectorField(
+        *(_pull_back(e, inv) for e in (Tt * tau, chi_new, phi_new, tr.U1 * eta))
+    )
 
 
 # --- canonical one-dimensional subalgebras --------------------------------------

@@ -86,8 +86,8 @@ def nullspace(rows, ncols):
 
 
 def solve_affine(rows, rhs):
-    """Particular solution of rows * v = rhs with free variables set to 0,
-    plus the null space basis; None if inconsistent."""
+    """Particular solution of rows * v = rhs with free variables set to 0;
+    None if inconsistent."""
     if not rows:
         return None
     nc = len(rows[0])
@@ -98,8 +98,7 @@ def solve_affine(rows, rhs):
     sol = [Fraction(0)] * nc
     for i, pc in enumerate(pivots):
         sol[pc] = red[i][nc]
-    null = nullspace([r[:nc] for r in rows], nc)
-    return sol, null
+    return sol
 
 
 def row_canonical(vectors):

@@ -170,8 +170,7 @@ def _combination(rows):
     """Exact coefficients that write the last coordinate row as a
     combination of the others, or None."""
     *cols, target = rows
-    got = solve_affine([[c[k] for c in cols] for k in range(len(target))], target)
-    return None if got is None else got[0]
+    return solve_affine([[c[k] for c in cols] for k in range(len(target))], target)
 
 
 def field_coordinates(basis):

@@ -39,7 +39,6 @@ from .verify import residual_symbolic
 
 __all__ = [
     "AnsatzSpace",
-    "ClassifyingResiduals",
     "SymmetryReport",
     "classify",
     "classifying_residuals",
@@ -52,21 +51,9 @@ __all__ = [
 # --- determining-equation residuals -----------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassifyingResiduals:
-    """Left-hand sides of the classifying conditions, indexed by the
-    coefficient order j = 0 .. r-2, plus the optional superposition residual
-    for a supplied eta0."""
-
-    R: tuple
-    R_lin: object = None
-
-    def __iter__(self):
-        return iter(self.R)
-
-
 def classifying_residuals(eq, tau, chi, phi):
-    """Residuals of the classifying conditions for tau, chi, phi of t.
+    """Residuals of the classifying conditions for tau, chi, phi of t, a
+    tuple indexed by the coefficient order j = 0 .. r-2.
 
     For j >= 2:  tau A^j_t + ((1/r) tau_t x + chi) A^j_x + ((r-j)/r) tau_t A^j;
     j = 1 adds (1/r) tau_tt x + chi_t;  j = 0 has weight 1 on tau_t A^0 and
@@ -89,13 +76,13 @@ def classifying_residuals(eq, tau, chi, phi):
         if j == 0:
             res -= differentiate(phi, t)
         out.append(normalize(res).as_expr())
-    return ClassifyingResiduals(tuple(out))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
     holds: str  # "yes" | "no" | "unknown"
-    residuals: ClassifyingResiduals
+    residuals: tuple  # one per verdict: the classifying ones, then linearity
     verdicts: tuple
 
 
@@ -104,9 +91,8 @@ def verify_symmetry(eq, Q):
     res = classifying_residuals(eq, Q.tau, Q.chi, Q.phi)
     if Q.eta0 != 0:
         # the linearity condition: eta0 solves the equation itself
-        res = replace(res, R_lin=residual_symbolic(eq, Q.eta0))
-    checked = list(res.R) + ([] if res.R_lin is None else [res.R_lin])
-    verdicts = tuple(is_zero(e) for e in checked)
+        res += (residual_symbolic(eq, Q.eta0),)
+    verdicts = tuple(is_zero(e) for e in res)
     if all(v is Verdict.ZERO for v in verdicts):
         holds = "yes"
     elif any(v is Verdict.NONZERO for v in verdicts):
@@ -229,9 +215,9 @@ def _order_factors(eq):
     out = []
     for j in range(eq.r - 1):
         factors = {
-            "P": normalize(d1.R[j]),
-            "Q": normalize(dt.R[j] - t * d1.R[j]),
-            "R": normalize(p1.R[j]),
+            "P": normalize(d1[j]),
+            "Q": normalize(dt[j] - t * d1[j]),
+            "R": normalize(p1[j]),
         }
         terms = [("tau", 0, "P"), ("tau", 1, "Q"), ("chi", 0, "R")]
         if j == 1:

@@ -6,6 +6,7 @@ so this module depends only on the kernel and the model types.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -98,16 +99,29 @@ class GridSpec:
 
     @classmethod
     def from_doc(cls, doc):
-        try:
-            return cls(
-                tuple(doc["t"]),
-                tuple(doc["x"]),
-                float(doc["ht"]),
-                float(doc["hx"]),
-                int(doc.get("order", 6)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed grid document: {exc}") from None
+        """Grid from a JSON document.  Ranges and steps must be finite JSON
+        numbers and order a JSON integer; nothing is coerced."""
+        if not isinstance(doc, dict):
+            raise InputError("grid document must be a JSON object")
+        doc = {"order": 6, **doc}
+        missing = [key for key in ("t", "x", "ht", "hx") if key not in doc]
+        if missing:
+            raise InputError(f"malformed grid document: missing {missing}")
+
+        def finite(v):
+            # exact types: a JSON true or false is a bool, an int subclass;
+            # an integer past the float range would overflow in float()
+            return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+        for key in ("t", "x"):
+            if type(doc[key]) is not list or not all(map(finite, doc[key])):
+                raise InputError(f"grid document: {key} must be a list of finite numbers")
+        for key in ("ht", "hx"):
+            if not finite(doc[key]):
+                raise InputError(f"grid document: {key} must be a finite number")
+        if type(doc["order"]) is not int:
+            raise InputError("grid document: order must be an integer")
+        return cls(tuple(doc["t"]), tuple(doc["x"]), doc["ht"], doc["hx"], doc["order"])
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +143,7 @@ def stencil(d, p):
     got = solve_affine(rows, rhs)
     if got is None:
         raise InputError("stencil moment system is inconsistent")
-    return m, tuple(got[0])
+    return m, tuple(got)
 
 
 def residual_symbolic(eq, u):

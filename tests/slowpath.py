@@ -27,6 +27,11 @@ off triangularly, one division at a time, so it makes O(r^2) normalize
 calls.  Both pull the coefficients back to the new coordinates the same
 way.
 
+adjoint_general: the library moves a field by a group element with one
+closed formula, each slot pulled back once.  The oracle factorizes the
+element into elementary transformations (I, then P, then X, then D) and
+applies the per-kind formula of each in turn.
+
 eval_numeric: the library compiles each expression once into closures and
 evaluates those at every point; the oracle walks the validated tree
 recursively at every call.  Both must give the same float bit for bit, or
@@ -35,11 +40,11 @@ raise the same error.
 
 import math
 
-from sympy import Add, Mul, S, Symbol, expand, together
+from sympy import Add, Mul, Rational, S, Symbol, expand, together
 
-from evolsym.equivalence import _pull_back
+from evolsym.equivalence import _pull_back, compose_scalar, invert_scalar, nth_root
 from evolsym.errors import EvalDomainError, InputError, InternalError, UnsupportedError
-from evolsym.kernel import Verdict, differentiate, is_zero, t, x
+from evolsym.kernel import Verdict, differentiate, is_zero, substitute, t, x
 from evolsym.kernel.atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin
 from evolsym.kernel.normalform import (
     _ZERO,
@@ -56,7 +61,7 @@ from evolsym.kernel.normalform import (
     normalize,
 )
 from evolsym.kernel.numeric import ZERO_TOL
-from evolsym.model import EvolutionEquation, embed_reduced
+from evolsym.model import EvolutionEquation, VectorField, embed_reduced
 
 
 def canonical_atom_args(e):
@@ -216,6 +221,65 @@ def pushforward_equation(eq, tr):
     return EvolutionEquation(
         r, tuple(_pull_back(a, inv) for a in Atil), _pull_back(Btil, inv)
     )
+
+
+def adjoint_pushforward(Q, step, r):
+    """Pushforward of an essential field by one elementary transformation,
+    ("D", T), ("P", X0), ("I", U1) or ("X",) for even r, each by its own
+    formula."""
+    kind = step[0]
+    tau, chi, phi, eta = Q.tau, Q.chi, Q.phi, Q.eta0
+    if kind == "D":
+        T = as_exact(step[1])
+        Tt = differentiate(T, t)
+        if r % 2 == 0 and is_zero(AbsV(Tt) + Tt) is Verdict.ZERO:
+            raise InputError("even order requires T_t > 0")
+        tin = invert_scalar(T).T_inverse
+        root = nth_root(Tt, r)
+        if eta != 0:
+            xin = normalize(x / compose_scalar(root, tin)).as_expr()
+            eta_new = _pull_back(eta, {t: tin, x: xin})
+        else:
+            eta_new = S.Zero
+        back = {t: tin}
+        return VectorField(
+            _pull_back(Tt * tau, back),
+            _pull_back(root * chi, back),
+            _pull_back(phi, back),
+            eta_new,
+        )
+    if kind == "P":
+        X0 = as_exact(step[1])
+        chi_new = chi + tau * differentiate(X0, t) - Rational(1, r) * differentiate(tau, t) * X0
+        eta_new = substitute(eta, {x: x - X0}) if eta != 0 else S.Zero
+        return VectorField(tau, chi_new, phi, eta_new)
+    if kind == "I":
+        U1 = as_exact(step[1])
+        if is_zero(U1) is not Verdict.NONZERO:
+            raise InputError("U1 must be certifiably nonzero")
+        phi_new = phi + tau * differentiate(U1, t) / U1
+        return VectorField(tau, chi, phi_new, U1 * eta)
+    if kind == "X":
+        if r % 2 == 1:
+            raise InputError("the reflection exists only for even order")
+        eta_new = substitute(eta, {x: -x}) if eta != 0 else S.Zero
+        return VectorField(tau, -chi, phi, eta_new)
+    raise InputError(f"unknown elementary transformation {kind!r}")
+
+
+def adjoint_general(Q, tr):
+    """adjoint_general through the factorization of tr into elementary
+    transformations: I, then P, then X, then D."""
+    r = tr.r
+    root = nth_root(differentiate(tr.T, t), r)
+    s = normalize(tr.X0 / root).as_expr()
+    chain = [("I", tr.U1), ("P", s if tr.eps == 1 else normalize(-s).as_expr())]
+    if tr.eps == -1:
+        chain.append(("X",))
+    chain.append(("D", tr.T))
+    for step in chain:
+        Q = adjoint_pushforward(Q, step, r)
+    return Q
 
 
 def eval_numeric(e, point):

@@ -507,6 +507,42 @@ def test_malformed_documents_and_nonfinite_flags_exit2(
     assert json.loads(err)["exit_code"] == 2
 
 
+GRID = {"t": [0, 1], "x": [0, 1], "ht": 0.0625, "hx": 0.0625}
+
+
+@pytest.mark.parametrize(
+    "key,document,flags",
+    [
+        ("U1", {"U1": True}, ()),
+        ("T", {"T": 2.0}, ()),
+        ("X0", {"X0": None}, ()),
+        ("order", {**GRID, "order": 6.9}, ()),
+        ("ht", {**GRID, "ht": True}, ()),
+        ("x", {**GRID, "x": [0, "1"]}, ()),
+        # past the float range: float() would overflow
+        ("hx", {**GRID, "hx": 10**400}, ()),
+        ("--tolerance", GRID, ("--tolerance", "nan")),
+        ("--tolerance", GRID, ("--tolerance", "inf")),
+        ("--tolerance", GRID, ("--tolerance=-1e-6",)),
+    ],
+)
+def test_lossy_json_values_and_bad_tolerance_exit2(capsys, tmp_path, key, document, flags):
+    # nothing is coerced: the error names the offending key or flag
+    doc = write(tmp_path, "doc.json", document)
+    eq = write(tmp_path, "eq.json", FREE3)
+    if "t" in document:
+        sol = write(tmp_path, "sol.json", {"kind": "symbolic", "expr": "exp(t + x)"})
+        argv = ("verify", eq, sol, "--numeric", "--grid", doc)
+    else:
+        argv = ("transform", eq, doc)
+    code, out, err = run(capsys, *flags, *argv)
+    assert code == 2, err
+    assert out == ""
+    rep = json.loads(err)
+    assert rep["exit_code"] == 2
+    assert key in rep["error"]
+
+
 class TestSymmetryCheck:
     def test_yes(self, capsys, tmp_path):
         f = write(tmp_path, "f.json", {"tau": "1"})
@@ -522,3 +558,15 @@ class TestSymmetryCheck:
         )
         assert rep["holds"] == "no"
         assert any(r != "0" for r in rep["residuals"])
+
+    def test_linearity_residual_listed_with_its_verdict(self, capsys, tmp_path):
+        # eta0 = x^2 + 2t leaves u_t - u_xxx = 2 on the free equation
+        f = write(tmp_path, "f.json", {"phi": "1", "eta0": "x^2 + 2*t"})
+        rep = run_json(
+            capsys, "symmetry-check", write(tmp_path, "eq.json", FREE3), f
+        )
+        assert rep == {
+            "holds": "no",
+            "residuals": ["0", "0", "2"],
+            "verdicts": ["zero", "zero", "nonzero"],
+        }

@@ -429,6 +429,61 @@ def _same_value(a, b):
         )
 
 
+# time maps whose slope is an exact r-th power, up to the factor r in
+# -exp(-r t); the even roots of t^r are |t|
+def _catalog_T(r):
+    return (t - 4, 2**r * t + 1, Exp(r * t) / r, -Exp(-r * t), t ** (r + 1) / (r + 1))
+
+
+def _adjoint_outcome(push, *args):
+    try:
+        return push(*args)
+    except (InputError, UnsupportedError) as exc:
+        return type(exc)
+
+
+def _assert_same_field(push, oracle, *args):
+    got = _adjoint_outcome(push, *args)
+    want = _adjoint_outcome(oracle, *args)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    for slot in ("tau", "chi", "phi", "eta0"):
+        a, b = getattr(got, slot), getattr(want, slot)
+        assert to_str(a) == to_str(b) or zero(a - b), (slot, a, b)
+
+
+_t_functions = (S.Zero, S.One, t, t**2 + 1, Exp(t))
+
+
+@settings(max_examples=oracle_examples(10), deadline=None)
+@given(
+    r=st.integers(3, 5),
+    k=st.integers(0, 4),
+    X0=st.sampled_from((S.Zero, t, t**2, 1 + 2 * t, Exp(-t))),
+    U1=st.sampled_from((S.One, S(2), Exp(t), Exp(-2 * t), t**2 + 1)),
+    reflect=st.booleans(),
+    tau=st.sampled_from(_t_functions),
+    chi=st.sampled_from(_t_functions),
+    phi=st.sampled_from(_t_functions),
+    eta0=st.sampled_from((x, x * Exp(t), x**2 + t, Exp(x + t), S.Zero)),
+    kind=st.sampled_from("DPIX"),
+)
+def test_adjoint_matches_slow_path_oracle(r, k, X0, U1, reflect, tau, chi, phi, eta0, kind):
+    # the closed formula agrees with the elementary chain I, P, X, D for a
+    # group element, and with the per-kind formula for one step of it
+    T = _catalog_T(r)[k]
+    Q = VectorField(tau, chi, phi, eta0)
+    try:
+        tr = EquivTransformation(r, T=T, X0=X0, U1=U1, eps=-1 if reflect and r % 2 == 0 else 1)
+    except InputError:
+        pass
+    else:
+        _assert_same_field(adjoint_general, slowpath.adjoint_general, Q, tr)
+    step = {"D": ("D", T), "P": ("P", X0), "I": ("I", U1), "X": ("X",)}[kind]
+    _assert_same_field(adjoint_pushforward, slowpath.adjoint_pushforward, Q, step, r)
+
+
 class TestGauges:
     def test_leading_constant(self):
         eq = EvolutionEquation(3, (S.Zero, S.Zero, S.Zero, S(2)))
@@ -505,6 +560,104 @@ class TestGauges:
         assert isinstance(red, ReducedEquation)
         assert rep.target_form == "reduced-homogeneous"
         assert all(v is Verdict.ZERO for v in rep.residual_checks)
+
+
+# gauge_all inputs u_t = A^k u_k + B with B = w_t - A^k w_k, and whether w is
+# passed or searched for
+_W3 = x**3 + t * x + 1
+_GAUGE_INPUTS = [
+    ((1 + x, -1 + 2 * x, 2 + x, S(2)), _W3, False),
+    ((1 + x, -1 + 2 * x, 2 + x, S(2)), _W3, True),
+    ((Rational(1, 2) - x, 2 * x, 1 + x, -1 + x, S(3)), -(x**3) + 2 * t * x - 1, False),
+    ((x, S.Zero, 3 * x, Exp(t)), _W3, True),
+    ((S.One, t, S.Zero, S(-1)), t * x**2, False),
+]
+# reduced coefficients and chain documents as printed when the particular
+# solution is transported by compose() of the leading and subleading steps;
+# step-by-step transport must print the same.  The last step's U0 is minus
+# the transported solution
+_GAUGE_PINS = [
+    (
+        ["1/108*x^3 - 1/9*x^2 + 13/36*x + 20/27", "-1/12*x^2 + 2/3*x - 4/3"],
+        [
+            {"T": "2*t", "U0": "0", "U1": "1", "X0": "0", "X1": "1", "eps": 1},
+            {"T": "t", "U0": "0", "U1": "exp(1/12*x^2 + 1/3*x)", "X0": "0", "eps": 1},
+            {
+                "T": "t",
+                "U0": "-1/2*t*x*exp(1/12*x^2 + 1/3*x)"
+                " - x^3*exp(1/12*x^2 + 1/3*x) - exp(1/12*x^2 + 1/3*x)",
+                "U1": "1",
+                "X0": "0",
+                "eps": 1,
+            },
+        ],
+    ),
+    (
+        ["1/108*x^3 - 1/9*x^2 + 13/36*x + 20/27", "-1/12*x^2 + 2/3*x - 4/3"],
+        [
+            {"T": "2*t", "U0": "0", "U1": "1", "X0": "0", "X1": "1", "eps": 1},
+            {"T": "t", "U0": "0", "U1": "exp(1/12*x^2 + 1/3*x)", "X0": "0", "eps": 1},
+            {
+                "T": "t",
+                "U0": "-1/2*t*x*exp(1/12*x^2 + 1/3*x)"
+                " - x^3*exp(1/12*x^2 + 1/3*x) - exp(1/12*x^2 + 1/3*x)",
+                "U1": "1",
+                "X0": "0",
+                "eps": 1,
+            },
+        ],
+    ),
+    (
+        [
+            "-1/6912*x^4 + 5/1728*x^3 - 191/3456*x^2 - 181/576*x + 127/768",
+            "1/216*x^3 - 5/72*x^2 + 49/72*x + 11/216",
+            "-1/24*x^2 + 5/12*x - 5/24",
+        ],
+        [
+            {"T": "3*t", "U0": "0", "U1": "1", "X0": "0", "X1": "1", "eps": 1},
+            {"T": "t", "U0": "0", "U1": "exp(1/24*x^2 - 1/12*x)", "X0": "0", "eps": 1},
+            {
+                "T": "t",
+                "U0": "-2/3*t*x*exp(1/24*x^2 - 1/12*x)"
+                " + x^3*exp(1/24*x^2 - 1/12*x) + exp(1/24*x^2 - 1/12*x)",
+                "U1": "1",
+                "X0": "0",
+                "eps": 1,
+            },
+        ],
+    ),
+    (
+        ["t^(-3)*(t^2*x - 1/2*t*x^2 + 2*x^3)", "t^(-2)*(-3*t - 3*x^2)"],
+        [
+            {"T": "exp(t)", "U0": "0", "U1": "1", "X0": "0", "X1": "1", "eps": 1},
+            {"T": "t", "U0": "0", "U1": "exp(1/2*t^(-1)*x^2)", "X0": "0", "eps": 1},
+            {
+                "T": "t",
+                "U0": "-x^3*exp(1/2*t^(-1)*x^2) - x*exp(1/2*t^(-1)*x^2)*ln(t)"
+                " - exp(1/2*t^(-1)*x^2)",
+                "U1": "1",
+                "X0": "0",
+                "eps": 1,
+            },
+        ],
+    ),
+    (
+        ["-1", "t"],
+        [
+            {"T": "-t", "U0": "0", "U1": "1", "X0": "0", "X1": "1", "eps": 1},
+            {"T": "t", "U0": "t*x^2", "U1": "1", "X0": "0", "eps": 1},
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("case,pin", list(zip(_GAUGE_INPUTS, _GAUGE_PINS)))
+def test_gauge_report_and_transported_particular_pinned(case, pin):
+    A, w, explicit = case
+    r = len(A) - 1
+    B = differentiate(w, t) - sum(A[k] * differentiate(w, x, k) for k in range(r + 1))
+    red, rep = gauge_all(EvolutionEquation(r, A, B), particular=w if explicit else None)
+    assert ([to_str(a) for a in red.A], [step.to_doc() for step in rep.chain]) == pin
 
 
 class TestEquivalenceAlgebra:
