@@ -11,7 +11,7 @@ pushforward_equation): each transformed coefficient is one expression in
 the old coordinates, normalized once and pulled back to the new ones.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from sympy import Add, Expr, Pow, Rational, S, expand
@@ -48,9 +48,7 @@ __all__ = [
     "CatalogEntry",
     "EquivTransformation",
     "GaugeReport",
-    "adjoint_chain",
     "adjoint_general",
-    "adjoint_pushforward",
     "canonicalize_1d",
     "compose",
     "compose_scalar",
@@ -61,7 +59,6 @@ __all__ = [
     "gauge_inhomogeneity",
     "gauge_leading",
     "gauge_subleading",
-    "identity_transformation",
     "infinitesimal_action",
     "invert",
     "invert_scalar",
@@ -334,10 +331,6 @@ class EquivTransformation:
         return cls(r, rd("T", t), rd("X0", 0), rd("U1", 1), rd("U0", 0), eps, x1)
 
 
-def identity_transformation(r):
-    return EquivTransformation(r)
-
-
 # --- pushforward ----------------------------------------------------------------
 
 
@@ -419,7 +412,6 @@ def invert(tr):
 class GaugeReport:
     chain: tuple
     target_form: str
-    residual_checks: tuple = field(default_factory=tuple)
 
 
 def gauge_leading(eq):
@@ -430,7 +422,7 @@ def gauge_leading(eq):
     if x in a.free_symbols:
         raise UnsupportedError("leading coefficient must depend on t only")
     if a == 1:
-        return eq, GaugeReport((), "leading-normalized", ())
+        return eq, GaugeReport((), "leading-normalized")
     sgn = _sign_certificate(a)
     if r % 2 == 0 and sgn != 1:
         raise UnsupportedError("even order requires a positive leading coefficient")
@@ -441,10 +433,9 @@ def gauge_leading(eq):
         raise UnsupportedError("no closed-form antiderivative for the leading coefficient")
     tr = EquivTransformation(r, T=T, X1=S.One)
     out = pushforward_equation(eq, tr)
-    check = is_zero(out.A[r] - 1)
-    if check is not Verdict.ZERO:
+    if is_zero(out.A[r] - 1) is not Verdict.ZERO:
         raise InternalError("leading gauge failed its post-hoc check")
-    return out, GaugeReport((tr,), "leading-normalized", (check,))
+    return out, GaugeReport((tr,), "leading-normalized")
 
 
 def gauge_subleading(eq):
@@ -457,7 +448,7 @@ def gauge_subleading(eq):
         raise InputError("gauge the leading coefficient first")
     b = eq.A[r - 1]
     if b == 0:
-        return eq, GaugeReport((), "subleading-gauged", ())
+        return eq, GaugeReport((), "subleading-gauged")
     prim = integrate(b, x)
     if prim is None:
         raise UnsupportedError("no closed-form antiderivative for the subleading coefficient")
@@ -466,7 +457,7 @@ def gauge_subleading(eq):
     check = is_zero(out.A[r - 1])
     if check is not Verdict.ZERO:
         raise InternalError(f"subleading gauge failed its post-hoc check ({check})")
-    return out, GaugeReport((tr,), "subleading-gauged", (check,))
+    return out, GaugeReport((tr,), "subleading-gauged")
 
 
 def gauge_inhomogeneity(eq, w):
@@ -476,20 +467,15 @@ def gauge_inhomogeneity(eq, w):
     if is_zero(eq.A[r] - 1) is not Verdict.ZERO or is_zero(eq.A[r - 1]) is not Verdict.ZERO:
         raise InputError("gauge the leading and subleading coefficients first")
     w = as_exact(w)
-    pre = is_zero(residual_symbolic(eq, w))
-    if pre is not Verdict.ZERO:
+    if is_zero(residual_symbolic(eq, w)) is not Verdict.ZERO:
         raise InputError("w is not a particular solution of the equation")
     if eq.B == 0 and normalize(w).num == 0:
-        return ReducedEquation(r, eq.A[: r - 1]), GaugeReport((), "reduced-homogeneous", ())
+        return ReducedEquation(r, eq.A[: r - 1]), GaugeReport((), "reduced-homogeneous")
     tr = EquivTransformation(r, U0=-w, X1=S.One)
     out = pushforward_equation(eq, tr)
-    check = is_zero(out.B)
-    if check is not Verdict.ZERO:
+    if is_zero(out.B) is not Verdict.ZERO:
         raise InternalError("inhomogeneity gauge failed its post-hoc check")
-    return (
-        ReducedEquation(r, out.A[: r - 1]),
-        GaugeReport((tr,), "reduced-homogeneous", (pre, check)),
-    )
+    return ReducedEquation(r, out.A[: r - 1]), GaugeReport((tr,), "reduced-homogeneous")
 
 
 def find_particular_solution(eq, ansatz_degree):
@@ -551,74 +537,48 @@ def gauge_all(eq, particular=None):
     for step in rep1.chain + rep2.chain:
         particular = transport_solution(particular, step)
     red, rep3 = gauge_inhomogeneity(eq2, particular)
-    return red, GaugeReport(
-        rep1.chain + rep2.chain + rep3.chain,
-        "reduced-homogeneous",
-        rep1.residual_checks + rep2.residual_checks + rep3.residual_checks,
-    )
+    return red, GaugeReport(rep1.chain + rep2.chain + rep3.chain, "reduced-homogeneous")
 
 
 # --- equivalence algebra -------------------------------------------------------
 
 
-def infinitesimal_action(gen, eq):
-    """Coefficient directions (dA^0 ... dA^{r-2}) of an equivalence generator
-    acting on a reduced equation; matches d/de at e=0 of the finite action.
-    The classifying conditions are this action, so it is minus the
-    classifying residuals of the generator alone."""
-    kind, fn = gen
-    if kind not in ("D", "P", "I"):
-        raise InputError("generator kind must be one of D, P, I")
-    res = classifying_residuals(eq, *(fn if k == kind else S.Zero for k in "DPI"))
+def infinitesimal_action(Q, eq):
+    """Coefficient directions (dA^0 ... dA^{r-2}) of the equivalence
+    generator D(tau) + P(chi) + I(phi), an essential field Q, acting on a
+    reduced equation; matches d/de at e=0 of the finite action.  The
+    classifying conditions are this action, so it is minus the classifying
+    residuals of Q."""
+    if Q.eta0 != 0:
+        raise InputError("an equivalence generator has eta0 = 0")
+    res = classifying_residuals(eq, Q.tau, Q.chi, Q.phi)
     return tuple(normalize(-e).as_expr() for e in res)
 
 
-def equivalence_flow(gen, eps_val, r):
-    """Finite transformation at parameter e for a generator with affine tau."""
-    kind, fn = gen
-    fn = as_exact(fn)
+def equivalence_flow(Q, eps_val, r):
+    """Finite transformation at parameter e of one generator: D(tau) with
+    affine tau, P(chi) or I(phi), a field with exactly one of tau, chi, phi
+    nonzero and eta0 = 0."""
+    parts = [f != 0 for f in (Q.tau, Q.chi, Q.phi)]
+    if Q.eta0 != 0 or sum(parts) != 1:
+        raise InputError("a flow needs exactly one of D(tau), P(chi), I(phi)")
     e = as_exact(eps_val)
-    if kind == "D":
-        b = differentiate(fn, t)
+    if parts[0]:
+        b = differentiate(Q.tau, t)
         if not _tfree(b):
             raise UnsupportedError("flow supported for affine tau only")
-        a = normalize(fn - b * t).as_expr()
+        a = normalize(Q.tau - b * t).as_expr()
         if b == 0:
             T = t + a * e
         else:
             T = t * Exp(b * e) + a * (Exp(b * e) - 1) / b
         return EquivTransformation(r, T=T)
-    if kind == "P":
-        return EquivTransformation(r, X0=e * fn)
-    if kind == "I":
-        return EquivTransformation(r, U1=Exp(e * fn))
-    raise InputError("generator kind must be one of D, P, I")
+    if parts[1]:
+        return EquivTransformation(r, X0=e * Q.chi)
+    return EquivTransformation(r, U1=Exp(e * Q.phi))
 
 
 # --- adjoint actions -----------------------------------------------------------
-
-
-def adjoint_pushforward(Q, step, r):
-    """Pushforward of an essential field by one elementary transformation:
-    ("D", T), ("P", X0), ("I", U1) and ("X",) for even r are the group
-    elements with that T, X0, U1 or eps = -1, pushed by adjoint_general;
-    ("scale", c) multiplies the field by c."""
-    kind = step[0]
-    if kind == "scale":
-        c = as_exact(step[1])
-        return VectorField(c * Q.tau, c * Q.chi, c * Q.phi, c * Q.eta0)
-    if kind == "X":
-        return adjoint_general(Q, EquivTransformation(r, eps=-1))
-    names = {"D": "T", "P": "X0", "I": "U1"}
-    if kind not in names:
-        raise InputError(f"unknown elementary transformation {kind!r}")
-    return adjoint_general(Q, EquivTransformation(r, **{names[kind]: step[1]}))
-
-
-def adjoint_chain(Q, chain, r):
-    for step in chain:
-        Q = adjoint_pushforward(Q, step, r)
-    return Q
 
 
 def adjoint_general(Q, tr):
@@ -663,73 +623,75 @@ def _sign_certificate(f, assume=None):
 
 
 def canonicalize_1d(Q, r, assume=None):
-    """Representative of <Q> among <D(1)>, <P(1)+I(phi)>, <I(1)>, <I(t)>,
-    with the elementary chain that realizes it."""
+    """Representative of <Q> among <D(1)>, <P(1)+I(phi)>, <I(1)>, <I(t)>.
+
+    Returns (canonical, c, chain): chain is a tuple of group elements,
+    applied in order, and c a constant with c times the image of Q under
+    the chain equal to canonical.  Each element is pushed once, onto the
+    image of the elements before it."""
     if is_zero(Q.eta0, assume=assume) is not Verdict.ZERO:
         raise UnsupportedError("canonicalization applies to essential fields only")
     chain = []
-    tau, chi, phi = Q.tau, Q.chi, Q.phi
-    if is_zero(tau, assume=assume) is not Verdict.ZERO:
-        sgn = _sign_certificate(tau, assume=assume)
+    c = S.One
+    got = Q
+
+    def push(**element):
+        nonlocal got
+        tr = EquivTransformation(r, **element)
+        chain.append(tr)
+        got = adjoint_general(got, tr)
+
+    if is_zero(Q.tau, assume=assume) is not Verdict.ZERO:
+        sgn = _sign_certificate(Q.tau, assume=assume)
         if r % 2 == 0:
             if sgn == 0:
                 raise UnsupportedError("sign of tau must be definite for even order")
             if sgn < 0:
-                chain.append(("scale", S.NegativeOne))
-                tau, chi, phi = -tau, -chi, -phi
-        T = integrate(normalize(1 / tau).as_expr(), t)
+                c = S.NegativeOne
+        # the elements are those of c Q; the pushforward is linear in Q
+        T = integrate(normalize(1 / (c * Q.tau)).as_expr(), t)
         if T is None or recognize_scalar(T) is None:
             raise UnsupportedError("int dt/tau leaves the invertible catalog")
-        chain.append(("D", T))
-        Q1 = adjoint_chain(Q, chain, r)
-        if is_zero(Q1.chi, assume=assume) is not Verdict.ZERO:
-            X0 = integrate(normalize(-Q1.chi).as_expr(), t)
+        push(T=T)
+        if is_zero(got.chi, assume=assume) is not Verdict.ZERO:
+            X0 = integrate(normalize(-c * got.chi).as_expr(), t)
             if X0 is None:
                 raise UnsupportedError("int chi dt outside the closed-form catalog")
-            chain.append(("P", X0))
-        Q2 = adjoint_chain(Q, chain, r)
-        if is_zero(Q2.phi, assume=assume) is not Verdict.ZERO:
-            ph = integrate(normalize(-Q2.phi).as_expr(), t)
+            push(X0=X0)
+        if is_zero(got.phi, assume=assume) is not Verdict.ZERO:
+            ph = integrate(normalize(-c * got.phi).as_expr(), t)
             if ph is None:
                 raise UnsupportedError("int phi dt outside the closed-form catalog")
-            U1 = normalize(expand_special(Exp(ph))).as_expr()
-            chain.append(("I", U1))
+            push(U1=normalize(expand_special(Exp(ph))).as_expr())
         canonical = VectorField(tau=S.One)
-    elif is_zero(chi, assume=assume) is not Verdict.ZERO:
-        unit = None
-        if chi != 1:
-            sgn = _sign_certificate(chi, assume=assume)
+    elif is_zero(Q.chi, assume=assume) is not Verdict.ZERO:
+        if Q.chi != 1:
+            sgn = _sign_certificate(Q.chi, assume=assume)
             if r % 2 == 0 and sgn == 0:
                 raise UnsupportedError("sign of chi must be definite for even order")
-            Tt = normalize(Pow(chi, -r)).as_expr()
-            T = integrate(Tt, t)
+            T = integrate(normalize(Pow(Q.chi, -r)).as_expr(), t)
             if T is None or recognize_scalar(T) is None:
                 raise UnsupportedError("int chi^-r dt leaves the invertible catalog")
-            chain.append(("D", T))
-            if r % 2 == 0 and sgn < 0:
-                chain.append(("X",))
-        Q1 = adjoint_chain(Q, chain, r)
-        unit = is_zero(Q1.chi - 1, assume=assume)
-        if unit is not Verdict.ZERO:
+            push(T=T, eps=-1 if r % 2 == 0 and sgn < 0 else 1)
+        if is_zero(got.chi - 1, assume=assume) is not Verdict.ZERO:
             raise InternalError("translation part did not normalize to 1")
-        canonical = VectorField(chi=S.One, phi=Q1.phi)
-    elif is_zero(phi, assume=assume) is not Verdict.ZERO:
-        if _tfree(phi):
-            chain.append(("scale", normalize(1 / phi).as_expr()))
+        canonical = VectorField(chi=S.One, phi=got.phi)
+    elif is_zero(Q.phi, assume=assume) is not Verdict.ZERO:
+        if _tfree(Q.phi):
+            c = normalize(1 / Q.phi).as_expr()
             canonical = VectorField(phi=S.One)
         else:
-            entry = recognize_scalar(phi)
-            if entry is None:
+            if recognize_scalar(Q.phi) is None:
                 raise UnsupportedError("phi outside the invertible catalog")
-            chain.append(("D", phi))
+            push(T=Q.phi)
             canonical = VectorField(phi=t)
     else:
         raise InputError("cannot canonicalize the zero field")
-    got = adjoint_chain(Q, chain, r)
     for slot in ("tau", "chi", "phi"):
-        if is_zero(getattr(got, slot) - getattr(canonical, slot), assume=assume) is not Verdict.ZERO:
+        diff = c * getattr(got, slot) - getattr(canonical, slot)
+        if is_zero(diff, assume=assume) is not Verdict.ZERO:
             raise InternalError("canonicalization chain failed verification")
-    return canonical, chain
+    return canonical, c, tuple(chain)
 
 
 # --- solution transport ----------------------------------------------------------

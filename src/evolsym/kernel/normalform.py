@@ -812,8 +812,10 @@ def normalize(e):
     Results are memoized in a bounded LRU, and as_exact validates the input
     on a miss only: a hit needs an equal key, and no exact input equals an
     inexact one (Float(2.0) != Integer(2), though their hashes agree).  A
-    miss also memoizes the result's own expression, which normalizes to the
-    result, so reading a stored field back is a hit.  Errors are not cached.
+    miss also memoizes the result's own expression, so reading a stored
+    field back is a hit, unless its denominator has a surd or an exp factor:
+    sympy's evaluation of such an expression can move that factor, and it
+    would not normalize back to the result.  Errors are not cached.
     A NormalForm is frozen and holds only immutable values, so callers may
     share it.
     """
@@ -831,7 +833,10 @@ def _normalize(e):
         _MEMO.move_to_end(e)
         return nf
     nf = _normal_form(e)
-    for key in (e, nf.as_expr()):
+    keys = (e,)
+    if not any(b.is_Rational or isinstance(b, Exp) for k in nf.den_terms for b, _ in k):
+        keys += (nf.as_expr(),)
+    for key in keys:
         _MEMO[key] = nf
         _MEMO.move_to_end(key)
     while len(_MEMO) > _MEMO_SIZE:

@@ -509,7 +509,7 @@ def test_flow_derivative_matches_generator_action():
                 fn = rng.choice((S.One, t, S(3), 2 - t, 1 + 2 * t))
             else:
                 fn = tpoly()
-            gen = (fam, fn)
+            gen = VectorField(**{{"D": "tau", "P": "chi", "I": "phi"}[fam]: fn})
             want = infinitesimal_action(gen, red)
 
             def central(j, hh):

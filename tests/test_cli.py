@@ -543,6 +543,19 @@ def test_lossy_json_values_and_bad_tolerance_exit2(capsys, tmp_path, key, docume
     assert key in rep["error"]
 
 
+def test_huge_stencil_order_exit2_fast(capsys, tmp_path):
+    # the margins are checked before any moment solve of the stencil
+    doc = write(tmp_path, "grid.json", {**GRID, "order": 2000})
+    eq = write(tmp_path, "eq.json", FREE3)
+    sol = write(tmp_path, "sol.json", {"kind": "symbolic", "expr": "exp(t + x)"})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", eq, sol, "--numeric", "--grid", doc)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2, err
+    assert out == ""
+    assert json.loads(err)["error"] == "interior region is empty after stencil margins"
+
+
 class TestSymmetryCheck:
     def test_yes(self, capsys, tmp_path):
         f = write(tmp_path, "f.json", {"tau": "1"})

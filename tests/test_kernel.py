@@ -269,6 +269,24 @@ def test_normalize_memo_answers_for_its_outputs(monkeypatch):
     assert calls == []
 
 
+def test_normalize_memo_keeps_no_stale_forms(monkeypatch):
+    # a result whose denominator has a surd or an exp factor is not stored
+    # under its own expression: sympy's evaluation moves that factor, and a
+    # later normalize of the moved expression must be its own normal form
+    from collections import OrderedDict
+
+    import evolsym.kernel.normalform as nfm
+
+    monkeypatch.setattr(nfm, "_MEMO", OrderedDict())
+    nf = normalize(parse_expr("-2*t*(t+1)/(2^(2/3)*t + 2^(2/3))"))
+    assert (nf.num, nf.den) == (-2 * t, Pow(2, Rational(2, 3)))
+    e = -Pow(2, Rational(1, 3)) * t
+    assert normalize(e) == _normal_form(e)
+    assert normalize(e).den == 1
+    nf = normalize(parse_expr("exp(t)*(t+1)/(exp(t/2)^2*t + exp(t/2)^2)*exp(t)"))
+    assert normalize(nf.as_expr()) == _normal_form(nf.as_expr())
+
+
 def test_normalize_cache_keeps_rejecting_floats():
     assert normalize(Rational(1, 2)).as_expr() == Rational(1, 2)
     with pytest.raises(InputError):

@@ -101,8 +101,8 @@ class TestClassifyingResiduals:
         tau, chi, phi = rand_poly([t]), rand_poly([t]), rand_poly([t])
         res = classifying_residuals(red, tau, chi, phi)
         total = [S.Zero] * (r - 1)
-        for kind, fn in (("D", tau), ("P", chi), ("I", phi)):
-            action = infinitesimal_action((kind, fn), red)
+        for gen in (VectorField(tau=tau), VectorField(chi=chi), VectorField(phi=phi)):
+            action = infinitesimal_action(gen, red)
             total = [a + b for a, b in zip(total, action)]
         for j in range(r - 1):
             assert zero(res[j] + total[j])
@@ -402,10 +402,10 @@ class TestCaseFromAlgebra:
         assert case_from_algebra(alg) == "4b"
 
     def test_transported_polynomial_case(self):
-        from evolsym.equivalence import adjoint_pushforward
+        from evolsym.equivalence import adjoint_general
 
         base = (I(S.One), D(S.One), VectorField(chi=S.One, phi=t))
-        moved = tuple(adjoint_pushforward(q, ("D", Exp(t)), 3) for q in base)
+        moved = tuple(adjoint_general(q, EquivTransformation(3, T=Exp(t))) for q in base)
         alg = SymmetryAlgebra(3, moved, algebra_signature(moved))
         assert case_from_algebra(alg) == "4a"
 
@@ -421,8 +421,8 @@ class TestEquivalenceInvariance:
     @pytest.mark.parametrize(
         "tr",
         [
-            equivalence_flow(("P", t), Rational(1, 2), 3),
-            equivalence_flow(("I", 2 * t), Rational(1, 2), 3),
+            equivalence_flow(VectorField(chi=t), Rational(1, 2), 3),
+            equivalence_flow(VectorField(phi=2 * t), Rational(1, 2), 3),
             EquivTransformation(3, T=8 * t + 1),
             EquivTransformation(3, T=t, X0=t**2, U1=3 * Exp(t)),
         ],
