@@ -4,7 +4,7 @@ from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, sym, t, x
 from .calculus import differentiate, integrate, substitute
 from .linalg import nullspace, rank, row_canonical, rref, solve_affine, to_fraction
 from .normalform import NormalForm, as_exact, dict_to_expr, normalize
-from .numeric import eval_numeric
+from .numeric import eval_numeric, numeric_function
 from .parse import parse_expr
 from .printer import to_str
 from .zerotest import Verdict, is_zero
@@ -27,6 +27,7 @@ __all__ = [
     "is_zero",
     "normalize",
     "nullspace",
+    "numeric_function",
     "parse_expr",
     "rank",
     "row_canonical",

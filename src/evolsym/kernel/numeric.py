@@ -2,7 +2,8 @@
 
 Each exact expression is validated and compiled once into nested closures,
 which are kept in a bounded LRU keyed on the expression; evaluating it on a
-grid then costs one cache lookup per point.  The closures do the float
+grid then costs one cache lookup per point, and none through the closure
+that numeric_function returns.  The closures do the float
 operations of a recursive walk of the tree in the same order, and every
 error of evaluation (a domain error, an unbound symbol, a node outside the
 fragment, overflow) is raised when evaluation reaches it, never at compile
@@ -28,20 +29,32 @@ def eval_numeric(e, point):
     of a value within ZERO_TOL of zero, an even root of a negative value, a
     negative base under a symbolic exponent, an unbound symbol, and overflow.
     """
-    f = _compiled(_exact_input(e))
+    f = numeric_function(e)
     env = {}
     for k, v in point.items():
         env[k if isinstance(k, str) else k.name] = float(v)
-    try:
-        return f(env)
-    except OverflowError:
-        raise EvalDomainError("numeric overflow") from None
+    return f(env)
+
+
+def numeric_function(e):
+    """The evaluator of e as a function env -> float, where env maps each
+    symbol's name to a float; it raises what eval_numeric raises.  Resolve
+    it once to evaluate e at many points, as a quadrature integrand does."""
+    return _compiled(_exact_input(e))
 
 
 @lru_cache(maxsize=4096)
 def _compiled(e):
     # a hit needs an equal key, and no exact input equals an inexact one
-    return _compile(as_exact(e))
+    f = _compile(as_exact(e))
+
+    def evaluate(env):
+        try:
+            return f(env)
+        except OverflowError:
+            raise EvalDomainError("numeric overflow") from None
+
+    return evaluate
 
 
 def _compile(e):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 from sympy import Expr, Integer, Pow, Rational, S, Symbol
 
 from .errors import InputError, InternalError, UnsupportedError
@@ -29,6 +28,7 @@ from .kernel import (
     integrate,
     is_zero,
     normalize,
+    numeric_function,
     parse_expr,
     substitute,
     sym,
@@ -44,6 +44,7 @@ from .kernel.polyroot import (
     numeric_roots,
     rational_roots,
 )
+from .kernel.quadpack import quad
 from .model import _combination, _slot_coords, as_reduced
 from .symmetry import verify_symmetry
 from .verify import GridSpec, residual_numeric, residual_symbolic
@@ -378,9 +379,10 @@ def reduce_P1Iphi(eq, phi0=None, grid=None, phi0_value=0.0):
     tpts, xpts = (grid or default_grid(eq.r)).points()
     point = {"phi0": phi0_value}
     t0 = float(tpts[0])
+    gfun = numeric_function(g)
 
     def gnum(tv):
-        return eval_numeric(g, {"t": tv, **point})
+        return gfun({"t": tv, "phi0": phi0_value})
 
     vals = []
     for tv in tpts:
@@ -1194,17 +1196,18 @@ def generate_nonlocal(
             bseries += Ak * _pow0(phi, k - i - 1) * substitute(hs[i], {x: x0r})
     bseries = normalize(bseries).as_expr()
 
+    gfun, phifun, bfun, hfun = map(numeric_function, (g, phi, bseries, hexpr))
+
     def gnum(tv):
-        return eval_numeric(g, {"t": tv, **point})
+        return gfun({"t": tv, "phi0": phi0_value})
 
     def wof(tv):
         return quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
 
     def bnum(tv):
-        pv = eval_numeric(phi, {"t": tv, **point})
-        return eval_numeric(bseries, {"t": tv, **point}) * math.exp(
-            -pv * x0 - wof(tv)
-        )
+        env = {"t": tv, "phi0": phi0_value}
+        pv = phifun(env)
+        return bfun(env) * math.exp(-pv * x0 - wof(tv))
 
     vals = []
     for tv in tpts:
@@ -1213,9 +1216,7 @@ def generate_nonlocal(
         bv = quad(bnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
 
         def hker(xv, tv=tv, pv=pv):
-            return math.exp(-pv * xv) * eval_numeric(
-                hexpr, {"t": tv, "x": xv}
-            )
+            return math.exp(-pv * xv) * hfun({"t": tv, "x": xv})
 
         row = []
         for xv in xpts:

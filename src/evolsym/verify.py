@@ -20,7 +20,6 @@ from .kernel import (
     differentiate,
     eval_numeric,
     normalize,
-    solve_affine,
     t,
     x,
 )
@@ -125,7 +124,7 @@ class GridSpec:
 
 
 def _stencil_margin(d, p):
-    """Half-width m of stencil(d, p), without its moment solve."""
+    """Half-width m of stencil(d, p), without computing its weights."""
     return (d + p - 1) // 2 if d % 2 else (d + p - 2) // 2
 
 
@@ -133,22 +132,44 @@ def _stencil_margin(d, p):
 def stencil(d, p):
     """Central finite-difference stencil for the d-th derivative at accuracy
     order p on unit spacing: returns (m, coeffs) with integer offsets -m..m
-    and exact Fraction coefficients (Vandermonde moment solve over Q)."""
+    and exact Fraction coefficients.
+
+    The weights are the unique solution of the moment conditions
+    sum_k c_k k^j = d! [j == d], j <= 2m, computed by Fornberg's recurrence
+    (B. Fornberg, Math. Comp. 51 (1988) 699-706) in O(m^2 d) rational
+    operations.  The nodes are taken in the order 0, 1, -1, 2, -2, ..., so
+    that every partial stencil of the recurrence is centred."""
     if not (isinstance(d, int) and d >= 1):
         raise InputError("derivative order must be a positive integer")
     if not (isinstance(p, int) and p >= 2 and p % 2 == 0):
         raise InputError("accuracy order must be an even integer >= 2")
     m = _stencil_margin(d, p)
-    offs = range(-m, m + 1)
-    rows = [[Fraction(k) ** j for k in offs] for j in range(2 * m + 1)]
-    rhs = [
-        Fraction(math.factorial(d)) if j == d else Fraction(0)
-        for j in range(2 * m + 1)
-    ]
-    got = solve_affine(rows, rhs)
-    if got is None:
-        raise InputError("stencil moment system is inconsistent")
-    return m, tuple(got)
+    nodes = [0] + [s * k for k in range(1, m + 1) for s in (1, -1)]
+    # c[j][k]: weight of nodes[j] for the k-th derivative at 0 on the
+    # nodes taken so far
+    c = [[Fraction(0)] * (d + 1) for _ in nodes]
+    c[0][0] = Fraction(1)
+    c1 = 1
+    for i in range(1, len(nodes)):
+        xi = nodes[i]
+        top = min(i, d)
+        c2 = 1
+        for j in range(i):
+            c3 = xi - nodes[j]
+            c2 *= c3
+            if j == i - 1:
+                prev = c[j]
+                row = c[i]
+                for k in range(top, 0, -1):
+                    row[k] = c1 * (k * prev[k - 1] - nodes[i - 1] * prev[k]) / c2
+                row[0] = -c1 * nodes[i - 1] * prev[0] / c2
+            row = c[j]
+            for k in range(top, 0, -1):
+                row[k] = (xi * row[k] - k * row[k - 1]) / c3
+            row[0] = xi * row[0] / c3
+        c1 = c2
+    weight = {k: c[j][d] for j, k in enumerate(nodes)}
+    return m, tuple(weight[k] for k in range(-m, m + 1))
 
 
 def residual_symbolic(eq, u):
@@ -275,7 +296,7 @@ def _level_residual(eq, U, tpts, xpts, p):
     unit roundoff in the u samples through the stencil weights."""
     r = eq.r
     nt, nx = U.shape
-    # margins by formula: at a large order the moment solve takes hours
+    # margins by formula: the weights of a large order take seconds
     mt = _stencil_margin(1, p)
     mx = max(_stencil_margin(k, p) for k in range(1, r + 1) if eq.A[k] != 0)
     if nt < 2 * mt + 1 or nx < 2 * mx + 1:

@@ -36,15 +36,20 @@ eval_numeric: the library compiles each expression once into closures and
 evaluates those at every point; the oracle walks the validated tree
 recursively at every call.  Both must give the same float bit for bit, or
 raise the same error.
+
+stencil: the library computes finite-difference weights by Fornberg's
+recurrence; the oracle solves the Vandermonde moment system exactly.  The
+weights are unique, so both must return equal Fractions.
 """
 
 import math
+from fractions import Fraction
 
 from sympy import Add, Mul, Rational, S, Symbol, expand, together
 
 from evolsym.equivalence import _pull_back, compose_scalar, invert_scalar, nth_root
 from evolsym.errors import EvalDomainError, InputError, InternalError, UnsupportedError
-from evolsym.kernel import Verdict, differentiate, is_zero, substitute, t, x
+from evolsym.kernel import Verdict, differentiate, is_zero, solve_affine, substitute, t, x
 from evolsym.kernel.atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin
 from evolsym.kernel.normalform import (
     _ZERO,
@@ -62,6 +67,7 @@ from evolsym.kernel.normalform import (
 )
 from evolsym.kernel.numeric import ZERO_TOL
 from evolsym.model import EvolutionEquation, VectorField, embed_reduced
+from evolsym.verify import _stencil_margin
 
 
 def canonical_atom_args(e):
@@ -351,3 +357,13 @@ def _ev(e, env):
         v = _ev(e.args[0], env)
         return 0.0 if v == 0 else math.copysign(1.0, v)
     raise InputError(f"cannot evaluate node of type {type(e).__name__}")
+
+
+def stencil(d, p):
+    """stencil(d, p) by an exact solve of the moment conditions
+    sum_k c_k k^j = d! [j == d], j <= 2m, over the offsets -m..m."""
+    m = _stencil_margin(d, p)
+    offs = range(-m, m + 1)
+    rows = [[Fraction(k) ** j for k in offs] for j in range(2 * m + 1)]
+    rhs = [Fraction(math.factorial(d)) if j == d else Fraction(0) for j in range(2 * m + 1)]
+    return m, tuple(solve_affine(rows, rhs))

@@ -1,10 +1,15 @@
 """Command-line surface: document round trips, report shapes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import evolsym
 from evolsym.cli import (
     _worker_count,
     equation_to_document,
@@ -544,7 +549,7 @@ def test_lossy_json_values_and_bad_tolerance_exit2(capsys, tmp_path, key, docume
 
 
 def test_huge_stencil_order_exit2_fast(capsys, tmp_path):
-    # the margins are checked before any moment solve of the stencil
+    # the margins are checked before any stencil weights are computed
     doc = write(tmp_path, "grid.json", {**GRID, "order": 2000})
     eq = write(tmp_path, "eq.json", FREE3)
     sol = write(tmp_path, "sol.json", {"kind": "symbolic", "expr": "exp(t + x)"})
@@ -583,3 +588,31 @@ class TestSymmetryCheck:
             "residuals": ["0", "0", "2"],
             "verdicts": ["zero", "zero", "nonzero"],
         }
+
+
+# a fresh interpreter imports the CLI and solves the cold-start example,
+# then prints the names of the loaded modules
+_START_UP = """
+import json, sys
+import evolsym.cli
+code = evolsym.cli.main(["--output", sys.argv[2], "solve", sys.argv[1],
+                         "--method", "P1I", "--phi0", "0"])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def test_start_up_loads_no_scipy(tmp_path):
+    # quadrature is the kernel's own QAGS port: neither the import nor a
+    # nonlocal-free solve may pull in scipy, which would double start-up
+    eq = write(tmp_path, "drift.json", DRIFT3)
+    out = str(tmp_path / "report.json")
+    src = str(Path(evolsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP, eq, out],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, modules = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    assert json.loads(Path(out).read_text(encoding="utf-8"))["solutions"]
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []

@@ -33,6 +33,7 @@ from evolsym.kernel import (
     integrate,
     is_zero,
     normalize,
+    numeric_function,
     parse_expr,
     substitute,
     sym,
@@ -41,6 +42,7 @@ from evolsym.kernel import (
     x,
 )
 from evolsym.kernel.normalform import _normal_form, common_numerators
+from evolsym.kernel.quadpack import quad
 
 
 # --- parsing ----------------------------------------------------------------
@@ -716,8 +718,6 @@ def test_integrate_exp_polynomial_printed(src, printed):
 
 
 def test_integrate_quadrature_oracle():
-    from scipy.integrate import quad
-
     e = parse_expr("t^2*exp(3*t)")
     F = integrate(e, "t")
     a, b = 0.2, 1.1
@@ -811,6 +811,11 @@ def _eval_outcome(fn, e, point):
         return type(exc), str(exc)
 
 
+def _resolved_once(e, point):
+    """eval_numeric through the closure that numeric_function resolves."""
+    return numeric_function(e)({k: float(v) for k, v in point.items()})
+
+
 @settings(max_examples=oracle_examples(100), deadline=None)
 @given(_eval_exprs, _eval_points)
 @example(Integer(10**400), {})
@@ -834,6 +839,8 @@ def test_eval_numeric_matches_slow_path_oracle(e, point):
     want = _eval_outcome(slowpath.eval_numeric, e, point)
     assert _eval_outcome(eval_numeric, e, point) == want
     assert _eval_outcome(eval_numeric, e, point) == want
+    # the resolved closure is the same code path: the same float or error
+    assert _eval_outcome(_resolved_once, e, point) == want
 
 
 def test_eval_numeric_errors_are_raised_at_evaluation_time():
@@ -850,6 +857,16 @@ def test_eval_numeric_errors_are_raised_at_evaluation_time():
         eval_numeric(x + t, {"x": 1.0})
     # an unbound symbol is not an error where evaluation does not read it
     assert eval_numeric(x, {"x": 2.0}) == 2.0
+    # a resolved closure raises the same errors when it is called
+    for e, env, error, message in [
+        (Exp(Exp(x)), {"x": 10.0}, EvalDomainError, "^numeric overflow$"),
+        (x + t, {"x": 1.0}, EvalDomainError, "^unbound symbol 't'$"),
+        (Ln(t), {"t": -1.0}, EvalDomainError, "^ln of a nonpositive value$"),
+        (t ** Rational(1, 2), {"t": -1.0}, EvalDomainError, "^even root of a negative value$"),
+    ]:
+        f = numeric_function(e)
+        with pytest.raises(error, match=message):
+            f(env)
 
 
 def test_eval_numeric_cache_safety():

@@ -29,6 +29,7 @@ from evolsym.kernel import (
     to_str,
     x,
 )
+from evolsym.kernel.quadpack import quad
 from evolsym.model import ReducedEquation, VectorField
 from evolsym.solutions import (
     GeneralizedReduction,
@@ -223,8 +224,6 @@ class TestReduceP1Iphi:
         s = reduce_P1Iphi(eq, grid=g, phi0_value=1.0)
         assert s.kind == "numeric"
         # u(t, x) = exp(x + t + int_0^t exp(s^2) ds); check one point
-        from scipy.integrate import quad
-
         tv, xv = s.grid["t"][8], s.grid["x"][16]
         expected = math.exp(xv + tv + quad(lambda v: math.exp(v * v), 0, tv)[0])
         assert s.grid["values"][8][16] == pytest.approx(expected, rel=1e-9)

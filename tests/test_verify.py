@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from sympy import Integer, Rational, S
 
+import slowpath
 from evolsym.equivalence import (
     EquivTransformation,
     pushforward_equation,
@@ -60,6 +61,13 @@ class TestStencils:
         assert cs[0] == Rational(-7, 240)
         assert cs[4] == 0
         assert cs[-1] == Rational(7, 240)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_fornberg_matches_moment_solve(self, d):
+        # the weights are unique: the recurrence and the exact Vandermonde
+        # solve of tests/slowpath.py give equal Fractions
+        for p in range(2, 42, 2):
+            assert stencil(d, p) == slowpath.stencil(d, p), p
 
     @pytest.mark.parametrize("d,p", [(1, 2), (1, 6), (2, 4), (3, 6), (4, 6), (5, 6)])
     def test_moment_conditions(self, d, p):
