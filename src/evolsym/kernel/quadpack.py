@@ -18,6 +18,8 @@ import warnings
 _UFLOW = sys.float_info.min
 _OFLOW = sys.float_info.max
 _EPMACH = sys.float_info.epsilon
+# the number of subintervals, scipy.integrate.quad's default limit
+_LIMIT = 50
 
 # abscissae of the 21-point Kronrod rule: xgk[2], xgk[4], ... are the
 # 10-point Gauss abscissae, the others are optimally added to them
@@ -62,7 +64,7 @@ _WG = (
 
 # the texts of scipy.integrate.quad, so that a warning prints the same
 _MESSAGES = {
-    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
+    1: f"The maximum number of subdivisions ({_LIMIT}) has been achieved.\n  "
     "If increasing the limit yields no improvement it is advised to "
     "analyze \n  the integrand in order to determine the difficulties.  "
     "If the position of a \n  local difficulty can be determined "
@@ -86,30 +88,28 @@ class IntegrationWarning(UserWarning):
     """quad stopped short of its tolerance; the result is its best estimate."""
 
 
-def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+def quad(f, a, b, epsabs, epsrel):
     """Integral of f over [a, b] and an estimate of its absolute error.
 
     f takes and returns a float.  Limits in either order are accepted: for
     b < a the integral over [b, a] is negated, and for a == b it is
     (0.0, 0.0) without a call of f.  A result short of the tolerance is
-    returned with an IntegrationWarning; invalid tolerances or limit raise
-    ValueError.  Whatever f raises propagates.
+    returned with an IntegrationWarning; invalid tolerances or infinite
+    limits raise ValueError.  Whatever f raises propagates.
     """
     if a == b:
         return 0.0, 0.0
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("quad integrates over finite limits only")
-    if limit < 1:
-        raise ValueError("quad needs a limit of at least one subinterval")
     flip, a, b = b < a, min(a, b), max(a, b)
-    result, abserr, ier = _qagse(f, a, b, float(epsabs), float(epsrel), limit)
+    result, abserr, ier = _qagse(f, a, b, float(epsabs), float(epsrel))
     if ier == 6:
         raise ValueError(
             "if epsabs <= 0, epsrel must exceed both 5e-29 and 50 machine epsilons"
         )
     if ier:
-        warnings.warn(_MESSAGES[ier].format(limit=limit), IntegrationWarning, stacklevel=2)
+        warnings.warn(_MESSAGES[ier], IntegrationWarning, stacklevel=2)
     return (-result if flip else result), abserr
 
 
@@ -164,13 +164,13 @@ def _qk21(f, a, b):
     return result, abserr, resabs, resasc
 
 
-def _qagse(f, a, b, epsabs, epsrel, limit):
+def _qagse(f, a, b, epsabs, epsrel):
     """dqagse: (result, abserr, ier) for a < b."""
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
+    alist = [0.0] * (_LIMIT + 1)
+    blist = [0.0] * (_LIMIT + 1)
+    rlist = [0.0] * (_LIMIT + 1)
+    elist = [0.0] * (_LIMIT + 1)
+    iord = [0] * (_LIMIT + 1)
     rlist2 = [0.0] * 53
     res3la = [0.0] * 4
 
@@ -194,8 +194,6 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     iord[1] = 1
     if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
         ier = 2
-    if limit == 1:
-        ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, ier  # 140
 
@@ -219,10 +217,10 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     # set on the first pass (label 80) or by an extrapolation, before use
     small = erlarg = ertest = correc = 0.0
 
-    # main do-loop; at last == limit ier = 1 makes the pass leave it, so the
+    # main do-loop; at last == _LIMIT ier = 1 makes the pass leave it, so the
     # loop never runs to its end
     goto = 100
-    for last in range(2, limit + 1):
+    for last in range(2, _LIMIT + 1):
         # bisect the subinterval with the nrmax-th largest error estimate
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
@@ -260,8 +258,8 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
             ier = 2
         if iroff2 >= 5:
             ierro = 3
-        # the number of subintervals equals limit
-        if last == limit:
+        # the number of subintervals equals the limit
+        if last == _LIMIT:
             ier = 1
         # bad integrand behaviour at a point of the integration range
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (
@@ -288,7 +286,7 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
 
         # 30: keep the error estimates in descending order and select the
         # subinterval with the nrmax-th largest error estimate
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             goto = 115
             break
@@ -318,8 +316,8 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
             # decrease the sum of the errors over the larger intervals
             # (erlarg) and perform extrapolation
             jupbnd = last
-            if last > (2 + limit // 2):
-                jupbnd = limit + 3 - last
+            if last > (2 + _LIMIT // 2):
+                jupbnd = _LIMIT + 3 - last
             larger = False
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
@@ -379,11 +377,8 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     if goto == 110:
         # test on divergence
         if not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.1e-01):
-            if (
-                0.1e-01 > (result / area)
-                or (result / area) > 0.1e03
-                or errsum > abs(area)
-            ):
+            ratio = _divide(result, area)
+            if 0.1e-01 > ratio or ratio > 0.1e03 or errsum > abs(area):
                 ier = 6
     elif goto == 115:
         # compute global integral sum
@@ -397,7 +392,17 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     return result, abserr, ier
 
 
-def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+def _divide(x, y):
+    """x / y as the Fortran divides: a zero divisor, which Python refuses,
+    gives an infinity signed as x * y, or NaN for 0 / 0 and NaN / 0."""
+    if y != 0.0:
+        return x / y
+    if x == 0.0 or x != x:
+        return math.nan
+    return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
+def _qpsrt(last, maxerr, elist, iord, nrmax):
     """dqpsrt: insert the two newest error estimates into the descending
     order iord; returns the new (maxerr, errmax, nrmax)."""
     if last <= 2:
@@ -417,8 +422,8 @@ def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
         # 30: the number of elements kept in descending order depends on
         # the number of subdivisions still allowed
         jupbn = last
-        if last > (limit // 2 + 2):
-            jupbn = limit + 3 - last
+        if last > (_LIMIT // 2 + 2):
+            jupbn = _LIMIT + 3 - last
         errmin = elist[last]
         # insert errmax by traversing the list top-down
         jbnd = jupbn - 1

@@ -595,24 +595,36 @@ class TestSymmetryCheck:
 _START_UP = """
 import json, sys
 import evolsym.cli
-code = evolsym.cli.main(["--output", sys.argv[2], "solve", sys.argv[1],
-                         "--method", "P1I", "--phi0", "0"])
-print(json.dumps([code, sorted(sys.modules)]))
+codes = [evolsym.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(sys.modules)]))
 """
 
 
 def test_start_up_loads_no_scipy(tmp_path):
-    # quadrature is the kernel's own QAGS port: neither the import nor a
-    # nonlocal-free solve may pull in scipy, which would double start-up
+    # quadrature is the kernel's own QAGS port: neither the import, nor the
+    # cold-start solve, nor a nonlocal solve that integrates may pull in
+    # scipy, which would double start-up
     eq = write(tmp_path, "drift.json", DRIFT3)
-    out = str(tmp_path / "report.json")
+    seed = write(tmp_path, "seed.json", {"kind": "symbolic", "expr": "exp(t*x + 1/4*t^4)"})
+    grid = write(
+        tmp_path,
+        "grid.json",
+        {"t": [0.0, 0.5], "x": [0.0, 0.5], "ht": 0.0625, "hx": 0.0625, "order": 2},
+    )
+    cold, nonlocal_ = str(tmp_path / "cold.json"), str(tmp_path / "nonlocal.json")
+    runs = [
+        ["--output", cold, "solve", eq, "--method", "P1I", "--phi0", "0"],
+        ["--output", nonlocal_, "solve", eq, "--method", "nonlocal", "--seed", seed, "--grid", grid],
+    ]
     src = str(Path(evolsym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _START_UP, eq, out],
+        [sys.executable, "-c", _START_UP, json.dumps(runs)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    code, modules = json.loads(proc.stdout)
-    assert code == 0, proc.stderr
-    assert json.loads(Path(out).read_text(encoding="utf-8"))["solutions"]
+    codes, modules = json.loads(proc.stdout)
+    assert codes == [0, 0], proc.stderr
+    assert json.loads(Path(cold).read_text(encoding="utf-8"))["solutions"]
+    [sol] = json.loads(Path(nonlocal_).read_text(encoding="utf-8"))["solutions"]
+    assert sol["kind"] == "numeric"
     assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
