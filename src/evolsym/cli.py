@@ -8,9 +8,7 @@ strings ("1/3") so nothing is rounded in transit.  Exit codes: 0 ok,
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from sympy import Rational, S
@@ -243,8 +241,8 @@ def _to_reduced(eq):
     eq = embed_reduced(eq)
     if _reduced_shape(eq):
         return as_reduced(eq), ()
-    red, report = gauge_all(eq)
-    steps = [step.to_doc() for step in report.chain]
+    red, chain = gauge_all(eq)
+    steps = [step.to_doc() for step in chain]
     return red, (f"gauged to reduced form via {json.dumps(steps, sort_keys=True)}",)
 
 
@@ -273,39 +271,18 @@ def _classify_one(doc, args):
 
 def cmd_classify(args):
     doc = _read_json(args.equation)
-    if isinstance(doc, list):
-        results = _run_batch(doc, args)
-        _emit({"results": results}, args)
+    if not isinstance(doc, list):
+        _emit(_classify_one(doc, args), args)
         return 0
-    _emit(_classify_one(doc, args), args)
+    # a batch reports each document's error in its place
+    results = []
+    for item in doc:
+        try:
+            results.append(_classify_one(item, args))
+        except EvolsymError as exc:
+            results.append({"error": str(exc), "exit_code": exc.exit_code})
+    _emit({"results": results}, args)
     return 0
-
-
-def _batch_worker(item):
-    doc, argdict = item
-    ns = argparse.Namespace(**argdict)
-    try:
-        return _classify_one(doc, ns)
-    except EvolsymError as exc:
-        return {"error": str(exc), "exit_code": exc.exit_code}
-
-
-def _worker_count(jobs, ndocs):
-    """Processes for a batch: --jobs, but no more than the documents or the
-    CPUs, since a process pool starts every worker at once."""
-    return max(1, min(jobs, ndocs, os.cpu_count() or 1))
-
-
-def _run_batch(docs, args):
-    items = [
-        (doc, {"ansatz_degree": args.ansatz_degree, "exp_rates": args.exp_rates})
-        for doc in docs
-    ]
-    workers = _worker_count(args.jobs, len(items))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_batch_worker, items))
-    return [_batch_worker(item) for item in items]
 
 
 def cmd_transform(args):
@@ -325,13 +302,13 @@ def cmd_gauge(args):
     particular = None
     if args.particular:
         particular = parse_expr(args.particular, declared=params)
-    red, report = gauge_all(embed_reduced(eq), particular=particular)
+    red, chain = gauge_all(embed_reduced(eq), particular=particular)
     _emit(
         {
             "equation": equation_to_document(red),
             "report": {
-                "target_form": report.target_form,
-                "chain": [step.to_doc() for step in report.chain],
+                "target_form": "reduced-homogeneous",
+                "chain": [step.to_doc() for step in chain],
             },
         },
         args,
@@ -498,12 +475,6 @@ def build_parser():
         default=None,
         help="numeric residual tolerance for verification verdicts",
     )
-    ap.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel workers for batch classification",
-    )
     ap.add_argument("--output", default=None, help="write the report to a file")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -569,8 +540,6 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
             raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
         return args.func(args)

@@ -47,7 +47,6 @@ from .verify import residual_symbolic
 __all__ = [
     "CatalogEntry",
     "EquivTransformation",
-    "GaugeReport",
     "adjoint_general",
     "canonicalize_1d",
     "compose",
@@ -408,21 +407,18 @@ def invert(tr):
 # --- gauging -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaugeReport:
-    chain: tuple
-    target_form: str
-
-
 def gauge_leading(eq):
-    """Normalize the leading coefficient to 1 by t~ = int A^r dt, x~ = x."""
+    """Normalize the leading coefficient to 1 by t~ = int A^r dt, x~ = x.
+
+    Like every gauge step, returns (equation, chain) with chain the tuple
+    of the EquivTransformations applied, empty when nothing was to do."""
     eq = embed_reduced(eq)
     r = eq.r
     a = eq.A[r]
     if x in a.free_symbols:
         raise UnsupportedError("leading coefficient must depend on t only")
     if a == 1:
-        return eq, GaugeReport((), "leading-normalized")
+        return eq, ()
     sgn = _sign_certificate(a)
     if r % 2 == 0 and sgn != 1:
         raise UnsupportedError("even order requires a positive leading coefficient")
@@ -435,7 +431,7 @@ def gauge_leading(eq):
     out = pushforward_equation(eq, tr)
     if is_zero(out.A[r] - 1) is not Verdict.ZERO:
         raise InternalError("leading gauge failed its post-hoc check")
-    return out, GaugeReport((tr,), "leading-normalized")
+    return out, (tr,)
 
 
 def gauge_subleading(eq):
@@ -448,7 +444,7 @@ def gauge_subleading(eq):
         raise InputError("gauge the leading coefficient first")
     b = eq.A[r - 1]
     if b == 0:
-        return eq, GaugeReport((), "subleading-gauged")
+        return eq, ()
     prim = integrate(b, x)
     if prim is None:
         raise UnsupportedError("no closed-form antiderivative for the subleading coefficient")
@@ -457,11 +453,14 @@ def gauge_subleading(eq):
     check = is_zero(out.A[r - 1])
     if check is not Verdict.ZERO:
         raise InternalError(f"subleading gauge failed its post-hoc check ({check})")
-    return out, GaugeReport((tr,), "subleading-gauged")
+    return out, (tr,)
 
 
 def gauge_inhomogeneity(eq, w):
-    """Remove B by u~ = u - w, w a particular solution of the equation."""
+    """Remove B by u~ = u - w, w a particular solution of the equation.
+
+    The shift leaves every A^k as it is and makes B~ minus the residual of
+    w, which the input check certifies zero, so nothing is pushed."""
     eq = embed_reduced(eq)
     r = eq.r
     if is_zero(eq.A[r] - 1) is not Verdict.ZERO or is_zero(eq.A[r - 1]) is not Verdict.ZERO:
@@ -469,13 +468,10 @@ def gauge_inhomogeneity(eq, w):
     w = as_exact(w)
     if is_zero(residual_symbolic(eq, w)) is not Verdict.ZERO:
         raise InputError("w is not a particular solution of the equation")
+    red = ReducedEquation(r, eq.A[: r - 1])
     if eq.B == 0 and normalize(w).num == 0:
-        return ReducedEquation(r, eq.A[: r - 1]), GaugeReport((), "reduced-homogeneous")
-    tr = EquivTransformation(r, U0=-w, X1=S.One)
-    out = pushforward_equation(eq, tr)
-    if is_zero(out.B) is not Verdict.ZERO:
-        raise InternalError("inhomogeneity gauge failed its post-hoc check")
-    return ReducedEquation(r, out.A[: r - 1]), GaugeReport((tr,), "reduced-homogeneous")
+        return red, ()
+    return red, (EquivTransformation(r, U0=-w, X1=S.One),)
 
 
 def find_particular_solution(eq, ansatz_degree):
@@ -511,7 +507,7 @@ PARTICULAR_MAX_DEGREE = 6
 
 
 def gauge_all(eq, particular=None):
-    """Full pipeline to the reduced form; returns (ReducedEquation, GaugeReport).
+    """Full pipeline to the reduced form; returns (ReducedEquation, chain).
 
     `particular` is a particular solution of the *input* equation; it is
     transported through the leading and subleading gauges, one step at a
@@ -532,12 +528,12 @@ def gauge_all(eq, particular=None):
                 raise UnsupportedError(
                     "no polynomial particular solution found; pass one explicitly"
                 )
-    eq1, rep1 = gauge_leading(eq)
-    eq2, rep2 = gauge_subleading(eq1)
-    for step in rep1.chain + rep2.chain:
+    eq1, chain1 = gauge_leading(eq)
+    eq2, chain2 = gauge_subleading(eq1)
+    for step in chain1 + chain2:
         particular = transport_solution(particular, step)
-    red, rep3 = gauge_inhomogeneity(eq2, particular)
-    return red, GaugeReport(rep1.chain + rep2.chain + rep3.chain, "reduced-homogeneous")
+    red, chain3 = gauge_inhomogeneity(eq2, particular)
+    return red, chain1 + chain2 + chain3
 
 
 # --- equivalence algebra -------------------------------------------------------
@@ -614,22 +610,22 @@ def adjoint_general(Q, tr):
 # --- canonical one-dimensional subalgebras --------------------------------------
 
 
-def _sign_certificate(f, assume=None):
-    if is_zero(AbsV(f) - f, assume=assume) is Verdict.ZERO:
+def _sign_certificate(f):
+    if is_zero(AbsV(f) - f) is Verdict.ZERO:
         return 1
-    if is_zero(AbsV(f) + f, assume=assume) is Verdict.ZERO:
+    if is_zero(AbsV(f) + f) is Verdict.ZERO:
         return -1
     return 0
 
 
-def canonicalize_1d(Q, r, assume=None):
+def canonicalize_1d(Q, r):
     """Representative of <Q> among <D(1)>, <P(1)+I(phi)>, <I(1)>, <I(t)>.
 
     Returns (canonical, c, chain): chain is a tuple of group elements,
     applied in order, and c a constant with c times the image of Q under
     the chain equal to canonical.  Each element is pushed once, onto the
     image of the elements before it."""
-    if is_zero(Q.eta0, assume=assume) is not Verdict.ZERO:
+    if is_zero(Q.eta0) is not Verdict.ZERO:
         raise UnsupportedError("canonicalization applies to essential fields only")
     chain = []
     c = S.One
@@ -641,8 +637,8 @@ def canonicalize_1d(Q, r, assume=None):
         chain.append(tr)
         got = adjoint_general(got, tr)
 
-    if is_zero(Q.tau, assume=assume) is not Verdict.ZERO:
-        sgn = _sign_certificate(Q.tau, assume=assume)
+    if is_zero(Q.tau) is not Verdict.ZERO:
+        sgn = _sign_certificate(Q.tau)
         if r % 2 == 0:
             if sgn == 0:
                 raise UnsupportedError("sign of tau must be definite for even order")
@@ -653,30 +649,30 @@ def canonicalize_1d(Q, r, assume=None):
         if T is None or recognize_scalar(T) is None:
             raise UnsupportedError("int dt/tau leaves the invertible catalog")
         push(T=T)
-        if is_zero(got.chi, assume=assume) is not Verdict.ZERO:
+        if is_zero(got.chi) is not Verdict.ZERO:
             X0 = integrate(normalize(-c * got.chi).as_expr(), t)
             if X0 is None:
                 raise UnsupportedError("int chi dt outside the closed-form catalog")
             push(X0=X0)
-        if is_zero(got.phi, assume=assume) is not Verdict.ZERO:
+        if is_zero(got.phi) is not Verdict.ZERO:
             ph = integrate(normalize(-c * got.phi).as_expr(), t)
             if ph is None:
                 raise UnsupportedError("int phi dt outside the closed-form catalog")
             push(U1=normalize(expand_special(Exp(ph))).as_expr())
         canonical = VectorField(tau=S.One)
-    elif is_zero(Q.chi, assume=assume) is not Verdict.ZERO:
+    elif is_zero(Q.chi) is not Verdict.ZERO:
         if Q.chi != 1:
-            sgn = _sign_certificate(Q.chi, assume=assume)
+            sgn = _sign_certificate(Q.chi)
             if r % 2 == 0 and sgn == 0:
                 raise UnsupportedError("sign of chi must be definite for even order")
             T = integrate(normalize(Pow(Q.chi, -r)).as_expr(), t)
             if T is None or recognize_scalar(T) is None:
                 raise UnsupportedError("int chi^-r dt leaves the invertible catalog")
             push(T=T, eps=-1 if r % 2 == 0 and sgn < 0 else 1)
-        if is_zero(got.chi - 1, assume=assume) is not Verdict.ZERO:
+        if is_zero(got.chi - 1) is not Verdict.ZERO:
             raise InternalError("translation part did not normalize to 1")
         canonical = VectorField(chi=S.One, phi=got.phi)
-    elif is_zero(Q.phi, assume=assume) is not Verdict.ZERO:
+    elif is_zero(Q.phi) is not Verdict.ZERO:
         if _tfree(Q.phi):
             c = normalize(1 / Q.phi).as_expr()
             canonical = VectorField(phi=S.One)
@@ -689,7 +685,7 @@ def canonicalize_1d(Q, r, assume=None):
         raise InputError("cannot canonicalize the zero field")
     for slot in ("tau", "chi", "phi"):
         diff = c * getattr(got, slot) - getattr(canonical, slot)
-        if is_zero(diff, assume=assume) is not Verdict.ZERO:
+        if is_zero(diff) is not Verdict.ZERO:
             raise InternalError("canonicalization chain failed verification")
     return canonical, c, tuple(chain)
 

@@ -173,13 +173,21 @@ def _combination(rows):
     return solve_affine([[c[k] for c in cols] for k in range(len(target))], target)
 
 
+def _slot_blocks(basis):
+    """Exact coordinate rows of basis, one block per slot tau, chi, phi, eta0."""
+    return [
+        _slot_coords([getattr(q, slot) for q in basis])[1]
+        for slot in ("tau", "chi", "phi", "eta0")
+    ]
+
+
+def _stacked(blocks):
+    return [sum(rows, []) for rows in zip(*blocks)]
+
+
 def field_coordinates(basis):
     """Stacked exact coordinate rows for (tau | chi | phi | eta0) slots."""
-    blocks = []
-    for slot in ("tau", "chi", "phi", "eta0"):
-        _keys, rows = _slot_coords([getattr(q, slot) for q in basis])
-        blocks.append(rows)
-    return [sum((blocks[j][i] for j in range(4)), []) for i in range(len(basis))]
+    return _stacked(_slot_blocks(basis))
 
 
 def algebra_signature(basis):
@@ -188,14 +196,12 @@ def algebra_signature(basis):
     basis = tuple(basis)
     if not basis:
         return (0, 0, 0)
-    _kt, tau_rows = _slot_coords([q.tau for q in basis])
-    _kc, chi_rows = _slot_coords([q.chi for q in basis])
-    full = field_coordinates(basis)
+    blocks = _slot_blocks(basis)
     n = len(basis)
-    if rank(full) < n:
+    if rank(_stacked(blocks)) < n:
         raise InputError("basis is linearly dependent")
-    k2 = rank(tau_rows)
-    k12 = rank([tr + cr for tr, cr in zip(tau_rows, chi_rows)])
+    k2 = rank(blocks[0])
+    k12 = rank(_stacked(blocks[:2]))
     return (n - k12, k12 - k2, k2)
 
 

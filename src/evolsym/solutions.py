@@ -57,47 +57,33 @@ QUAD_TOL = 1e-11
 
 @dataclass(frozen=True)
 class LinearODE:
-    """v_order + sum_l coeffs[l] v_l = rhs in the variable var.
-
-    coeffs lists the coefficients of v_0 .. v_{order-1}; a list of length
-    order+1 is accepted and normalized by its leading entry.
-    """
+    """v_order + sum_l coeffs[l] v_l = 0 in the variable var, with coeffs
+    the coefficients of v_0 .. v_{order-1}."""
 
     order: int
     coeffs: tuple
-    rhs: Expr = S.Zero
     var: Symbol = x
 
     def __post_init__(self):
         if not (isinstance(self.order, int) and self.order >= 1):
             raise InputError("ODE order must be a positive integer")
         cs = tuple(as_exact(c) for c in self.coeffs)
-        rhs = as_exact(self.rhs)
-        if len(cs) == self.order + 1:
-            lead = cs[-1]
-            if is_zero(lead) is not Verdict.NONZERO:
-                raise InputError("leading coefficient must be nonzero")
-            cs = tuple(normalize(c / lead).as_expr() for c in cs[:-1])
-            rhs = normalize(rhs / lead).as_expr()
         if len(cs) != self.order:
-            raise InputError(
-                f"need {self.order} or {self.order + 1} coefficients"
-            )
+            raise InputError(f"need {self.order} coefficients")
         if self.var not in (t, x):
             raise InputError("ODE variable must be t or x")
         other = x if self.var == t else t
-        for e in cs + (rhs,):
+        for e in cs:
             if other in e.free_symbols:
                 raise InputError(
                     f"ODE in {self.var} must not involve {other}"
                 )
         object.__setattr__(self, "coeffs", tuple(normalize(c).as_expr() for c in cs))
-        object.__setattr__(self, "rhs", normalize(rhs).as_expr())
 
     def residual(self, v):
-        """L[v] - rhs, normalized."""
+        """L[v], normalized."""
         v = as_exact(v)
-        res = differentiate(v, self.var, self.order) - self.rhs
+        res = differentiate(v, self.var, self.order)
         for l, c in enumerate(self.coeffs):
             res += c * differentiate(v, self.var, l)
         return normalize(res).as_expr()
@@ -111,42 +97,33 @@ class LinearODE:
             c = self.coeffs[l]
             if c != 0:
                 parts.append(f"({to_str(c)})*v_{l}")
-        return " + ".join(parts) + f" = {to_str(self.rhs)}  [{self.var}]"
+        return " + ".join(parts) + f" = 0  [{self.var}]"
 
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Coupled linear system L_i[y_i] = sum_j coupling[i][j] y_j in var."""
+    """Coupled linear system L[y_i] = sum_j coupling[i][j] y_j in var, with
+    one operator L, the ode, for every unknown."""
 
     var: Symbol
     unknowns: tuple
-    left: tuple
+    ode: LinearODE
     coupling: tuple
 
     def __post_init__(self):
         rows = tuple(tuple(normalize(c).as_expr() for c in row) for row in self.coupling)
         object.__setattr__(self, "coupling", rows)
 
-    def residual(self, values):
-        """Residual rows for a candidate {unknown name: Expr} assignment."""
-        rows = []
-        for i, name in enumerate(self.unknowns):
-            res = self.left[i].residual(values[name])
-            for j, other in enumerate(self.unknowns):
-                res -= self.coupling[i][j] * values[other]
-            rows.append(normalize(res).as_expr())
-        return tuple(rows)
-
     def describe(self):
+        lhs = self.ode.describe().split(" = ")[0]
         lines = []
         for i, name in enumerate(self.unknowns):
-            lhs = self.left[i].describe().split("  [")[0].replace("v_", f"{name}_")
             rhs = [
                 f"({to_str(c)})*{other}"
                 for c, other in zip(self.coupling[i], self.unknowns)
                 if c != 0
             ]
-            lines.append(f"{lhs[: lhs.index(' = ')]} = " + (" + ".join(rhs) or "0"))
+            lines.append(lhs.replace("v_", f"{name}_") + " = " + (" + ".join(rhs) or "0"))
         return lines
 
 
@@ -244,7 +221,7 @@ def certify_symbolic(eq, expr, provenance=None, parameters=()):
     )
 
 
-def _grid_solution(eq, tpts, xpts, values, provenance, expr=None, parameters=()):
+def _grid_solution(eq, tpts, xpts, values, provenance):
     grid = {
         "t": [float(v) for v in tpts],
         "x": [float(v) for v in xpts],
@@ -253,13 +230,11 @@ def _grid_solution(eq, tpts, xpts, values, provenance, expr=None, parameters=())
     mr, sl = residual_numeric(eq, grid)
     return Solution(
         "numeric",
-        expr=expr,
         grid=grid,
         provenance=provenance,
         certificate="numeric-residual",
         max_residual=mr,
         slope=sl,
-        parameters=tuple(parameters),
     )
 
 
@@ -299,8 +274,8 @@ def _finite(name, v):
     return float(v)
 
 
-def _rat(v, limit=10**12):
-    fr = Fraction(float(v)).limit_denominator(limit)
+def _rat(v):
+    fr = Fraction(float(v)).limit_denominator(10**12)
     return Rational(fr.numerator, fr.denominator)
 
 
@@ -315,7 +290,7 @@ def reduce_D1(eq):
             raise UnsupportedError(
                 "reduction by the time translation needs t-independent coefficients"
             )
-    return LinearODE(eq.r, eq.A + (S.Zero,), S.Zero, x)
+    return LinearODE(eq.r, eq.A + (S.Zero,), x)
 
 
 def _p_shape(eq):
@@ -465,8 +440,6 @@ def solve_const_ode(ode):
     corresponding elements carry numeric residual certificates, unless the
     rationalized root happens to be exact.
     """
-    if ode.rhs != 0:
-        raise InputError("a homogeneous ODE is required")
     char = _char_coeffs(ode)
     rts, rest = rational_roots(char)
     w = ode.var
@@ -569,7 +542,7 @@ def _particular(coeffs, rhs, var):
     groups = _exp_poly_groups(rhs, var)
     if groups is None:
         return None
-    op = LinearODE(len(coeffs), tuple(coeffs), S.Zero, var)
+    op = LinearODE(len(coeffs), tuple(coeffs), var)
     char = _char_coeffs(op)
     total = S.Zero
     for b, poly in groups.items():
@@ -670,8 +643,7 @@ def _pair_system(var, ode, nu, cp):
             [-d for _, d in cp[s]] + coup[s]
             for s in range(n)
         ]
-    left = (ode,) * len(names)
-    return ReducedSystem(var, tuple(names), left, tuple(map(tuple, coup)))
+    return ReducedSystem(var, tuple(names), ode, tuple(map(tuple, coup)))
 
 
 def _d_system(eq, N, mu, nu):
@@ -681,7 +653,7 @@ def _d_system(eq, N, mu, nu):
         cp[s][s] = (mu, nu)
         if s + 1 < n:
             cp[s][s + 1] = (Integer(s + 1), S.Zero)
-    ode = LinearODE(eq.r, eq.A + (S.Zero,), S.Zero, x)
+    ode = LinearODE(eq.r, eq.A + (S.Zero,), x)
     return _pair_system(x, ode, nu, cp)
 
 
@@ -776,7 +748,7 @@ def _d_real_chain(eq, N, coeffs, top, basis_exact):
         return layers
 
     if top is not None:
-        ode = LinearODE(eq.r, coeffs, S.Zero, x)
+        ode = LinearODE(eq.r, coeffs, x)
         if is_zero(ode.residual(top)) is not Verdict.ZERO:
             raise InputError(
                 "the top layer must solve the homogeneous reduced ODE"
@@ -872,7 +844,7 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
         lam = mu
         coeffs = list(eq.A) + [S.Zero]
         coeffs[0] = normalize(coeffs[0] - lam).as_expr()
-        basis = solve_const_ode(LinearODE(eq.r, coeffs, S.Zero, x))
+        basis = solve_const_ode(LinearODE(eq.r, coeffs, x))
         exact = [b for b in basis if b.kind == "symbolic"]
         approx = [b for b in basis if b.kind != "symbolic"]
         chains, chain_notes = _d_real_chain(eq, N, coeffs, top_layer, exact)
@@ -945,7 +917,7 @@ def _gen_reduction_p(eq, N, mu, nu, phi0, numeric):
     notes = []
     sols = []
     cp = _p_coupling(eq, N, phat, nu)
-    system = _pair_system(t, LinearODE(1, (S.Zero,), S.Zero, t), nu, cp)
+    system = _pair_system(t, LinearODE(1, (S.Zero,), t), nu, cp)
     ansatz = _ansatz("t", "x", N, nu, phat)
     n = N + 1
 
@@ -1001,7 +973,7 @@ def _gen_reduction_p(eq, N, mu, nu, phi0, numeric):
     return GeneralizedReduction("P", N, ansatz, system, tuple(sols), tuple(notes))
 
 
-def polynomial_t_solutions(eq, N, top_layer=None, numeric=None):
+def polynomial_t_solutions(eq, N, top_layer=None):
     """Solutions u = sum_s v^s(x) t^s with the layer chain
     v^s_r + A^l v^s_l = (s+1) v^{s+1}, v^{N+1} = 0.
 
@@ -1010,9 +982,7 @@ def polynomial_t_solutions(eq, N, top_layer=None, numeric=None):
     are the chains of each exact homogeneous basis element placed at each
     layer, so their rational spans form the full family.
     """
-    gr = generalized_reduction(
-        eq, "D", N, lam=S.Zero, top_layer=top_layer, numeric=numeric
-    )
+    gr = generalized_reduction(eq, "D", N, lam=S.Zero, top_layer=top_layer)
     if not gr.solutions:
         raise UnsupportedError(
             "; ".join(gr.notes) or "no closed-form layers available"
@@ -1036,38 +1006,32 @@ def rk4_integrate(system, init, span, n_steps, params=None):
     lo, hi = float(span[0]), float(span[1])
     if not lo < hi:
         raise InputError("span must be increasing")
-    orders = [ode.order for ode in system.left]
-    dim = sum(orders)
+    n = system.ode.order
+    m = len(system.unknowns)
+    dim = n * m
     if len(init) != dim:
         raise InputError(f"init must have {dim} entries")
-    offs = []
-    pos = 0
-    for n in orders:
-        offs.append(pos)
-        pos += n
     var = system.var.name
     extra = dict(params or {})
-
-    cof = [ode.coeffs for ode in system.left]
+    cof = system.ode.coeffs
     coup = system.coupling
-    rhs = [ode.rhs for ode in system.left]
 
     def F(w, y):
         env = {var: w, **extra}
         out = [0.0] * dim
-        for i, n in enumerate(orders):
-            base = offs[i]
+        for i in range(m):
+            base = i * n
             for l in range(n - 1):
                 out[base + l] = y[base + l + 1]
-            top = eval_numeric(rhs[i], env) if rhs[i] != 0 else 0.0
+            top = 0.0
             for l in range(n):
-                c = cof[i][l]
+                c = cof[l]
                 if c != 0:
                     top -= eval_numeric(c, env) * y[base + l]
-            for j in range(len(orders)):
+            for j in range(m):
                 c = coup[i][j]
                 if c != 0:
-                    top += eval_numeric(c, env) * y[offs[j]]
+                    top += eval_numeric(c, env) * y[j * n]
             out[base + n - 1] = top
         return out
 
@@ -1095,7 +1059,7 @@ def rk4_integrate(system, init, span, n_steps, params=None):
     _, fine = run(2 * n_steps)
     err = max(abs(a - b) for a, b in zip(states[-1], fine[-1])) / 15.0
     traj = {
-        name: [st[offs[i]] for st in states]
+        name: [st[i * n] for st in states]
         for i, name in enumerate(system.unknowns)
     }
     return ws, traj, err

@@ -129,15 +129,12 @@ class AnsatzSpace:
             self, "rates", tuple(sorted(rates, key=lambda q: (q != 0, q)))
         )
 
+    def terms(self):
+        """(k, lambda) of each basis function t^k e^(lambda t), in basis order."""
+        return tuple((k, lam) for lam in self.rates for k in range(self.Kmax + 1))
+
     def functions(self):
-        out = []
-        for lam in self.rates:
-            for k in range(self.Kmax + 1):
-                f = Pow(t, k) if k else S.One
-                if lam != 0:
-                    f = f * Exp(lam * t)
-                out.append(f)
-        return tuple(out)
+        return tuple(Pow(t, k) * Exp(lam * t) for k, lam in self.terms())
 
     def describe(self):
         rates = ",".join(to_str(as_exact(q)) for q in self.rates)
@@ -235,14 +232,18 @@ def _order_factors(eq):
     return out
 
 
-def _determining_system(eq, space, max_cells=500000):
+# the determining system's size bound: monomials x unknowns per order
+MAX_CELLS = 500000
+
+_SLOTS = ("tau", "chi", "phi")
+
+
+def _determining_system(eq, space):
     """Exact homogeneous system in the ansatz coefficients: one column per
-    unknown, (tau | chi | phi) blocks of space.functions() each, and one
-    row per monomial of each order's common numerator."""
-    funcs = [
-        (k, Fraction(lam.p, lam.q)) for lam in space.rates for k in range(space.Kmax + 1)
-    ]
-    slots = [(s, f) for s in ("tau", "chi", "phi") for f in funcs]
+    unknown, a block per slot of _SLOTS with one column per entry of
+    space.terms() each, and one row per monomial of each order's common
+    numerator."""
+    slots = [(s, (k, Fraction(lam.p, lam.q))) for s in _SLOTS for k, lam in space.terms()]
     merged = {}  # (Exp factors, lam) -> their product with e^(lam t)
     rows = []
     for terms, nums in _order_factors(eq):
@@ -267,7 +268,7 @@ def _determining_system(eq, space, max_cells=500000):
             for key in col:
                 index.setdefault(key, len(index))
             # the index only grows, so the bound can fail before the block
-            if len(index) * len(slots) > max_cells:
+            if len(index) * len(slots) > MAX_CELLS:
                 raise UnsupportedError(
                     "classifying system exceeds the size bound; shrink the ansatz"
                 )
@@ -280,7 +281,7 @@ def _determining_system(eq, space, max_cells=500000):
     return rows
 
 
-def solve_symmetries(eq, space=None, max_cells=500000):
+def solve_symmetries(eq, space=None):
     """Essential symmetry algebra restricted to the ansatz space.
 
     Expands tau, chi, phi over the ansatz basis and solves the classifying
@@ -289,7 +290,7 @@ def solve_symmetries(eq, space=None, max_cells=500000):
     D(t), P(1)): their per-order factors are normalized once, put over one
     common denominator per order, and every unknown's column is a
     monomial-dict product of those numerators with the ansatz function or
-    its t-derivatives.  max_cells bounds monomials x unknowns per order.
+    its t-derivatives.  MAX_CELLS bounds monomials x unknowns per order.
     The returned basis is the canonical echelon form over the
     (tau | chi | phi) coefficient columns, so identical inputs give an
     identical basis.
@@ -300,19 +301,15 @@ def solve_symmetries(eq, space=None, max_cells=500000):
     space = space if space is not None else AnsatzSpace()
     funcs = space.functions()
     nb = len(funcs)
-    slots = [("tau", i) for i in range(nb)] + [("chi", i) for i in range(nb)] + [
-        ("phi", i) for i in range(nb)
-    ]
-    rows = _determining_system(eq, space, max_cells)
+    rows = _determining_system(eq, space)
 
-    basis_vecs = row_canonical(nullspace(rows, len(slots)))
     fields = []
-    for v in basis_vecs:
-        parts = {"tau": S.Zero, "chi": S.Zero, "phi": S.Zero}
-        for (slot, i), c in zip(slots, v):
+    for v in row_canonical(nullspace(rows, len(_SLOTS) * nb)):
+        parts = [S.Zero] * len(_SLOTS)
+        for m, c in enumerate(v):
             if c:
-                parts[slot] += Rational(c.numerator, c.denominator) * funcs[i]
-        fields.append(VectorField(parts["tau"], parts["chi"], parts["phi"]))
+                parts[m // nb] += Rational(c.numerator, c.denominator) * funcs[m % nb]
+        fields.append(VectorField(*parts))
     fields = tuple(fields)
     if in_span(VectorField(phi=S.One), fields) is None:
         raise InternalError("kernel field I(1) missing from the solved algebra")

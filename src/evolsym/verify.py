@@ -227,14 +227,6 @@ def singular_loci(eq):
     return {k: tuple(sorted(v)) for k, v in out.items()}
 
 
-def _grid_values(u, tpts, xpts):
-    if isinstance(u, Expr):
-        return _coeff_grid(u, tpts, xpts)
-    if callable(u):
-        return np.array([[float(u(tv, xv)) for xv in xpts] for tv in tpts])
-    raise InputError("u must be an expression, a callable or grid data")
-
-
 def _as_grid_data(u):
     """(tpts, xpts, values) when u carries sampled grid data, else None."""
     data = getattr(u, "grid", u if isinstance(u, dict) else None)
@@ -332,12 +324,12 @@ def _level_residual(eq, U, tpts, xpts, p):
 def residual_numeric(eq, u, g=None):
     """Max-norm finite-difference residual and empirical convergence order.
 
-    u is a symbolic expression, a callable u(t, x), or sampled grid data (a
-    dict with keys t, x, values, or an object with such a .grid).  For
-    expressions and callables g is required and sets the finest grid; the
-    residual is also evaluated on the twice- and four-times-coarsened grids
-    (two halvings end at the requested step) and the slope of log2(residual)
-    against log2(step) is reported.  Slope is None when any level sits at
+    u is a symbolic expression or sampled grid data (a dict with keys t, x,
+    values, or an object with such a .grid).  For an expression g is
+    required and sets the finest grid; the residual is also evaluated on
+    the twice- and four-times-coarsened grids (two halvings end at the
+    requested step) and the slope of log2(residual) against log2(step) is
+    reported.  Slope is None when any level sits at
     the rounding floor.
     """
     eq = embed_reduced(eq)
@@ -363,7 +355,9 @@ def residual_numeric(eq, u, g=None):
                 )
 
     if data is None:
-        U = _grid_values(u, tpts, xpts)
+        if not isinstance(u, Expr):
+            raise InputError("u must be an expression or grid data")
+        U = _coeff_grid(u, tpts, xpts)
 
     levels = []
     for s in (4, 2, 1):

@@ -11,7 +11,6 @@ import pytest
 
 import evolsym
 from evolsym.cli import (
-    _worker_count,
     equation_to_document,
     main,
     parse_equation_document,
@@ -173,22 +172,6 @@ class TestClassify:
         assert res[1]["exit_code"] == 2 and "limit of 50 levels" in res[1]["error"]
         assert res[2]["case"] == "2"
 
-    def test_jobs_below_one_exit2(self, capsys, tmp_path):
-        p = write(tmp_path, "b.json", [FREE3, CASE2_R4])
-        for jobs in ("0", "-3"):
-            code, out, err = run(capsys, "--jobs", jobs, "classify", p)
-            assert code == 2 and out == ""
-            assert "--jobs must be at least 1" in json.loads(err)["error"]
-
-    def test_worker_count_is_clamped(self, monkeypatch):
-        # the helper only: no pool is started with these values
-        monkeypatch.setattr("evolsym.cli.os.cpu_count", lambda: 2)
-        assert _worker_count(10**6, 10**6) == 2
-        assert _worker_count(10**6, 1) == 1
-        assert _worker_count(1, 50) == 1
-        monkeypatch.setattr("evolsym.cli.os.cpu_count", lambda: None)
-        assert _worker_count(8, 50) == 1
-
     def test_term_budget_exit3(self, capsys, tmp_path):
         doc = {"order": 3, "form": "reduced", "coefficients": {"A0": "(x+t+1)^400"}}
         start = time.perf_counter()
@@ -204,12 +187,6 @@ class TestClassify:
         assert time.perf_counter() - start < 2
         assert code == 3 and out == ""
         assert "exponent nesting budget exceeded" in json.loads(err)["error"]
-
-    def test_batch_jobs_matches_serial(self, capsys, tmp_path):
-        p = write(tmp_path, "b.json", [FREE3, CASE2_R4])
-        _, serial, _ = run(capsys, "classify", p)
-        _, parallel, _ = run(capsys, "--jobs", "2", "classify", p)
-        assert serial == parallel
 
 
 class TestTransform:
@@ -240,6 +217,7 @@ class TestGauge:
         doc = {"order": 3, "form": "general", "coefficients": {"A3": "2"}}
         rep = run_json(capsys, "gauge", write(tmp_path, "eq.json", doc))
         assert rep["equation"] == FREE3
+        assert rep["report"]["target_form"] == "reduced-homogeneous"
         assert any(step["T"] == "2*t" for step in rep["report"]["chain"])
 
     def test_inhomogeneity_auto_particular(self, capsys, tmp_path):
@@ -250,6 +228,7 @@ class TestGauge:
         }
         rep = run_json(capsys, "gauge", write(tmp_path, "eq.json", doc))
         assert rep["equation"] == FREE3
+        assert rep["report"]["target_form"] == "reduced-homogeneous"
         # deterministic t-free gauge shift: u -> u + x^4/24
         assert any(
             step.get("U0") == "1/24*x^4" for step in rep["report"]["chain"]
@@ -603,7 +582,8 @@ print(json.dumps([codes, sorted(sys.modules)]))
 def test_start_up_loads_no_scipy(tmp_path):
     # quadrature is the kernel's own QAGS port: neither the import, nor the
     # cold-start solve, nor a nonlocal solve that integrates may pull in
-    # scipy, which would double start-up
+    # scipy, which would double start-up; and batches classify in-process,
+    # so no process-pool module is loaded either
     eq = write(tmp_path, "drift.json", DRIFT3)
     seed = write(tmp_path, "seed.json", {"kind": "symbolic", "expr": "exp(t*x + 1/4*t^4)"})
     grid = write(
@@ -627,4 +607,5 @@ def test_start_up_loads_no_scipy(tmp_path):
     assert json.loads(Path(cold).read_text(encoding="utf-8"))["solutions"]
     [sol] = json.loads(Path(nonlocal_).read_text(encoding="utf-8"))["solutions"]
     assert sol["kind"] == "numeric"
-    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    for pkg in ("scipy", "multiprocessing", "concurrent"):
+        assert [m for m in modules if m == pkg or m.startswith(pkg + ".")] == [], pkg

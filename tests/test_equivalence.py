@@ -516,20 +516,20 @@ def _push_step(Q, step, r):
 class TestGauges:
     def test_leading_constant(self):
         eq = EvolutionEquation(3, (S.Zero, S.Zero, S.Zero, S(2)))
-        out, rep = gauge_leading(eq)
+        out, chain = gauge_leading(eq)
         assert zero(out.A[3] - 1)
-        assert rep.chain[0].T == 2 * t
+        assert chain[0].T == 2 * t
 
     def test_leading_exponential(self):
         eq = EvolutionEquation(3, (x, S.Zero, S.Zero, Exp(t)))
-        out, rep = gauge_leading(eq)
+        out, chain = gauge_leading(eq)
         assert zero(out.A[3] - 1)
-        assert zero(rep.chain[0].T - Exp(t))
+        assert zero(chain[0].T - Exp(t))
 
     def test_leading_identity(self):
         eq = EvolutionEquation(3, (x, S.Zero, S.Zero, S.One))
-        out, rep = gauge_leading(eq)
-        assert out is eq and rep.chain == ()
+        out, chain = gauge_leading(eq)
+        assert out is eq and chain == ()
 
     def test_leading_x_dependent_rejected(self):
         eq = EvolutionEquation(3, (S.Zero, S.Zero, S.Zero, 1 + x**2))
@@ -543,7 +543,7 @@ class TestGauges:
 
     def test_subleading_constant(self):
         eq = EvolutionEquation(3, (S.Zero, S.Zero, S(6), S.One))
-        out, rep = gauge_subleading(eq)
+        out, chain = gauge_subleading(eq)
         assert zero(out.A[2])
         assert zero(out.A[3] - 1)
         # u~ = e^{cx} u at c=2: A~^1 = 3c^2 - 12c = -12, A~^0 = 6c^2 - c^3 = 16
@@ -552,17 +552,20 @@ class TestGauges:
 
     def test_subleading_rational(self):
         eq = EvolutionEquation(4, (S.Zero, S.Zero, S.Zero, 4 / x, S.One))
-        out, rep = gauge_subleading(eq)
+        out, chain = gauge_subleading(eq)
         assert zero(out.A[3])
-        U1 = rep.chain[0].U1
+        U1 = chain[0].U1
         assert zero(U1 - x) or zero(U1 - 1 / x)
 
     def test_inhomogeneity(self):
         eq = EvolutionEquation(3, (S.Zero, S.Zero, S.Zero, S.One), x)
-        red, rep = gauge_inhomogeneity(eq, t * x)
+        red, chain = gauge_inhomogeneity(eq, t * x)
         assert isinstance(red, ReducedEquation)
         assert all(zero(a) for a in red.A)
-        assert rep.target_form == "reduced-homogeneous"
+        assert len(chain) == 1 and zero(chain[0].U0 + t * x)
+        # the shift, pushed, gives the same A^k and B = 0
+        out = pushforward_equation(eq, chain[0])
+        assert zero(out.B) and all(zero(a - b) for a, b in zip(out.A, eq.A))
 
     def test_inhomogeneity_rejects_bad_particular(self):
         eq = EvolutionEquation(3, (S.Zero, S.Zero, S.Zero, S.One), x)
@@ -584,9 +587,8 @@ class TestGauges:
 
     def test_gauge_all_pipeline(self):
         eq = EvolutionEquation(3, (S.Zero, S.Zero, S(6), S(2)), S(2) * x)
-        red, rep = gauge_all(eq)
+        red, _chain = gauge_all(eq)
         assert isinstance(red, ReducedEquation)
-        assert rep.target_form == "reduced-homogeneous"
 
 
 # gauge_all inputs u_t = A^k u_k + B with B = w_t - A^k w_k, and whether w is
@@ -683,8 +685,8 @@ def test_gauge_report_and_transported_particular_pinned(case, pin):
     A, w, explicit = case
     r = len(A) - 1
     B = differentiate(w, t) - sum(A[k] * differentiate(w, x, k) for k in range(r + 1))
-    red, rep = gauge_all(EvolutionEquation(r, A, B), particular=w if explicit else None)
-    assert ([to_str(a) for a in red.A], [step.to_doc() for step in rep.chain]) == pin
+    red, chain = gauge_all(EvolutionEquation(r, A, B), particular=w if explicit else None)
+    assert ([to_str(a) for a in red.A], [step.to_doc() for step in chain]) == pin
 
 
 class TestEquivalenceAlgebra:
@@ -826,15 +828,15 @@ def test_canonicalize_matches_slow_path_steps(r, tau, chi, phi):
     # factorization and scaled by c, lands on the canonical field
     if tau == -1 and r % 2 == 1:
         tau = S.One
-    assume = {"t": (0.1, 3.0)}
     Q = VectorField(tau, chi, phi)
     if r % 2 == 0 and tau in (t, t + 1):
-        # the sign of tau is certified exactly, never from the probe box
+        # the sign of tau is certified exactly, on the whole real line
         with pytest.raises(UnsupportedError, match="sign of tau"):
-            canonicalize_1d(Q, r, assume=assume)
+            canonicalize_1d(Q, r)
         return
-    canon, c, chain = canonicalize_1d(Q, r, assume=assume)
+    canon, c, chain = canonicalize_1d(Q, r)
     got = _push_chain(Q, c, chain, slowpath.adjoint_general)
+    assume = {"t": (0.1, 3.0)}
     for slot in ("tau", "chi", "phi"):
         assert zero(getattr(got, slot) - getattr(canon, slot), assume=assume), slot
 
@@ -842,7 +844,7 @@ def test_canonicalize_matches_slow_path_steps(r, tau, chi, phi):
 class TestCanonicalize1d:
     def test_dilation(self):
         Q = VectorField(tau=t)
-        canon, c, chain = canonicalize_1d(Q, 3, assume={"t": (0.1, 3.0)})
+        canon, c, chain = canonicalize_1d(Q, 3)
         assert zero(canon.tau - 1) and zero(canon.chi) and zero(canon.phi)
         assert c == 1 and len(chain) == 1
         assert zero(chain[0].T - Ln(t))
@@ -850,7 +852,7 @@ class TestCanonicalize1d:
     def test_full_tau_case(self):
         Q = VectorField(tau=t, chi=S.One, phi=S.One)
         assume = {"t": (0.1, 3.0)}
-        canon, c, chain = canonicalize_1d(Q, 3, assume=assume)
+        canon, c, chain = canonicalize_1d(Q, 3)
         assert zero(canon.tau - 1) and zero(canon.chi) and zero(canon.phi)
         assert all(isinstance(tr, EquivTransformation) for tr in chain)
         got = _push_chain(Q, c, chain)
@@ -869,7 +871,7 @@ class TestCanonicalize1d:
 
         monkeypatch.setattr(equivalence, "adjoint_general", counting)
         Q = VectorField(tau=t, chi=S.One, phi=S.One)
-        _, _, chain = canonicalize_1d(Q, 3, assume={"t": (0.1, 3.0)})
+        _, _, chain = canonicalize_1d(Q, 3)
         assert len(chain) == 3
         assert tuple(calls) == chain
 

@@ -67,11 +67,6 @@ def same(a, b):
 
 
 class TestLinearODE:
-    def test_leading_coefficient_normalized(self):
-        ode = LinearODE(2, (x, S.One, Integer(2)), S.Zero, x)
-        assert same(ode.coeffs[0], x / 2)
-        assert same(ode.coeffs[1], Rational(1, 2))
-
     def test_residual(self):
         ode = LinearODE(3, (0, 0, 0))
         assert zero(ode.residual(x**2))
@@ -79,28 +74,17 @@ class TestLinearODE:
 
     def test_variable_mismatch_rejected(self):
         with pytest.raises(InputError):
-            LinearODE(2, (t, S.Zero), S.Zero, x)
+            LinearODE(2, (t, S.Zero), x)
         with pytest.raises(InputError):
             LinearODE(0, ())
 
-    def test_zero_leading_coefficient_rejected(self):
-        with pytest.raises(InputError):
-            LinearODE(2, (S.One, S.One, S.Zero))
-
     def test_fields_are_stored_as_normal_forms(self):
         raw = ((x**2 - 1) / (x - 1), Exp(x) * (Exp(x) + 1))
-        rhs = (x + x) * (x - 1)
-        ode = LinearODE(2, raw, rhs, x)
+        ode = LinearODE(2, raw, x)
         assert ode.coeffs == tuple(normalize(c).as_expr() for c in raw)
-        assert ode.coeffs != raw and ode.rhs != rhs
-        assert ode.rhs == normalize(rhs).as_expr()
-        # a leading entry divides, and the quotients are normal forms too
-        lead = LinearODE(2, raw + (x + 1,), rhs, x)
-        assert lead.coeffs == (S.One, normalize(raw[1] / (x + 1)).as_expr())
-        assert lead.rhs == normalize(rhs / (x + 1)).as_expr()
+        assert ode.coeffs != raw
         coupling = (((t**2 - 1) / (t - 1), t + t), (Exp(t) * (Exp(t) + 1), S.Zero))
-        left = (LinearODE(1, (S.Zero,), S.Zero, t),) * 2
-        system = ReducedSystem(t, ("v0", "v1"), left, coupling)
+        system = ReducedSystem(t, ("v0", "v1"), LinearODE(1, (S.Zero,), t), coupling)
         assert system.coupling == tuple(
             tuple(normalize(c).as_expr() for c in row) for row in coupling
         )
@@ -109,9 +93,7 @@ class TestLinearODE:
         bad_t = (t**2 - 1) / (t - 1) - t
         assert normalize(bad_t).as_expr() == 1
         with pytest.raises(InputError, match="must not involve t"):
-            LinearODE(2, (bad_t, S.Zero), S.Zero, x)
-        with pytest.raises(InputError, match="must not involve t"):
-            LinearODE(2, (S.Zero, S.Zero), bad_t, x)
+            LinearODE(2, (bad_t, S.Zero), x)
 
 
 class TestReduceD1:
@@ -176,12 +158,8 @@ class TestSolveConstODE:
         ]
 
     def test_time_variable_basis(self):
-        basis = solve_const_ode(LinearODE(1, (Integer(-3),), S.Zero, t))
+        basis = solve_const_ode(LinearODE(1, (Integer(-3),), t))
         assert same(basis[0].expr, Exp(3 * t))
-
-    def test_inhomogeneous_rejected(self):
-        with pytest.raises(InputError):
-            solve_const_ode(LinearODE(2, (1, 0), x))
 
     def test_nonconstant_rejected(self):
         with pytest.raises(InputError):
@@ -529,8 +507,8 @@ class TestGeneralizedReductionP:
 
 class TestRK4:
     def test_exponential_order(self):
-        ode = LinearODE(1, (Integer(-1),), S.Zero, t)
-        system = ReducedSystem(t, ("v0",), (ode,), ((S.One - S.One,),))
+        ode = LinearODE(1, (Integer(-1),), t)
+        system = ReducedSystem(t, ("v0",), ode, ((S.One - S.One,),))
         # v' = -coeff v + coupling v with coeff -1, coupling 0: v' = v
         errs = []
         for n in (16, 32):
@@ -540,16 +518,16 @@ class TestRK4:
         assert order == pytest.approx(4.0, abs=0.3)
 
     def test_error_estimate_brackets_true_error(self):
-        ode = LinearODE(1, (Integer(-1),), S.Zero, t)
-        system = ReducedSystem(t, ("v0",), (ode,), ((S.Zero,),))
+        ode = LinearODE(1, (Integer(-1),), t)
+        system = ReducedSystem(t, ("v0",), ode, ((S.Zero,),))
         _, traj, err = rk4_integrate(system, [1.0], (0.0, 1.0), 32)
         true_err = abs(traj["v0"][-1] - math.e)
         assert err > true_err / 20
         assert err < 1e-6
 
     def test_input_validation(self):
-        ode = LinearODE(1, (S.Zero,), S.Zero, t)
-        system = ReducedSystem(t, ("v0",), (ode,), ((S.Zero,),))
+        ode = LinearODE(1, (S.Zero,), t)
+        system = ReducedSystem(t, ("v0",), ode, ((S.Zero,),))
         with pytest.raises(InputError):
             rk4_integrate(system, [1.0, 2.0], (0.0, 1.0), 8)
         with pytest.raises(InputError):

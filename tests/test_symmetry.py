@@ -225,11 +225,13 @@ class TestSolveSymmetries:
             assert not signature_bounds_check(alg)
 
 
-    def test_size_bound(self):
+    def test_size_bound(self, monkeypatch):
         red = ReducedEquation(3, (x, S.Zero))
+        monkeypatch.setattr(symmetry, "MAX_CELLS", 100)
         with pytest.raises(UnsupportedError, match="size bound"):
-            solve_symmetries(red, max_cells=100)
-        assert solve_symmetries(red, max_cells=10000).dim == 3
+            solve_symmetries(red)
+        monkeypatch.setattr(symmetry, "MAX_CELLS", 10000)
+        assert solve_symmetries(red).dim == 3
 
     def test_size_bound_stops_at_the_first_column_past_it(self, monkeypatch):
         # the bound is checked as each unknown's column grows the row index,
@@ -243,9 +245,10 @@ class TestSolveSymmetries:
             return real(k, lam, d)
 
         monkeypatch.setattr(symmetry, "_ansatz_derivative", counted)
+        monkeypatch.setattr(symmetry, "MAX_CELLS", 1)
         msg = "^classifying system exceeds the size bound; shrink the ansatz$"
         with pytest.raises(UnsupportedError, match=msg):
-            solve_symmetries(red, max_cells=1)
+            solve_symmetries(red)
         # A is t-free, so tau = 1 adds no order-0 monomial and tau = t is the
         # first column past the bound: two terms each, where the whole
         # order-0 block takes 48

@@ -177,13 +177,6 @@ class TestNumericResidual:
         assert dirty == pytest.approx(0.875**3 / 1000, rel=1e-3)
         assert dirty > 1000 * clean
 
-    def test_callable_input(self):
-        mr, slope = residual_numeric(
-            FREE3, lambda tv, xv: math.exp(tv + xv), GRID3
-        )
-        assert mr < 1e-7
-        assert slope == pytest.approx(6.0, abs=0.5)
-
     def test_grid_data_input(self):
         tp, xp = GRID3.points()
         vals = np.exp(tp[:, None] + xp[None, :])
@@ -212,6 +205,9 @@ class TestNumericResidual:
     def test_grid_required_for_exprs(self):
         with pytest.raises(InputError):
             residual_numeric(FREE3, Exp(x + t))
+        # anything but an expression or grid data is refused, a callable too
+        with pytest.raises(InputError, match="expression or grid data"):
+            residual_numeric(FREE3, lambda tv, xv: math.exp(tv + xv), GRID3)
 
 
 class TestSingularities:
