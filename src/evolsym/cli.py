@@ -23,6 +23,7 @@ from .kernel import (
     Verdict,
     is_zero,
     parse_expr,
+    read_expr,
     sym,
     substitute,
     to_str,
@@ -49,6 +50,11 @@ from .verify import GridSpec, residual_numeric, residual_symbolic
 
 FORMS = ("general", "reduced-inhomogeneous", "reduced")
 
+# the highest equation order a document may declare: each order costs a
+# coefficient slot and a determining-system block, so an oversized integer
+# would exhaust memory before any other check
+MAX_ORDER = 64
+
 
 # --- documents -------------------------------------------------------------------
 
@@ -74,11 +80,13 @@ def parse_equation_document(doc):
         raise InputError(f"equation document: missing {exc}") from None
     if not (isinstance(r, int) and r >= 3):
         raise InputError("order must be an integer >= 3")
+    if r > MAX_ORDER:
+        raise InputError(f"order exceeds the limit of {MAX_ORDER}")
     if form not in FORMS:
         raise InputError(f"form must be one of {FORMS}")
     if not isinstance(cmap, dict):
         raise InputError("coefficients must be a name -> expression map")
-    params = doc.get("parameters") or {}
+    params = doc.get("parameters", {})
     if not isinstance(params, dict):
         raise InputError("equation document: parameters must be a name -> value map")
     declared = []
@@ -87,7 +95,10 @@ def parse_equation_document(doc):
         declared.append(name)
         if val != "symbolic":
             try:
-                fr = Fraction(str(val))
+                # exactly int or str: bools and floats are refused
+                if type(val) is not int and not isinstance(val, str):
+                    raise ValueError
+                fr = Fraction(val)
             except (ValueError, ZeroDivisionError):
                 raise InputError(
                     f'parameter {name}: rational value or "symbolic" required'
@@ -101,8 +112,7 @@ def parse_equation_document(doc):
             )
 
     def coeff(name):
-        src = cmap.get(name, "0")
-        e = parse_expr(str(src), declared=tuple(declared))
+        e = read_expr(cmap, name, S.Zero, tuple(declared), "coefficient")
         if bindings:
             e = substitute(e, bindings)
         return e
@@ -149,7 +159,7 @@ def parse_field_document(doc, declared=()):
         raise InputError("vector-field document must be a JSON object")
     comps = {}
     for name in ("tau", "chi", "phi", "eta0"):
-        comps[name] = parse_expr(str(doc.get(name, "0")), declared=declared)
+        comps[name] = read_expr(doc, name, S.Zero, declared, "vector-field")
     extra = set(doc) - {"tau", "chi", "phi", "eta0"}
     if extra:
         raise InputError(f"unknown vector-field components: {sorted(extra)}")
@@ -189,7 +199,10 @@ def _read_json(path):
             return json.load(sys.stdin)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
+    # literals past the interpreter's digit limit; RecursionError, nesting
+    # deeper than the decoder's stack
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from None
@@ -375,16 +388,13 @@ def cmd_solve(args):
             raise InputError("--seed is required for --method nonlocal")
         seed_doc = _read_json(args.seed)
         seed = Solution.from_doc(seed_doc)
-        grid = _grid_from_args(args, red.r)
-        tpts, xpts = grid.points()
         sol = generate_nonlocal(
             red,
             seed,
             args.x0,
             args.t0,
             args.v0,
-            t_pts=tpts,
-            x_pts=xpts,
+            _grid_from_args(args, red.r),
             phi0_value=args.phi0_value,
         )
         out["solutions"] = [sol.to_doc()]
@@ -543,14 +553,10 @@ def main(argv=None):
         if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
             raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
         return args.func(args)
-    except ParseError as exc:
-        err = {"error": str(exc), "exit_code": 2}
-        if getattr(exc, "offset", None) is not None:
-            err["offset"] = exc.offset
-        sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
-        return 2
     except EvolsymError as exc:
         err = {"error": str(exc), "exit_code": exc.exit_code}
+        if isinstance(exc, ParseError):
+            err["offset"] = exc.offset
         sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
         return exc.exit_code
     except Exception as exc:  # pragma: no cover - defensive

@@ -11,7 +11,7 @@ pushforward_equation): each transformed coefficient is one expression in
 the old coordinates, normalized once and pulled back to the new ones.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from sympy import Add, Expr, Pow, Rational, S, expand
@@ -28,7 +28,7 @@ from .kernel import (
     integrate,
     is_zero,
     normalize,
-    parse_expr,
+    read_expr,
     substitute,
     t,
     x,
@@ -38,6 +38,7 @@ from .model import (
     ReducedEquation,
     VectorField,
     _combination,
+    _reduced_shape,
     _slot_coords,
     embed_reduced,
 )
@@ -45,7 +46,6 @@ from .symmetry import classifying_residuals
 from .verify import residual_symbolic
 
 __all__ = [
-    "CatalogEntry",
     "EquivTransformation",
     "adjoint_general",
     "canonicalize_1d",
@@ -60,7 +60,6 @@ __all__ = [
     "gauge_subleading",
     "infinitesimal_action",
     "invert",
-    "invert_scalar",
     "nth_root",
     "pushforward_equation",
     "recognize_scalar",
@@ -158,14 +157,6 @@ def nth_root(f, r):
 # --- invertible scalar catalog -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    family: str
-    params: tuple
-    T: Expr
-    T_inverse: Expr
-
-
 def _tfree(e):
     return t not in e.free_symbols
 
@@ -173,7 +164,7 @@ def _tfree(e):
 def recognize_scalar(f):
     """Match f(t) against the invertible families: affine a*t+c,
     power a*t^q+c, exponential a*exp(b*t)+c, logarithm a*ln(b*t+c)+d.
-    Returns a CatalogEntry or None."""
+    Returns the inverse map, old t as a function of the new, or None."""
     f = normalize(f).as_expr()
     fp = differentiate(f, t)
     if fp == 0:
@@ -183,7 +174,7 @@ def recognize_scalar(f):
         c = normalize(f - a * t).as_expr()
         if not _tfree(c):
             return None
-        return CatalogEntry("affine", (a, c), f, normalize((t - c) / a).as_expr())
+        return normalize((t - c) / a).as_expr()
     fpp = differentiate(fp, t)
     # exponential: f''/f' = b constant, nonzero
     b = normalize(fpp / fp).as_expr()
@@ -192,8 +183,7 @@ def recognize_scalar(f):
         if _tfree(a):
             c = normalize(f - a * Exp(b * t)).as_expr()
             if _tfree(c):
-                inv = normalize(expand_special(Ln((t - c) / a) / b)).as_expr()
-                return CatalogEntry("exp", (a, b, c), f, inv)
+                return normalize(expand_special(Ln((t - c) / a) / b)).as_expr()
     # power: t f''/f' = q - 1 constant
     qm1 = normalize(t * fpp / fp).as_expr()
     if _tfree(qm1):
@@ -205,10 +195,8 @@ def recognize_scalar(f):
                 if _tfree(c):
                     if q.is_Integer and q > 0 and q % 2 == 1:
                         s = (t - c) / a
-                        inv = normalize(Sgn(s) * Pow(AbsV(s), 1 / q)).as_expr()
-                    else:
-                        inv = normalize(Pow((t - c) / a, 1 / q)).as_expr()
-                    return CatalogEntry("power", (a, q, c), f, inv)
+                        return normalize(Sgn(s) * Pow(AbsV(s), 1 / q)).as_expr()
+                    return normalize(Pow((t - c) / a, 1 / q)).as_expr()
     # logarithm: read the Ln atom directly
     for node in f.atoms(Ln):
         arg = node.args[0]
@@ -224,16 +212,8 @@ def recognize_scalar(f):
         d = normalize(f - a * node).as_expr()
         if not _tfree(d):
             continue
-        inv = normalize(expand_special((Exp((t - d) / a) - cc) / db)).as_expr()
-        return CatalogEntry("log", (a, db, cc, d), f, inv)
+        return normalize(expand_special((Exp((t - d) / a) - cc) / db)).as_expr()
     return None
-
-
-def invert_scalar(f):
-    entry = recognize_scalar(f)
-    if entry is None:
-        raise UnsupportedError("time map outside the invertible catalog")
-    return entry
 
 
 # --- transformations ----------------------------------------------------------
@@ -244,7 +224,11 @@ class EquivTransformation:
     """t~ = T(t), x~ = X1 x + X0, u~ = U1 u + U0.
 
     X1 defaults to eps*(T_t)^{1/r}, the constraint of the reduced-class
-    equivalence group; gauge transformations pass an explicit X1."""
+    equivalence group; gauge transformations pass an explicit X1.  The
+    inverse time map T_inverse is resolved once here from the invertible
+    catalog, so every element can be inverted; a T outside the catalog is
+    refused.  Only invert passes T_inverse: the forward map of the element
+    it inverts, whose inverse need not lie in the catalog."""
 
     r: int
     T: Expr = t
@@ -253,6 +237,7 @@ class EquivTransformation:
     U0: Expr = S.Zero
     eps: int = 1
     X1: Expr = None
+    T_inverse: Expr = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.r, int) and self.r >= 3):
@@ -284,18 +269,21 @@ class EquivTransformation:
                 raise InputError("X1 must be certifiably nonzero")
         for name, c in zip(names + ("X1",), (T, X0, U1, U0, X1)):
             object.__setattr__(self, name, normalize(c).as_expr())
+        if self.T_inverse is not None:
+            T_inverse = normalize(self.T_inverse).as_expr()
+        else:
+            T_inverse = t if self.T == t else recognize_scalar(self.T)
+            if T_inverse is None:
+                raise UnsupportedError("time map outside the invertible catalog")
+        object.__setattr__(self, "T_inverse", T_inverse)
 
     @property
     def X_expr(self):
         return self.X1 * x + self.X0
 
-    def time_inverse(self):
-        """Old t as a function of the new."""
-        return t if self.T == t else invert_scalar(self.T).T_inverse
-
     def inverse_map(self):
         """Substitution {t, x} -> old coordinates as functions of the new."""
-        tin = self.time_inverse()
+        tin = self.T_inverse
         X1i = compose_scalar(self.X1, tin)
         X0i = compose_scalar(self.X0, tin)
         xin = normalize((x - X0i) / X1i).as_expr()
@@ -317,17 +305,11 @@ class EquivTransformation:
             raise InputError("transformation document must be a JSON object")
 
         def rd(key, default):
-            v = doc.get(key, default)
-            if isinstance(v, str):
-                return parse_expr(v, declared=params)
-            # exactly int: a JSON true or false is a bool, an int subclass
-            if key in doc and type(v) is not int:
-                raise InputError(f"transformation {key}: expression string or integer required")
-            return v
+            return read_expr(doc, key, default, params, "transformation")
 
         x1 = rd("X1", None)
         eps = doc.get("eps", 1)
-        return cls(r, rd("T", t), rd("X0", 0), rd("U1", 1), rd("U0", 0), eps, x1)
+        return cls(r, rd("T", t), rd("X0", S.Zero), rd("U1", S.One), rd("U0", S.Zero), eps, x1)
 
 
 # --- pushforward ----------------------------------------------------------------
@@ -377,8 +359,6 @@ def compose(tr1, tr2):
         raise InputError("orders do not match")
     r = tr1.r
     T = compose_scalar(tr2.T, tr1.T)
-    if recognize_scalar(T) is None and T != t:
-        raise UnsupportedError("composed time map leaves the invertible catalog")
     push = {t: tr1.T, x: tr1.X_expr}
     X1_2 = _pull_back(tr2.X1, push)
     U1_2 = _pull_back(tr2.U1, push)
@@ -387,10 +367,7 @@ def compose(tr1, tr2):
     X0 = X1_2 * tr1.X0 + compose_scalar(tr2.X0, tr1.T)
     U1 = U1_2 * tr1.U1
     U0 = U1_2 * tr1.U0 + _pull_back(tr2.U0, push)
-    eps = tr1.eps * tr2.eps
-    if r % 2 == 1:
-        eps = 1
-    return EquivTransformation(r, T, X0, U1, U0, eps, X1)
+    return EquivTransformation(r, T, X0, U1, U0, tr1.eps * tr2.eps, X1)
 
 
 def invert(tr):
@@ -401,7 +378,7 @@ def invert(tr):
     X0i = normalize(-compose_scalar(tr.X0, tin) * X1i).as_expr()
     U1i = normalize(1 / _pull_back(tr.U1, inv)).as_expr()
     U0i = normalize(-_pull_back(tr.U0, inv) * U1i).as_expr()
-    return EquivTransformation(r, tin, X0i, U1i, U0i, tr.eps, X1i)
+    return EquivTransformation(r, tin, X0i, U1i, U0i, tr.eps, X1i, T_inverse=tr.T)
 
 
 # --- gauging -------------------------------------------------------------------
@@ -463,7 +440,7 @@ def gauge_inhomogeneity(eq, w):
     w, which the input check certifies zero, so nothing is pushed."""
     eq = embed_reduced(eq)
     r = eq.r
-    if is_zero(eq.A[r] - 1) is not Verdict.ZERO or is_zero(eq.A[r - 1]) is not Verdict.ZERO:
+    if not _reduced_shape(eq, homogeneous=False):
         raise InputError("gauge the leading and subleading coefficients first")
     w = as_exact(w)
     if is_zero(residual_symbolic(eq, w)) is not Verdict.ZERO:
@@ -547,7 +524,7 @@ def infinitesimal_action(Q, eq):
     residuals of Q."""
     if Q.eta0 != 0:
         raise InputError("an equivalence generator has eta0 = 0")
-    res = classifying_residuals(eq, Q.tau, Q.chi, Q.phi)
+    res = classifying_residuals(eq, Q)
     return tuple(normalize(-e).as_expr() for e in res)
 
 
@@ -601,7 +578,7 @@ def adjoint_general(Q, tr):
         - Rational(1, r) * (tau_t + tau * differentiate(Tt, t) / Tt) * tr.X0
     )
     phi_new = phi + tau * differentiate(tr.U1, t) / tr.U1
-    inv = tr.inverse_map() if eta != 0 else {t: tr.time_inverse()}
+    inv = tr.inverse_map() if eta != 0 else {t: tr.T_inverse}
     return VectorField(
         *(_pull_back(e, inv) for e in (Tt * tau, chi_new, phi_new, tr.U1 * eta))
     )
@@ -646,7 +623,7 @@ def canonicalize_1d(Q, r):
                 c = S.NegativeOne
         # the elements are those of c Q; the pushforward is linear in Q
         T = integrate(normalize(1 / (c * Q.tau)).as_expr(), t)
-        if T is None or recognize_scalar(T) is None:
+        if T is None:
             raise UnsupportedError("int dt/tau leaves the invertible catalog")
         push(T=T)
         if is_zero(got.chi) is not Verdict.ZERO:
@@ -666,7 +643,7 @@ def canonicalize_1d(Q, r):
             if r % 2 == 0 and sgn == 0:
                 raise UnsupportedError("sign of chi must be definite for even order")
             T = integrate(normalize(Pow(Q.chi, -r)).as_expr(), t)
-            if T is None or recognize_scalar(T) is None:
+            if T is None:
                 raise UnsupportedError("int chi^-r dt leaves the invertible catalog")
             push(T=T, eps=-1 if r % 2 == 0 and sgn < 0 else 1)
         if is_zero(got.chi - 1) is not Verdict.ZERO:
@@ -677,8 +654,6 @@ def canonicalize_1d(Q, r):
             c = normalize(1 / Q.phi).as_expr()
             canonical = VectorField(phi=S.One)
         else:
-            if recognize_scalar(Q.phi) is None:
-                raise UnsupportedError("phi outside the invertible catalog")
             push(T=Q.phi)
             canonical = VectorField(phi=t)
     else:

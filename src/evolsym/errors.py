@@ -19,7 +19,6 @@ class ParseError(InputError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte {offset})")
         self.offset = offset
-        self.bare_message = message
 
 
 class UnknownSymbolError(ParseError):

@@ -5,7 +5,7 @@ from .calculus import differentiate, integrate, substitute
 from .linalg import nullspace, rank, row_canonical, rref, solve_affine, to_fraction
 from .normalform import NormalForm, as_exact, dict_to_expr, normalize
 from .numeric import eval_numeric, numeric_function
-from .parse import parse_expr
+from .parse import parse_expr, read_expr
 from .printer import to_str
 from .zerotest import Verdict, is_zero
 
@@ -30,6 +30,7 @@ __all__ = [
     "numeric_function",
     "parse_expr",
     "rank",
+    "read_expr",
     "row_canonical",
     "rref",
     "solve_affine",

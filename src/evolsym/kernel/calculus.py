@@ -129,9 +129,9 @@ def substitute(e, bindings):
 def integrate(e, var):
     """Antiderivative in var for the supported families, else None.
 
-    Families: polynomials (any rational power of var except -1, which gives
-    ln), rational functions whose denominator splits into linear factors,
-    and p(var) * exp(linear) * optional {sin, cos}(linear).  No integration
+    Families: sums of rational powers of var, rational functions whose
+    denominator splits into linear factors (so c/var gives c ln(var)), and
+    p(var) * exp(linear) * optional {sin, cos}(linear).  No integration
     constant is added.
     """
     var = _as_sym(var)
@@ -231,8 +231,6 @@ def _integrate_term(term, var):
     if exp_arg is None and trig is None:
         if k is None:
             return c * var
-        if k == -1:
-            return c * Ln(var)
         return c * Pow(var, k + 1) / (k + 1)
     if k is not None and not (k.is_Integer and k >= 0):
         return None

@@ -25,7 +25,7 @@ integer, and the cost grows linearly in the exponent.
 
 from sympy import Integer, Mul, Pow, Rational, S
 
-from ..errors import ParseError, UnknownSymbolError
+from ..errors import InputError, ParseError, UnknownSymbolError
 from .atoms import FUNC_BY_NAME, sym
 
 _OPS = set("+-*/^()")
@@ -199,3 +199,18 @@ def parse_expr(text, declared=()):
     if not isinstance(text, str):
         raise ParseError("input is not a string", 0)
     return _Parser(_tokenize(text), declared).parse()
+
+
+def read_expr(doc, key, default, declared, what):
+    """The value under key of a JSON document as an expression: an
+    expression string or an exact JSON integer, default when the key is
+    absent.  Anything else raises InputError naming what and key."""
+    if key not in doc:
+        return default
+    v = doc[key]
+    if isinstance(v, str):
+        return parse_expr(v, declared=declared)
+    # exactly int: a JSON true or false is a bool, an int subclass
+    if type(v) is int:
+        return Integer(v)
+    raise InputError(f"{what} {key}: expression string or integer required")

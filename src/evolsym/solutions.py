@@ -29,7 +29,7 @@ from .kernel import (
     is_zero,
     normalize,
     numeric_function,
-    parse_expr,
+    read_expr,
     substitute,
     sym,
     t,
@@ -91,13 +91,21 @@ class LinearODE:
     def is_constant(self):
         return all(c.is_Rational for c in self.coeffs)
 
+    def operator_texts(self, names):
+        """The left-hand side v_order + sum_l coeffs[l] v_l as text, one
+        per unknown name, with name_l for the l-th derivative."""
+        terms = [
+            (l, to_str(self.coeffs[l]))
+            for l in range(self.order - 1, -1, -1)
+            if self.coeffs[l] != 0
+        ]
+        return [
+            " + ".join([f"{n}_{self.order}"] + [f"({c})*{n}_{l}" for l, c in terms])
+            for n in names
+        ]
+
     def describe(self):
-        parts = [f"v_{self.order}"]
-        for l in range(self.order - 1, -1, -1):
-            c = self.coeffs[l]
-            if c != 0:
-                parts.append(f"({to_str(c)})*v_{l}")
-        return " + ".join(parts) + f" = 0  [{self.var}]"
+        return f"{self.operator_texts(['v'])[0]} = 0  [{self.var}]"
 
 
 @dataclass(frozen=True)
@@ -115,15 +123,10 @@ class ReducedSystem:
         object.__setattr__(self, "coupling", rows)
 
     def describe(self):
-        lhs = self.ode.describe().split(" = ")[0]
         lines = []
-        for i, name in enumerate(self.unknowns):
-            rhs = [
-                f"({to_str(c)})*{other}"
-                for c, other in zip(self.coupling[i], self.unknowns)
-                if c != 0
-            ]
-            lines.append(lhs.replace("v_", f"{name}_") + " = " + (" + ".join(rhs) or "0"))
+        for row, lhs in zip(self.coupling, self.ode.operator_texts(self.unknowns)):
+            rhs = [f"({to_str(c)})*{other}" for c, other in zip(row, self.unknowns) if c != 0]
+            lines.append(lhs + " = " + (" + ".join(rhs) or "0"))
         return lines
 
 
@@ -167,23 +170,26 @@ class Solution:
         if not isinstance(params, (list, tuple)) or not all(isinstance(p, str) for p in params):
             raise InputError("solution document: parameters must be a list of names")
         params = tuple(params)
-        try:
-            kind = doc["kind"]
-            expr = None
-            if "expr" in doc:
-                expr = parse_expr(doc["expr"], declared=params)
-            return cls(
-                kind,
-                expr=expr,
-                grid=doc.get("grid"),
-                provenance=doc.get("provenance"),
-                certificate=doc.get("certificate", ""),
-                max_residual=doc.get("max_residual"),
-                slope=doc.get("slope"),
-                parameters=params,
-            )
-        except KeyError as exc:
-            raise InputError(f"malformed solution document: missing {exc}") from None
+        if "kind" not in doc:
+            raise InputError("malformed solution document: missing 'kind'")
+        kind = doc["kind"]
+        if kind not in ("symbolic", "numeric"):
+            raise InputError('solution document: kind must be "symbolic" or "numeric"')
+        expr = read_expr(doc, "expr", None, params, "solution")
+        if kind == "symbolic" and expr is None:
+            raise InputError("malformed solution document: missing 'expr'")
+        if "grid" in doc and not isinstance(doc["grid"], dict):
+            raise InputError("solution document: grid must be a JSON object")
+        return cls(
+            kind,
+            expr=expr,
+            grid=doc.get("grid"),
+            provenance=doc.get("provenance"),
+            certificate=doc.get("certificate", ""),
+            max_residual=doc.get("max_residual"),
+            slope=doc.get("slope"),
+            parameters=params,
+        )
 
 
 @dataclass(frozen=True)
@@ -463,6 +469,7 @@ def solve_const_ode(ode):
                     items.append((wk * efac * Sin(b * w), tag, k))
     out = []
     for e, root, k in items:
+        e = normalize(e).as_expr()
         prov = {
             "method": "constant-ode-basis",
             "ode": ode.describe(),
@@ -473,7 +480,7 @@ def solve_const_ode(ode):
             out.append(
                 Solution(
                     "symbolic",
-                    expr=normalize(e).as_expr(),
+                    expr=e,
                     provenance=prov,
                     certificate="zero-residual",
                 )
@@ -482,7 +489,7 @@ def solve_const_ode(ode):
             out.append(
                 Solution(
                     "numeric",
-                    expr=normalize(e).as_expr(),
+                    expr=e,
                     provenance=prov,
                     certificate="numeric-residual",
                     max_residual=_ode_numeric_certificate(ode, e),
@@ -872,10 +879,7 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
             )
     elif N == 0:
         # floating complex roots of char(z) = mu - i nu
-        char = [to_fraction(a) for a in eq.A]
-        char += [Fraction(0)] * (eq.r - len(char))
-        char.append(Fraction(1))
-        cpoly = [complex(float(c), 0.0) for c in char]
+        cpoly = [complex(float(c), 0.0) for c in _char_coeffs(system.ode)]
         cpoly[0] -= complex(float(mu), -float(nu))
         roots = np.roots(list(reversed(cpoly)))
         for z in sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
@@ -1118,9 +1122,7 @@ def _numeric_reduction(eq, family, system, mu, nu, phi, numeric):
 # --- nonlocal generation ---------------------------------------------------------
 
 
-def generate_nonlocal(
-    eq, h, x0, t0, v0, t_pts=None, x_pts=None, phi0_value=0.0
-):
+def generate_nonlocal(eq, h, x0, t0, v0, grid=None, phi0_value=0.0):
     """New solution from a known one by the nonlocal formula
 
     u = e^{phi x} int_{x0}^{x} e^{-phi x'} h(t, x') dx'
@@ -1128,8 +1130,9 @@ def generate_nonlocal(
            e^{-phi x0 - w} dt' + v0) e^{phi x + w(t)},
 
     with w(t) = int_{t0}^{t} sum_{k=2}^{r} A^k phi^k dt', evaluated by
-    adaptive quadrature on the requested grid.  h must be a certified
-    symbolic solution; phi0_value fixes the integration constant of phi.
+    adaptive quadrature on the points of grid, default_grid(r) when
+    omitted.  h must be a certified symbolic solution; phi0_value fixes the
+    integration constant of phi.
     """
     eq = as_reduced(eq)
     r = eq.r
@@ -1141,13 +1144,8 @@ def generate_nonlocal(
         raise InputError("bind the free parameters of h before generating")
     g = _exp_rate(eq, phi)
     point = {"phi0": phi0_value}
-    if t_pts is None or x_pts is None:
-        gdef = default_grid(r)
-        tdef, xdef = gdef.points()
-        t_pts = tdef if t_pts is None else t_pts
-        x_pts = xdef if x_pts is None else x_pts
-    tpts = [float(v) for v in t_pts]
-    xpts = [float(v) for v in x_pts]
+    tpts, xpts = (grid or default_grid(r)).points()
+    tpts, xpts = [float(v) for v in tpts], [float(v) for v in xpts]
 
     hs = [hexpr]
     for _ in range(r - 1):

@@ -51,18 +51,15 @@ __all__ = [
 # --- determining-equation residuals -----------------------------------------
 
 
-def classifying_residuals(eq, tau, chi, phi):
-    """Residuals of the classifying conditions for tau, chi, phi of t, a
-    tuple indexed by the coefficient order j = 0 .. r-2.
+def classifying_residuals(eq, Q):
+    """Residuals of the classifying conditions for the tau, chi, phi of the
+    field Q, a tuple indexed by the coefficient order j = 0 .. r-2.
 
     For j >= 2:  tau A^j_t + ((1/r) tau_t x + chi) A^j_x + ((r-j)/r) tau_t A^j;
     j = 1 adds (1/r) tau_tt x + chi_t;  j = 0 has weight 1 on tau_t A^0 and
     subtracts phi_t.
     """
-    tau, chi, phi = as_exact(tau), as_exact(chi), as_exact(phi)
-    for name, f in (("tau", tau), ("chi", chi), ("phi", phi)):
-        if x in f.free_symbols:
-            raise InputError(f"{name} must not depend on x")
+    tau, chi, phi = Q.tau, Q.chi, Q.phi
     r = eq.r
     tau_t = differentiate(tau, t)
     xi = Rational(1, r) * tau_t * x + chi
@@ -88,7 +85,7 @@ class SymmetryReport:
 
 def verify_symmetry(eq, Q):
     """Check a vector field against the determining equations exactly."""
-    res = classifying_residuals(eq, Q.tau, Q.chi, Q.phi)
+    res = classifying_residuals(eq, Q)
     if Q.eta0 != 0:
         # the linearity condition: eta0 solves the equation itself
         res += (residual_symbolic(eq, Q.eta0),)
@@ -192,6 +189,10 @@ def _times_ansatz(key, p, lam, merged):
     return _key(fmap)
 
 
+# the probes D(1), D(t) and P(1) of _order_factors
+_PROBES = (VectorField(tau=S.One), VectorField(tau=t), VectorField(chi=S.One))
+
+
 def _order_factors(eq):
     """Per-order factors of the classifying conditions, read off three
     probes of classifying_residuals.
@@ -206,9 +207,7 @@ def _order_factors(eq):
     per order j, the terms (slot, derivative order, factor) and the factor
     numerators over one common denominator as {key: Fraction}.
     """
-    d1 = classifying_residuals(eq, S.One, S.Zero, S.Zero)
-    dt = classifying_residuals(eq, t, S.Zero, S.Zero)
-    p1 = classifying_residuals(eq, S.Zero, S.One, S.Zero)
+    d1, dt, p1 = (classifying_residuals(eq, Q) for Q in _PROBES)
     out = []
     for j in range(eq.r - 1):
         factors = {

@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from sympy import Add, Mul, Rational, S, Symbol, expand, together
 
-from evolsym.equivalence import _pull_back, compose_scalar, invert_scalar, nth_root
+from evolsym.equivalence import _pull_back, compose_scalar, nth_root, recognize_scalar
 from evolsym.errors import EvalDomainError, InputError, InternalError, UnsupportedError
 from evolsym.kernel import Verdict, differentiate, is_zero, solve_affine, substitute, t, x
 from evolsym.kernel.atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin
@@ -240,7 +240,7 @@ def adjoint_pushforward(Q, step, r):
         Tt = differentiate(T, t)
         if r % 2 == 0 and is_zero(AbsV(Tt) + Tt) is Verdict.ZERO:
             raise InputError("even order requires T_t > 0")
-        tin = invert_scalar(T).T_inverse
+        tin = recognize_scalar(T)
         root = nth_root(Tt, r)
         if eta != 0:
             xin = normalize(x / compose_scalar(root, tin)).as_expr()

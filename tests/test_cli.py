@@ -1,15 +1,23 @@
 """Command-line surface: document round trips, report shapes, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evolsym
+from conftest import oracle_examples
 from evolsym.cli import (
     equation_to_document,
     main,
@@ -84,6 +92,22 @@ class TestEquationDocuments:
         eq, _ = parse_equation_document(doc)
         assert to_str(normalize(eq.A[3]).as_expr()) == "2"
         assert to_str(normalize(eq.B).as_expr()) == "x"
+
+    def test_reduced_inhomogeneous_round_trip_and_gauge(self, capsys, tmp_path):
+        # u_t = u_xxx + u + t keeps the reduced shape with a source term B
+        doc = {
+            "order": 3,
+            "form": "reduced-inhomogeneous",
+            "coefficients": {"A0": "1", "B": "t"},
+        }
+        eq, _ = parse_equation_document(doc)
+        assert equation_to_document(eq) == doc
+        rep = run_json(capsys, "gauge", write(tmp_path, "eq.json", doc))
+        assert rep["equation"] == {"order": 3, "form": "reduced", "coefficients": {"A0": "1"}}
+        # w = -t - 1 is the particular solution that u -> u + t + 1 absorbs
+        assert rep["report"]["chain"] == [
+            {"T": "t", "U0": "t + 1", "U1": "1", "X0": "0", "eps": 1}
+        ]
 
 
 class TestClassify:
@@ -288,6 +312,34 @@ class TestSolve:
         ]
         assert symbolic == ["exp(t + x)"]
 
+    def test_gen_reduction_prints_coefficients_unchanged(self, capsys, tmp_path):
+        # each layer's operator is printed with its own unknown's name; the
+        # coefficient text, here a parameter named like an unknown, is not
+        # rewritten
+        doc = {
+            "order": 3,
+            "form": "reduced",
+            "coefficients": {"A0": "kv_1*x"},
+            "parameters": {"kv_1": "symbolic"},
+        }
+        rep = run_json(
+            capsys,
+            "solve",
+            write(tmp_path, "eq.json", doc),
+            "--method",
+            "gen-reduction",
+            "--family",
+            "D",
+            "--N",
+            "1",
+            "--lambda",
+            "0",
+        )
+        assert rep["system"] == [
+            "v0_3 + (kv_1*x)*v0_0 = (1)*v1",
+            "v1_3 + (kv_1*x)*v1_0 = 0",
+        ]
+
     def test_d1_constant_basis(self, capsys, tmp_path):
         rep = run_json(
             capsys,
@@ -491,6 +543,45 @@ def test_malformed_documents_and_nonfinite_flags_exit2(
     assert json.loads(err)["exit_code"] == 2
 
 
+@pytest.mark.parametrize(
+    "command,document,key",
+    [
+        # refused before a coefficient slot is made for each order
+        ("classify", {**DRIFT3, "order": 10**30}, "order"),
+        # one wrong-typed value per document kind: nothing is coerced
+        # through str(), and the message names the key
+        ("classify", {**DRIFT3, "coefficients": {"A0": True}}, "A0"),
+        ("classify", {**DRIFT3, "coefficients": {"A0": 1.5}}, "A0"),
+        ("classify", {**DRIFT3, "parameters": {"c": 0.5}}, "c"),
+        ("classify", {**DRIFT3, "parameters": None}, "parameters"),
+        ("symmetry-check", {"tau": None}, "tau"),
+        ("symmetry-check", {"eta0": [1]}, "eta0"),
+        ("verify", {"kind": "symbolic", "expr": 1.5}, "expr"),
+        ("transform", {"X1": {"a": 1}}, "X1"),
+        # the solution document's own shape
+        ("verify", {"kind": "numeric", "grid": [1, 2]}, "grid"),
+        ("verify", {"kind": "numeric", "grid": "abc"}, "grid"),
+        ("verify", {"kind": "bogus", "expr": "x"}, "kind"),
+        ("verify", {"kind": "symbolic"}, "expr"),
+        ("nonlocal", {**DRIFT_SEED, "grid": None}, "grid"),
+    ],
+)
+def test_wrong_values_exit2_naming_the_key(capsys, tmp_path, command, document, key):
+    doc = write(tmp_path, "doc.json", document)
+    eq = write(tmp_path, "eq.json", DRIFT3)
+    argv = {
+        "classify": ("classify", doc),
+        "symmetry-check": ("symmetry-check", eq, doc),
+        "verify": ("verify", eq, doc),
+        "transform": ("transform", eq, doc),
+        "nonlocal": ("solve", eq, "--method", "nonlocal", "--seed", doc),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2, err
+    assert out == ""
+    assert re.search(rf"\b{key}\b", json.loads(err)["error"]), err
+
+
 GRID = {"t": [0, 1], "x": [0, 1], "ht": 0.0625, "hx": 0.0625}
 
 
@@ -525,6 +616,26 @@ def test_lossy_json_values_and_bad_tolerance_exit2(capsys, tmp_path, key, docume
     rep = json.loads(err)
     assert rep["exit_code"] == 2
     assert key in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # bytes that are not UTF-8
+        b'{"order": 3, "form": "reduced", "coefficients": {"A0": "\xff"}}',
+        # an integer literal past the interpreter's digit limit
+        b'{"order": ' + b"1" * 5000 + b"}",
+        # nesting deeper than the decoder's stack
+        b"[" * 100000 + b"]" * 100000,
+    ],
+)
+def test_undecodable_json_exit2(capsys, tmp_path, text):
+    p = tmp_path / "eq.json"
+    p.write_bytes(text)
+    code, out, err = run(capsys, "classify", str(p))
+    assert code == 2, err
+    assert out == ""
+    assert "invalid JSON" in json.loads(err)["error"]
 
 
 def test_huge_stencil_order_exit2_fast(capsys, tmp_path):
@@ -609,3 +720,95 @@ def test_start_up_loads_no_scipy(tmp_path):
     assert sol["kind"] == "numeric"
     for pkg in ("scipy", "multiprocessing", "concurrent"):
         assert [m for m in modules if m == pkg or m.startswith(pkg + ".")] == [], pkg
+
+
+# --- document fuzz ----------------------------------------------------------------
+
+# one valid document of each kind, which every command below accepts, and
+# the JSON types each key takes; the entries of an equation's coefficients
+# and parameters are keys too
+_EXPR = (str, int)
+FUZZ_DOCS = {
+    "equation": {
+        "order": 3,
+        "form": "general",
+        "coefficients": {"A3": "1", "A0": "c*x"},
+        "parameters": {"c": "1"},
+    },
+    "field": {"tau": "1", "chi": "0", "phi": "0", "eta0": "0"},
+    "transformation": {"T": "2*t", "X0": "t", "U1": "exp(t)", "U0": "0", "X1": "1", "eps": 1},
+    "solution": {"kind": "symbolic", "expr": "exp(t*x + 1/4*t^4)", "parameters": []},
+    "grid": {"t": [0.0, 0.5], "x": [0.0, 0.5], "ht": 0.0625, "hx": 0.0625, "order": 2},
+}
+FUZZ_TYPES = {
+    "equation": {"order": (int,), "form": (str,), "coefficients": (dict,), "parameters": (dict,)},
+    "coefficients": _EXPR,
+    "parameters": _EXPR,
+    "field": dict.fromkeys(("tau", "chi", "phi", "eta0"), _EXPR),
+    "transformation": {**dict.fromkeys(("T", "X0", "U1", "U0", "X1"), _EXPR), "eps": (int,)},
+    "solution": {"kind": (str,), "expr": _EXPR, "parameters": (list,)},
+    "grid": {"t": (list,), "x": (list,), "ht": (int, float), "hx": (int, float), "order": (int,)},
+}
+FUZZ_COMMANDS = {
+    "classify": ("classify", "equation"),
+    "transform": ("transform", "equation", "transformation"),
+    "solve": ("solve", "equation", "--method", "nonlocal", "--seed", "solution", "--grid", "grid"),
+    "verify": ("verify", "equation", "solution", "--numeric", "--grid", "grid"),
+    "symmetry-check": ("symmetry-check", "equation", "field"),
+}
+# a bool, a float, null, a list, an object and an integer past the float range
+_REPLACEMENTS = (True, False, 1.5, None, [1], {"a": 1}, 10**400)
+_NON_OBJECTS = ([1, 2], "x", 3, None, True)
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """(argv words, documents, and the replaced key, its new value and the
+    types it accepts, or None when a whole document was replaced)."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    words = FUZZ_COMMANDS[command]
+    kind = draw(st.sampled_from([w for w in words if w in FUZZ_DOCS]))
+    docs = copy.deepcopy(FUZZ_DOCS)
+    paths = [(key,) for key in docs[kind]]
+    if kind == "equation":
+        paths += [(m, key) for m in ("coefficients", "parameters") for key in docs[kind][m]]
+    path = draw(st.sampled_from(paths + [None]))
+    if path is None:
+        docs[kind] = draw(st.sampled_from(_NON_OBJECTS))
+        return words, docs, None
+    target = docs[kind]
+    for key in path[:-1]:
+        target = target[key]
+    value = target[path[-1]] = draw(st.sampled_from(_REPLACEMENTS))
+    types = FUZZ_TYPES[path[0]] if len(path) == 2 else FUZZ_TYPES[kind][path[0]]
+    return words, docs, (path[-1], value, types)
+
+
+def test_fuzz_documents_are_valid():
+    # the unmutated documents pass every command, so each exit 2 below comes
+    # from the replaced value
+    with tempfile.TemporaryDirectory() as tmp:
+        for words in FUZZ_COMMANDS.values():
+            argv = [write(Path(tmp), w, FUZZ_DOCS[w]) if w in FUZZ_DOCS else w for w in words]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, words
+
+
+@settings(max_examples=oracle_examples(25), deadline=None)
+@given(_fuzz_cases())
+def test_cli_document_fuzz_property(case):
+    # every document ends in bounded time with exit 0, 2 or 3; a value of a
+    # JSON type its key does not take exits 2 with a message naming the key
+    words, docs, replaced = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [write(Path(tmp), w, docs[w]) if w in docs else w for w in words]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 2.0, (words, docs)
+    assert code in (0, 2, 3), err.getvalue()
+    if replaced is not None and type(replaced[1]) not in replaced[2]:
+        key = replaced[0]
+        assert code == 2, (replaced, out.getvalue())
+        assert re.search(rf"\b{key}\b", json.loads(err.getvalue())["error"]), err.getvalue()

@@ -26,7 +26,6 @@ from evolsym.equivalence import (
     gauge_subleading,
     infinitesimal_action,
     invert,
-    invert_scalar,
     nth_root,
     pushforward_equation,
     recognize_scalar,
@@ -71,25 +70,26 @@ class TestCatalog:
         ],
     )
     def test_roundtrip(self, T):
-        entry = recognize_scalar(T)
-        assert entry is not None
+        inverse = recognize_scalar(T)
+        assert inverse is not None
         # T(T^{-1}(t)) = t exactly, except for fractional powers whose round
         # trip holds only on the domain: there, probing must find no violation
-        back = compose_scalar(T, entry.T_inverse)
-        diff = back - t
-        if entry.family == "power" and not entry.params[1].is_Integer:
+        diff = compose_scalar(T, inverse) - t
+        if any(not p.exp.is_Integer for p in T.atoms(Pow)):
             assert is_zero(diff, assume={"t": (0.2, 3.0)}) is not Verdict.NONZERO
         else:
             assert zero(diff)
+        # the group element resolves the same inverse once, when built
+        assert EquivTransformation(3, T=T).T_inverse == inverse
 
     def test_remark_style_inverse_pair(self):
-        entry = recognize_scalar(-Exp(-3 * t))
-        assert zero(entry.T_inverse - (-Ln(-t) / 3))
+        assert zero(recognize_scalar(-Exp(-3 * t)) - (-Ln(-t) / 3))
 
     def test_outside_catalog(self):
         assert recognize_scalar(t + Exp(t)) is None
-        with pytest.raises(UnsupportedError):
-            invert_scalar(t + Exp(t))
+        # every group element is invertible: the constructor refuses T
+        with pytest.raises(UnsupportedError, match="time map outside the invertible catalog"):
+            EquivTransformation(3, T=t + Exp(t))
 
     def test_expand_special(self):
         assert zero(expand_special(Exp(3 * Ln(x))) - x**3)
@@ -292,9 +292,6 @@ class TestPushforward:
     def test_matches_closed_formulas_free_x1(self):
         # gauge-style transformation with X1 independent of T
         eq = EvolutionEquation(3, (x, S.One, t, 2 + t**2))
-        tr = EquivTransformation(3, T=t + t**3 / 3, X1=S.One, U1=Exp(t))
-        # T has no catalog inverse, so conjugate with T = t instead and
-        # exercise the free-X1 path with an invertible time map
         tr = EquivTransformation(3, T=2 * t, X1=S.One, U1=Exp(t))
         got = pushforward_equation(eq, tr)
         want_A, want_B = eq7_oracle(eq, tr)
@@ -327,6 +324,12 @@ class TestPushforward:
         c = Symbol("c")
         tr = invert(EquivTransformation(3, X0=c))
         assert zero(tr.X0 + c)
+        # sgn(t)|t|^(1/3) lies outside the catalog: the inverse element
+        # takes the forward map t^3 as its own inverse
+        tr = invert(EquivTransformation(3, T=t**3))
+        assert zero(tr.T_inverse - t**3)
+        for tv in (-1.3, 0.7):
+            assert eval_numeric(tr.T, {"t": tv**3}) == pytest.approx(tv)
 
     def test_invert_roundtrip_on_equation(self):
         eq = EvolutionEquation(3, (x**2, t, S.Zero, S.One), S.Zero)
@@ -775,7 +778,7 @@ class TestAdjoint:
         Q = VectorField(tau=t, chi=S.One, phi=t)
         got = adjoint_general(Q, tr)
         Tt = differentiate(tr.T, t)
-        inv = {t: invert_scalar(tr.T).T_inverse}
+        inv = {t: recognize_scalar(tr.T)}
 
         def back(e):
             return normalize(expand_special(substitute(e, inv))).as_expr()

@@ -409,6 +409,9 @@ def test_common_numerators_oracle(es):
         ("(x^2-1)/(x-1)", "x + 1"),
         # deep=True puts the root's base over x; it is written out again
         ("(1/x + 1)^(1/2)", "(1 + x^(-1))^(1/2)"),
+        # a power of a sum of fractions over different denominators is
+        # multiplied out term by term before the fractions are joined
+        ("(1/x + 1/(x+1))^2", "(4*x^2 + 4*x + 1)*(x^4 + 2*x^3 + x^2)^(-1)"),
     ],
 )
 def test_normalize_slow_path_pins(src, want):
@@ -718,12 +721,15 @@ def test_integrate_exp_polynomial_printed(src, printed):
 
 def test_integrate_quadrature_oracle():
     quad = pytest.importorskip("scipy.integrate").quad
-    e = parse_expr("t^2*exp(3*t)")
-    F = integrate(e, "t")
-    a, b = 0.2, 1.1
-    want, _ = quad(lambda v: eval_numeric(e, {"t": v}), a, b)
-    got = eval_numeric(F, {"t": b}) - eval_numeric(F, {"t": a})
-    assert abs(got - want) < 1e-9
+    # the second is c/(a t + b)^m with m >= 2, the power branch of the
+    # partial-fraction antiderivative
+    for src in ("t^2*exp(3*t)", "3/(2*t+1)^3"):
+        e = parse_expr(src)
+        F = integrate(e, "t")
+        a, b = 0.2, 1.1
+        want, _ = quad(lambda v: eval_numeric(e, {"t": v}), a, b)
+        got = eval_numeric(F, {"t": b}) - eval_numeric(F, {"t": a})
+        assert abs(got - want) < 1e-9, src
 
 
 def test_integrate_outside_catalog_is_none():

@@ -534,12 +534,16 @@ class TestRK4:
             rk4_integrate(system, [1.0], (1.0, 0.0), 8)
 
 
+# np.linspace(0.0, 1.0, 17) on both axes
+UNIT17 = GridSpec((0.0, 1.0), (0.0, 1.0), 1 / 16, 1 / 16)
+
+
 class TestGenerateNonlocal:
     def test_zero_seed_matches_exponential_ansatz(self):
         # h = 0 collapses to v0 e^{phi x + w(t)}
         tp = np.linspace(0.0, 1.0, 17)
         xp = np.linspace(0.0, 1.0, 17)
-        s = generate_nonlocal(LINDRIFT3, S.Zero, 0.0, 0.0, 1.0, tp, xp)
+        s = generate_nonlocal(LINDRIFT3, S.Zero, 0.0, 0.0, 1.0, UNIT17)
         for i, j in [(0, 0), (8, 12), (16, 16)]:
             tv, xv = tp[i], xp[j]
             assert s.grid["values"][i][j] == pytest.approx(
@@ -550,7 +554,7 @@ class TestGenerateNonlocal:
         # v0 = 1, h = 0, phi0 = 1/2 on the free equation: e^{k x + k^3 t}
         tp = np.linspace(0.0, 1.0, 17)
         xp = np.linspace(0.0, 1.0, 17)
-        s = generate_nonlocal(FREE3, S.Zero, 0.0, 0.0, 1.0, tp, xp, phi0_value=0.5)
+        s = generate_nonlocal(FREE3, S.Zero, 0.0, 0.0, 1.0, UNIT17, phi0_value=0.5)
         tv, xv = tp[10], xp[5]
         assert s.grid["values"][10][5] == pytest.approx(
             math.exp(0.5 * xv + 0.125 * tv), rel=1e-10
@@ -563,7 +567,8 @@ class TestGenerateNonlocal:
         h = Exp(t * x + t**4 / 4)
         tp = np.linspace(0.0, 1.0, 33)
         xp = np.linspace(0.0, 1.0, 33)
-        s = generate_nonlocal(LINDRIFT3, h, 0.0, 0.0, 0.0, tp, xp)
+        grid = GridSpec((0.0, 1.0), (0.0, 1.0), 1 / 32, 1 / 32)
+        s = generate_nonlocal(LINDRIFT3, h, 0.0, 0.0, 0.0, grid)
         assert s.kind == "numeric"
         assert s.max_residual < 5e-6
         # not proportional to the seed: the ratio varies across the grid
@@ -618,8 +623,7 @@ class TestSolutionDocuments:
         assert back.parameters == s.parameters
 
     def test_numeric_document_fields(self):
-        tp = np.linspace(0.0, 1.0, 17)
-        s = generate_nonlocal(FREE3, S.Zero, 0.0, 0.0, 1.0, tp, tp, phi0_value=0.5)
+        s = generate_nonlocal(FREE3, S.Zero, 0.0, 0.0, 1.0, UNIT17, phi0_value=0.5)
         doc = s.to_doc()
         assert doc["kind"] == "numeric"
         assert doc["max_residual"] == s.max_residual
@@ -633,11 +637,10 @@ class TestSolutionDocuments:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_constants_refused(self, bad):
-        tp = np.linspace(0.0, 1.0, 17)
         for kw in ({"x0": bad}, {"t0": bad}, {"v0": bad}, {"phi0_value": bad}):
             args = {"x0": 0.0, "t0": 0.0, "v0": 1.0, **kw}
             with pytest.raises(InputError, match="finite"):
-                generate_nonlocal(FREE3, S.Zero, t_pts=tp, x_pts=tp, **args)
+                generate_nonlocal(FREE3, S.Zero, grid=UNIT17, **args)
         with pytest.raises(InputError, match="finite"):
             reduce_P1Iphi(FREE3, phi0_value=bad)
 

@@ -60,27 +60,27 @@ class TestClassifyingResiduals:
     def test_free_equation_time_translation(self):
         # [TRIVIAL] every term carries A or tau_tt
         red = ReducedEquation(3, (S.Zero, S.Zero))
-        res = classifying_residuals(red, t, S.Zero, S.Zero)
+        res = classifying_residuals(red, VectorField(tau=t))
         assert all(zero(e) for e in res)
 
     def test_scale_invariant_tuple(self):
         # [DERIVED] hand expansion: R_1 = (x/3)(-2x^-3) + (2/3)x^-2 = 0 and
         # R_0 = (x/3)(-3x^-4) + x^-3 = 0
         red = ReducedEquation(3, (Pow(x, -3), Pow(x, -2)))
-        res = classifying_residuals(red, t, S.Zero, S.Zero)
+        res = classifying_residuals(red, VectorField(tau=t))
         assert zero(res[1])
         assert zero(res[0])
 
     def test_dilation_rejected_for_linear_potential(self):
         # [DERIVED] R_0 = (x/3) + x = (4/3)x
         red = ReducedEquation(3, (x, S.Zero))
-        res = classifying_residuals(red, t, S.Zero, S.Zero)
+        res = classifying_residuals(red, VectorField(tau=t))
         assert zero(res[0] - Rational(4, 3) * x)
 
     def test_x_dependence_rejected(self):
-        red = ReducedEquation(3, (S.Zero, S.Zero))
+        # the field carries the guarantee that tau, chi and phi are x-free
         with pytest.raises(InputError):
-            classifying_residuals(red, x, S.Zero, S.Zero)
+            VectorField(tau=x)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_negated_infinitesimal_actions(self, seed):
@@ -99,7 +99,7 @@ class TestClassifyingResiduals:
 
         red = ReducedEquation(r, tuple(rand_poly([t, x]) for _ in range(r - 1)))
         tau, chi, phi = rand_poly([t]), rand_poly([t]), rand_poly([t])
-        res = classifying_residuals(red, tau, chi, phi)
+        res = classifying_residuals(red, VectorField(tau, chi, phi))
         total = [S.Zero] * (r - 1)
         for gen in (VectorField(tau=tau), VectorField(chi=chi), VectorField(phi=phi)):
             action = infinitesimal_action(gen, red)
@@ -262,9 +262,7 @@ def per_slot_system(eq, space):
     slots = [(s, f) for s in ("tau", "chi", "phi") for f in funcs]
     contribs = []
     for slot, f in slots:
-        args = {"tau": S.Zero, "chi": S.Zero, "phi": S.Zero}
-        args[slot] = f
-        contribs.append(classifying_residuals(eq, args["tau"], args["chi"], args["phi"]))
+        contribs.append(classifying_residuals(eq, VectorField(**{slot: f})))
     rows = []
     for j in range(eq.r - 1):
         keys, vecs = _slot_coords([c[j] for c in contribs])
