@@ -47,7 +47,7 @@ from .kernel.polyroot import (
 from .kernel.quadpack import quad
 from .model import _combination, _slot_coords, as_reduced
 from .symmetry import verify_symmetry
-from .verify import GridSpec, residual_numeric, residual_symbolic
+from .verify import GridSpec, finite_numbers, residual_numeric, residual_symbolic
 
 QUAD_TOL = 1e-11
 
@@ -130,6 +130,21 @@ class ReducedSystem:
         return lines
 
 
+def _check_grid_doc(grid):
+    """The sampled grid of a solution document: t and x lists of finite
+    JSON numbers, values a list of such lists; nothing is coerced."""
+    if not isinstance(grid, dict):
+        raise InputError("solution document: grid must be a JSON object")
+    for key in ("t", "x"):
+        if not finite_numbers(grid.get(key)):
+            raise InputError(f"solution document: grid.{key} must be a list of finite numbers")
+    values = grid.get("values")
+    if type(values) is not list or not all(map(finite_numbers, values)):
+        raise InputError(
+            "solution document: grid.values must be a list of lists of finite numbers"
+        )
+
+
 @dataclass(frozen=True)
 class Solution:
     """A certified solution: symbolic (exact residual zero) or numeric
@@ -178,8 +193,8 @@ class Solution:
         expr = read_expr(doc, "expr", None, params, "solution")
         if kind == "symbolic" and expr is None:
             raise InputError("malformed solution document: missing 'expr'")
-        if "grid" in doc and not isinstance(doc["grid"], dict):
-            raise InputError("solution document: grid must be a JSON object")
+        if "grid" in doc:
+            _check_grid_doc(doc["grid"])
         return cls(
             kind,
             expr=expr,

@@ -6,6 +6,7 @@ linear algebra, and classification of the resulting algebra into the seven
 extension cases.
 """
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -154,8 +155,8 @@ def _check_instantiated(eq):
 
 def _ansatz_derivative(k, lam, d):
     """d-th t-derivative of t^k e^(lam t) as {power p: c}, meaning the sum
-    of c t^p e^(lam t)."""
-    out = {k: Fraction(1)}
+    of c t^p e^(lam t); the c are ints when lam is."""
+    out = {k: 1}
     for _ in range(d):
         nxt = {}
         for p, c in out.items():
@@ -205,7 +206,9 @@ def _order_factors(eq):
     with P_j = A^j_t, Q_j = (1/r) x A^j_x + w_j A^j and R_j = A^j_x, so
     D(1) gives P_j, D(t) - t P_j gives Q_j and P(1) gives R_j.  Returns,
     per order j, the terms (slot, derivative order, factor) and the factor
-    numerators over one common denominator as {key: Fraction}.
+    numerators over one common denominator as {key: int}: each order's
+    numerators are scaled by the lcm of their coefficient denominators, one
+    positive factor per order, which leaves the null space unchanged.
     """
     d1, dt, p1 = (classifying_residuals(eq, Q) for Q in _PROBES)
     out = []
@@ -223,9 +226,14 @@ def _order_factors(eq):
         if j == 0:
             factors["-1"] = normalize(S.NegativeOne)
             terms.append(("phi", 1, "-1"))
+        nums = [
+            {k: to_fraction(c) for k, c in d.items()}
+            for d in common_numerators(factors.values())
+        ]
+        scale = math.lcm(*(c.denominator for d in nums for c in d.values()))
         nums = {
-            name: {k: to_fraction(c) for k, c in d.items()}
-            for name, d in zip(factors, common_numerators(factors.values()))
+            name: {k: c.numerator * (scale // c.denominator) for k, c in d.items()}
+            for name, d in zip(factors, nums)
         }
         out.append((terms, nums))
     return out
@@ -241,21 +249,27 @@ def _determining_system(eq, space):
     """Exact homogeneous system in the ansatz coefficients: one column per
     unknown, a block per slot of _SLOTS with one column per entry of
     space.terms() each, and one row per monomial of each order's common
-    numerator."""
-    slots = [(s, (k, Fraction(lam.p, lam.q))) for s in _SLOTS for k, lam in space.terms()]
+    numerator.  Entries are ints, except in the columns of a rate that is
+    not an integer, which may hold Fractions."""
+    # rate -> (its index, the rate as an int or a Fraction)
+    rates = {
+        lam: (i, lam.p if lam.q == 1 else Fraction(lam.p, lam.q))
+        for i, lam in enumerate(space.rates)
+    }
+    slots = [(s, k) + rates[lam] for s in _SLOTS for k, lam in space.terms()]
     merged = {}  # (Exp factors, lam) -> their product with e^(lam t)
     rows = []
     for terms, nums in _order_factors(eq):
-        shifted = {}  # (factor, p, lam) -> numerator times t^p e^(lam t)
+        shifted = {}  # (factor, p, rate index) -> numerator times t^p e^(lam t)
         cols = []
         index = {}  # monomial key -> row, grown column by column
-        for slot, (k, lam) in slots:
+        for slot, k, i, lam in slots:
             col = {}
             for s, d, name in terms:
                 if s != slot:
                     continue
                 for p, c in _ansatz_derivative(k, lam, d).items():
-                    sk = (name, p, lam)
+                    sk = (name, p, i)
                     if sk not in shifted:
                         shifted[sk] = [
                             (_times_ansatz(key, p, lam, merged), a)

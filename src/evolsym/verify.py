@@ -106,21 +106,27 @@ class GridSpec:
         missing = [key for key in ("t", "x", "ht", "hx") if key not in doc]
         if missing:
             raise InputError(f"malformed grid document: missing {missing}")
-
-        def finite(v):
-            # exact types: a JSON true or false is a bool, an int subclass;
-            # an integer past the float range would overflow in float()
-            return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
         for key in ("t", "x"):
-            if type(doc[key]) is not list or not all(map(finite, doc[key])):
+            if not finite_numbers(doc[key]):
                 raise InputError(f"grid document: {key} must be a list of finite numbers")
         for key in ("ht", "hx"):
-            if not finite(doc[key]):
+            if not finite_number(doc[key]):
                 raise InputError(f"grid document: {key} must be a finite number")
         if type(doc["order"]) is not int:
             raise InputError("grid document: order must be an integer")
         return cls(tuple(doc["t"]), tuple(doc["x"]), doc["ht"], doc["hx"], doc["order"])
+
+
+def finite_number(v):
+    """A finite JSON number.  The types are exact: a JSON true or false is a
+    bool, an int subclass; an integer past the float range would overflow
+    in float()."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def finite_numbers(v):
+    """A JSON list of finite numbers."""
+    return type(v) is list and all(map(finite_number, v))
 
 
 def _stencil_margin(d, p):

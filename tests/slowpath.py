@@ -40,6 +40,11 @@ raise the same error.
 stencil: the library computes finite-difference weights by Fornberg's
 recurrence; the oracle solves the Vandermonde moment system exactly.  The
 weights are unique, so both must return equal Fractions.
+
+nullspace: the library solves each connected block of columns on its own;
+the oracle runs one rref over the whole matrix and reads every free column
+off the reduced rows.  The basis is one vector per free column either way,
+so both must return equal lists of Fractions.
 """
 
 import math
@@ -49,7 +54,7 @@ from sympy import Add, Mul, Rational, S, Symbol, expand, together
 
 from evolsym.equivalence import _pull_back, compose_scalar, nth_root, recognize_scalar
 from evolsym.errors import EvalDomainError, InputError, InternalError, UnsupportedError
-from evolsym.kernel import Verdict, differentiate, is_zero, solve_affine, substitute, t, x
+from evolsym.kernel import Verdict, differentiate, is_zero, rref, solve_affine, substitute, t, x
 from evolsym.kernel.atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin
 from evolsym.kernel.normalform import (
     _ZERO,
@@ -367,3 +372,21 @@ def stencil(d, p):
     rows = [[Fraction(k) ** j for k in offs] for j in range(2 * m + 1)]
     rhs = [Fraction(math.factorial(d)) if j == d else Fraction(0) for j in range(2 * m + 1)]
     return m, tuple(solve_affine(rows, rhs))
+
+
+def nullspace(rows, ncols):
+    """nullspace by one rref of the whole matrix, one vector per free
+    column."""
+    if not rows:
+        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+    red, pivots = rref(rows)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        basis.append(v)
+    return basis

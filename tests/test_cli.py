@@ -501,6 +501,8 @@ NAN_GRID_SOLUTION = {
         "values": [[float("nan") if i == j == 8 else 0.0 for j in range(17)] for i in range(17)],
     },
 }
+# a well-formed grid for documents that spoil one of its values
+NESTED_GRID = {"t": [0, 0.5, 1], "x": [0, 0.5, 1], "values": [[0, 0, 0]] * 3}
 
 
 @pytest.mark.parametrize(
@@ -564,6 +566,10 @@ def test_malformed_documents_and_nonfinite_flags_exit2(
         ("verify", {"kind": "bogus", "expr": "x"}, "kind"),
         ("verify", {"kind": "symbolic"}, "expr"),
         ("nonlocal", {**DRIFT_SEED, "grid": None}, "grid"),
+        # the grid's nested values: JSON numbers only, values a list of lists
+        ("verify", {"kind": "numeric", "grid": {**NESTED_GRID, "t": True}}, "grid.t"),
+        ("verify", {"kind": "numeric", "grid": {**NESTED_GRID, "x": [0, True]}}, "grid.x"),
+        ("verify", {"kind": "numeric", "grid": {**NESTED_GRID, "values": [1, 2]}}, "grid.values"),
     ],
 )
 def test_wrong_values_exit2_naming_the_key(capsys, tmp_path, command, document, key):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slowpath
+from conftest import oracle_examples
 from evolsym.kernel import nullspace, rank, row_canonical, rref, solve_affine
 
 fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -89,6 +91,48 @@ def test_nullspace_known():
     assert len(ns) == 2
     for v in ns:
         assert sum(a * b for a, b in zip(m[0], v)) == 0
+
+
+# mixed int and Fraction entries, zero half the time
+mixed = st.one_of(st.just(0), st.just(0), st.integers(-6, 6), fracs)
+
+
+@st.composite
+def block_mats(draw):
+    """(rows, ncols): a block-diagonal matrix with zero rows and zero
+    columns, its rows shuffled and its columns permuted at random."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        nc = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(mixed, min_size=nc, max_size=nc), max_size=4))
+        # a combination of two rows makes rank deficiency common
+        if rows and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, b = draw(mixed), draw(mixed)
+            rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+        blocks.append((nc, rows))
+    ncols = sum(nc for nc, _ in blocks) + draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(ncols)))
+    rows = [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    offset = 0
+    for nc, block in blocks:
+        for brow in block:
+            row = [0] * ncols
+            for k, v in enumerate(brow):
+                row[perm[offset + k]] = v
+            rows.append(row)
+        offset += nc
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=oracle_examples(200), deadline=None)
+@given(block_mats())
+def test_nullspace_matches_whole_matrix_oracle(m):
+    # the library solves block by block, the oracle the whole matrix once
+    rows, ncols = m
+    got = nullspace(rows, ncols)
+    assert got == slowpath.nullspace(rows, ncols)
+    assert all(type(v) is Fraction for vec in got for v in vec)
 
 
 def test_solve_affine_inconsistent():

@@ -6,6 +6,7 @@ import pytest
 from sympy import Integer, Pow, Rational, S
 
 import evolsym.symmetry as symmetry
+import slowpath
 from evolsym.equivalence import (
     EquivTransformation,
     equivalence_flow,
@@ -284,6 +285,8 @@ def _oracle_cases():
         eq = ReducedEquation(r, tuple(_rand_poly(rng) for _ in range(r - 1)))
         cases.append(pytest.param(eq, None, id=f"fuzz-{i}"))
     wide = AnsatzSpace(3, tuple(Integer(q) for q in (0, 1, -1, 2)))
+    halves = AnsatzSpace(3, (Integer(0), Rational(1, 2), Rational(-1, 3)))
+    thirds = AnsatzSpace(3, (Integer(0), Rational(1, 3), Rational(-1, 3)))
     for name, A, space in (
         ("exp-t-x", (Exp(t) * x, S.Zero), wide),
         ("exp-2t-x", (x * Exp(2 * t), S.Zero, Exp(t)), wide),
@@ -294,6 +297,17 @@ def _oracle_cases():
         ("exp-merge", (x * Exp(t), -x), wide),
         ("rational", (x**-4, x**-3, x**-2), None),
         ("rational-den", (x / (x**2 + 1), 1 / (x + t)), None),
+        # P and Q of order 0 share monomial rows, and Q's coefficient 4/3
+        # has a denominator: a scale that is not one per order adds a
+        # spurious solution here
+        ("order-scale", (x * t**-4, S.Zero), None),
+        # rates that are not integers give Fraction entries
+        ("rate-half", (x * Exp(t / 2), S.Zero), halves),
+        ("rate-third", (Exp(-t / 3) * x**2, Exp(t / 3)), thirds),
+        ("rate-third-poly", (t * x, S.Zero, S.Zero), thirds),
+        # A^0_x = e^t shifts chi's rate-0 columns onto the rate-1 monomials,
+        # so one exp coefficient joins two rate blocks
+        ("exp-joins-blocks", (x * Exp(t), S.Zero), AnsatzSpace()),
     ):
         cases.append(pytest.param(ReducedEquation(len(A) + 1, A), space, id=name))
     return cases
@@ -302,10 +316,11 @@ def _oracle_cases():
 @pytest.mark.parametrize("eq,space", _oracle_cases())
 def test_assembly_matches_per_slot_oracle(eq, space):
     # the probe-and-extend system and the per-slot one have the same null
-    # space, so the solved basis cannot differ
+    # space, so the solved basis cannot differ; the reference side solves
+    # the whole matrix at once, the library block by block
     space = space or AnsatzSpace()
     n = 3 * len(space.functions())
-    want = row_canonical(nullspace(per_slot_system(eq, space), n))
+    want = row_canonical(slowpath.nullspace(per_slot_system(eq, space), n))
     assert want
     assert row_canonical(nullspace(_determining_system(eq, space), n)) == want
 
