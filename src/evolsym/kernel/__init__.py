@@ -4,7 +4,7 @@ from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, sym, t, x
 from .calculus import differentiate, integrate, substitute
 from .linalg import nullspace, rank, row_canonical, rref, solve_affine, to_fraction
 from .normalform import NormalForm, as_exact, dict_to_expr, normalize
-from .numeric import eval_numeric, numeric_function
+from .numeric import eval_grid, eval_numeric, numeric_function
 from .parse import parse_expr, read_expr
 from .printer import to_str
 from .zerotest import Verdict, is_zero
@@ -22,6 +22,7 @@ __all__ = [
     "as_exact",
     "dict_to_expr",
     "differentiate",
+    "eval_grid",
     "eval_numeric",
     "integrate",
     "is_zero",

@@ -443,6 +443,15 @@ def _char_coeffs(ode):
     return cs
 
 
+def _char_value(char, a, b):
+    """char(a + ib) as its exact (real, imaginary) pair: Horner on pairs."""
+    a, b = to_fraction(a), to_fraction(b)
+    re = im = Fraction(0)
+    for c in reversed(char):
+        re, im = re * a - im * b + c, re * b + im * a
+    return re, im
+
+
 def _ode_numeric_certificate(ode, v):
     res = ode.residual(v)
     pts = [i / 32 for i in range(1, 33)]
@@ -894,26 +903,17 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
             )
     elif N == 0:
         # floating complex roots of char(z) = mu - i nu
-        cpoly = [complex(float(c), 0.0) for c in _char_coeffs(system.ode)]
-        cpoly[0] -= complex(float(mu), -float(nu))
-        roots = np.roots(list(reversed(cpoly)))
-        for z in sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
-            a = _rat(z.real) if abs(z.real) > 1e-12 else S.Zero
-            b = _rat(z.imag) if abs(z.imag) > 1e-12 else S.Zero
-            efac = Exp(a * x) if a != 0 else S.One
-            vz = efac * Cos(b * x) if b != 0 else efac
-            wz = efac * Sin(b * x) if b != 0 else S.Zero
-            emu = Exp(mu * t) if mu != 0 else S.One
-            for v0, w0, tag in ((vz, wz, "re"), (-wz, vz, "im")):
-                u = normalize(
-                    (v0 * Cos(nu * t) + w0 * Sin(nu * t)) * emu
-                ).as_expr()
-                if u == 0:
-                    continue
+        char = _char_coeffs(system.ode)
+        rate = (to_fraction(mu), -to_fraction(nu))
+        for z, a, b in _rationalized_roots(char, mu, nu):
+            # each mode's residual is Re[c (mu - i nu - char(a + ib)) e^(...)],
+            # which is zero only at an exact root
+            exact = _char_value(char, a, b) == rate
+            for tag, u in _complex_modes(a, b, mu, nu):
                 prov = _prov(
                     "D", mu, nu, 0, root=f"{z.real:.12g}{z.imag:+.12g}i ({tag})"
                 )
-                if is_zero(residual_symbolic(eq, u)) is Verdict.ZERO:
+                if exact and is_zero(residual_symbolic(eq, u)) is Verdict.ZERO:
                     sols.append(certify_symbolic(eq, u, prov))
                 else:
                     sols.append(_expr_numeric_solution(eq, u, prov))
@@ -925,6 +925,32 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
     if numeric is not None:
         sols.append(_numeric_reduction(eq, "D", system, mu, nu, None, numeric))
     return GeneralizedReduction("D", N, ansatz, system, tuple(sols), tuple(notes))
+
+
+def _rationalized_roots(char, mu, nu):
+    """(z, a, b) for each floating root z of char(z) = mu - i nu, in report
+    order, with a and b its real and imaginary parts as rationals (zero
+    within 1e-12)."""
+    cpoly = [complex(float(c), 0.0) for c in char]
+    cpoly[0] -= complex(float(mu), -float(nu))
+    roots = np.roots(list(reversed(cpoly)))
+    for z in sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
+        a = _rat(z.real) if abs(z.real) > 1e-12 else S.Zero
+        b = _rat(z.imag) if abs(z.imag) > 1e-12 else S.Zero
+        yield z, a, b
+
+
+def _complex_modes(a, b, mu, nu):
+    """(tag, u) for the real ("re") and imaginary ("im") parts of
+    e^((a + ib) x + (mu - i nu) t), up to sign, skipping a zero part."""
+    efac = Exp(a * x) if a != 0 else S.One
+    vz = efac * Cos(b * x) if b != 0 else efac
+    wz = efac * Sin(b * x) if b != 0 else S.Zero
+    emu = Exp(mu * t) if mu != 0 else S.One
+    for v0, w0, tag in ((vz, wz, "re"), (-wz, vz, "im")):
+        u = normalize((v0 * Cos(nu * t) + w0 * Sin(nu * t)) * emu).as_expr()
+        if u != 0:
+            yield tag, u
 
 
 def _gen_reduction_p(eq, N, mu, nu, phi0, numeric):

@@ -18,7 +18,7 @@ from .errors import InputError
 from .kernel import (
     as_exact,
     differentiate,
-    eval_numeric,
+    eval_grid,
     normalize,
     t,
     x,
@@ -269,24 +269,6 @@ def _derivative(U, d, p, h, axis):
     return out / h**d, m
 
 
-def _coeff_grid(e, tis, xjs):
-    """Values of e on the grid tis x xjs, evaluated once per distinct value
-    of its free variables."""
-    free = e.free_symbols
-    shape = (len(tis), len(xjs))
-    if not free:
-        return np.full(shape, eval_numeric(e, {}))
-    if free == {t}:
-        col = np.array([eval_numeric(e, {"t": tv}) for tv in tis])
-        return np.tile(col[:, None], (1, shape[1]))
-    if free == {x}:
-        row = np.array([eval_numeric(e, {"x": xv}) for xv in xjs])
-        return np.tile(row[None, :], (shape[0], 1))
-    return np.array(
-        [[eval_numeric(e, {"t": tv, "x": xv}) for xv in xjs] for tv in tis]
-    )
-
-
 def _level_residual(eq, U, tpts, xpts, p):
     """One grid level: (residual array, interior t points, interior x points,
     rounding-noise floor estimate), or None if the grid is too small for the
@@ -319,11 +301,11 @@ def _level_residual(eq, U, tpts, xpts, p):
             lo = mx - mk
             uxk = full[mt : nt - mt, lo : lo + len(xjs)]
             wsum = float(sum(abs(c) for c in stencil(k, p)[1])) / hx**k
-        coef = _coeff_grid(eq.A[k], tis, xjs)
+        coef = eval_grid(eq.A[k], tis, xjs)
         acc = acc - coef * uxk
         floor += eps_u * float(np.max(np.abs(coef))) * wsum
     if eq.B != 0:
-        acc = acc - _coeff_grid(eq.B, tis, xjs)
+        acc = acc - eval_grid(eq.B, tis, xjs)
     return acc, tis, xjs, floor
 
 
@@ -335,8 +317,9 @@ def residual_numeric(eq, u, g=None):
     required and sets the finest grid; the residual is also evaluated on
     the twice- and four-times-coarsened grids (two halvings end at the
     requested step) and the slope of log2(residual) against log2(step) is
-    reported.  Slope is None when any level sits at
-    the rounding floor.
+    reported.  A level whose residual is below 8 times its rounding-floor
+    estimate measures noise and is dropped from that fit; slope is None
+    when fewer than two levels are left.
     """
     eq = embed_reduced(eq)
     data = _as_grid_data(u)
@@ -363,7 +346,7 @@ def residual_numeric(eq, u, g=None):
     if data is None:
         if not isinstance(u, Expr):
             raise InputError("u must be an expression or grid data")
-        U = _coeff_grid(u, tpts, xpts)
+        U = eval_grid(u, tpts, xpts)
 
     levels = []
     for s in (4, 2, 1):

@@ -30,6 +30,7 @@ from evolsym.kernel import (
     Verdict,
     as_exact,
     differentiate,
+    eval_grid,
     eval_numeric,
     integrate,
     is_zero,
@@ -853,6 +854,36 @@ def test_eval_numeric_matches_slow_path_oracle(e, point):
     assert _eval_outcome(eval_numeric, e, point) == want
     # the resolved closure is the same code path: the same float or error
     assert _eval_outcome(_resolved_once, e, point) == want
+
+
+_grid_axes = st.lists(_eval_values, min_size=2, max_size=6)
+
+
+@settings(max_examples=oracle_examples(100), deadline=None)
+@given(_eval_exprs, _grid_axes, _grid_axes)
+# fsum of the three terms at each point, not two roundings
+@example(Add(Rational(3, 10), t, x, evaluate=False), [0.1, 0.1], [0.2, 0.2])
+# fsum of two negative zeros is +0.0
+@example(t + x, [-0.0, 1.0], [-0.0, 2.0])
+# a product folds left from 1.0: (0.3 * 0.1) * 0.1, not 0.3 * (0.1 * 0.1)
+@example(Rational(3, 10) * t * x, [0.1, 1.0], [0.1, 2.0])
+@example(Exp(t / 2 - Rational(707106781187, 10**12) * x), [0.0, 0.5, 1.0], [0.25, 0.75])
+@example(Exp(Exp(x)), [0.0, 1.0], [1.0, 10.0])
+@example(Ln(t), [1.0, 1e-12], [0.0, 1.0])
+@example(t + sym("a"), [0.0, 1.0], [0.0, 1.0])
+def test_grid_values_match_pointwise(e, tpts, xpts):
+    # the pointwise closure at each point in t-major order is the oracle:
+    # the same float bit for bit, or the first failing point's error
+    want = [_eval_outcome(eval_numeric, e, {"t": tv, "x": xv}) for tv in tpts for xv in xpts]
+    errors = [w for w in want if isinstance(w, tuple)]
+    try:
+        got = eval_grid(e, tpts, xpts)
+    except Exception as exc:  # compared with the pointwise error below
+        assert errors and (type(exc), str(exc)) == errors[0]
+        return
+    assert not errors
+    assert got.shape == (len(tpts), len(xpts))
+    assert [repr(v) for v in got.ravel().tolist()] == want
 
 
 def test_eval_numeric_errors_are_raised_at_evaluation_time():

@@ -7,7 +7,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from sympy import Integer, Pow, Rational, S
+
+from conftest import oracle_examples
 
 from evolsym.equivalence import (
     EquivTransformation,
@@ -26,6 +30,7 @@ from evolsym.kernel import (
     parse_expr,
     sym,
     t,
+    to_fraction,
     to_str,
     x,
 )
@@ -46,6 +51,7 @@ from evolsym.solutions import (
     rk4_integrate,
     solve_const_ode,
 )
+from evolsym.solutions import _char_coeffs, _char_value, _complex_modes, _rationalized_roots
 from evolsym.symmetry import solve_symmetries
 from evolsym.verify import GridSpec, residual_symbolic
 
@@ -380,6 +386,44 @@ class TestGeneralizedReductionD:
         del spec[key]
         with pytest.raises(InputError, match=key):
             generalized_reduction(FREE3, "D", 0, lam=1, numeric=spec)
+
+
+_small_rationals = st.builds(Rational, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _char_root_cases(draw):
+    """(eq, mu, nu, extra): a constant-coefficient reduced equation, a rate
+    mu - i nu with nu > 0, and roots (a, b) to test besides the floating
+    ones.  Half the draws set mu - i nu = char(z) for a drawn z, so that z
+    is an exact root."""
+    r = draw(st.integers(3, 5))
+    eq = ReducedEquation(r, tuple(draw(st.lists(_small_rationals, min_size=r - 1, max_size=r - 1))))
+    if not draw(st.booleans()):
+        nu = draw(_small_rationals.filter(lambda v: v > 0))
+        return eq, draw(_small_rationals), nu, []
+    a, b = draw(_small_rationals), draw(_small_rationals)
+    re, im = _char_value(_char_coeffs(LinearODE(r, eq.A + (S.Zero,), x)), a, b)
+    # char(conj z) = conj char(z): the conjugate root gives the rate nu > 0
+    assume(im != 0)
+    if im > 0:
+        b, im = -b, -im
+    return eq, Rational(re.numerator, re.denominator), Rational(-im.numerator, im.denominator), [(a, b)]
+
+
+@settings(max_examples=oracle_examples(10), deadline=None)
+@given(_char_root_cases())
+# the free r = 3 equation has the exact root z = i at mu = 0, nu = 1
+@example((FREE3, S.Zero, S.One, []))
+def test_exact_root_test_matches_residual_verdict(case):
+    # the symbolic residual's verdict is the oracle of the exact root test
+    eq, mu, nu, extra = case
+    char = _char_coeffs(LinearODE(eq.r, eq.A + (S.Zero,), x))
+    roots = [(a, b) for _z, a, b in _rationalized_roots(char, mu, nu)] + extra
+    for a, b in roots:
+        exact = _char_value(char, a, b) == (to_fraction(mu), -to_fraction(nu))
+        for _tag, u in _complex_modes(a, b, mu, nu):
+            assert exact == (is_zero(residual_symbolic(eq, u)) is Verdict.ZERO)
 
 
 class TestGeneralizedReductionP:
