@@ -33,6 +33,7 @@ from .kernel import (
     t,
     x,
 )
+from .kernel.normalform import nth_root, polynomial
 from .model import (
     EvolutionEquation,
     ReducedEquation,
@@ -110,48 +111,6 @@ def _pull_back(e, mapping):
 def compose_scalar(f, g):
     """f(g(t)) as a tidied expression in t."""
     return _pull_back(f, {t: g})
-
-
-def nth_root(f, r):
-    """Real r-th root of f.  Monomials get exact per-factor roots; other
-    expressions fall back to sgn/abs powers (domain handled by callers)."""
-    nf = normalize(f)
-    if nf.num == 0:
-        return S.Zero
-    e = nf.as_expr()
-    if nf.den == 1 and len(nf.num_terms) == 1:
-        ((key, coeff),) = nf.num_terms.items()
-        c = Rational(coeff)
-        out = S.One
-        if c < 0:
-            if r % 2 == 0:
-                raise UnsupportedError("even-order root of a negative coefficient")
-            out = S.NegativeOne
-            c = -c
-        if c != 1:
-            out *= Pow(c, Rational(1, r))
-        for base, expo in key:
-            q = Rational(expo, r)
-            if isinstance(base, Exp):
-                out *= Exp(q * base.args[0])
-            elif isinstance(base, AbsV):
-                out *= Pow(base, q)
-            elif isinstance(base, Sgn):
-                out *= Pow(base, expo % 2)
-            elif q.is_Integer:
-                if r % 2 == 1 or q % 2 == 0:
-                    out *= Pow(base, q)
-                else:
-                    out *= Pow(AbsV(base), q)
-            else:
-                if r % 2 == 1:
-                    out *= Pow(Sgn(base), expo % 2) * Pow(AbsV(base), q)
-                else:
-                    out *= Pow(AbsV(base), q)
-        return normalize(out).as_expr()
-    if r % 2 == 1:
-        return normalize(Sgn(e) * Pow(AbsV(e), Rational(1, r))).as_expr()
-    return normalize(Pow(AbsV(e), Rational(1, r))).as_expr()
 
 
 # --- invertible scalar catalog -----------------------------------------------
@@ -258,7 +217,7 @@ class EquivTransformation:
             raise InputError("U1 must be certifiably nonzero")
         if self.X1 is None:
             # for even order a certifiably negative T_t has no real root
-            if self.r % 2 == 0 and is_zero(AbsV(Tt) + Tt) is Verdict.ZERO:
+            if self.r % 2 == 0 and _sign_certificate(Tt) == -1:
                 raise InputError("even order requires T_t > 0")
             X1 = self.eps * nth_root(Tt, self.r)
         else:
@@ -457,12 +416,8 @@ def find_particular_solution(eq, ansatz_degree):
     dt_, dx_ = ansatz_degree
     for e in eq.A + (eq.B,):
         nf = normalize(e)
-        if nf.den != 1:
+        if nf.den != 1 or polynomial(nf.num_terms, (t, x)) is None:
             raise InputError("polynomial coefficients required")
-        for key in nf.num_terms:
-            for base, expo in key:
-                if base not in (t, x) or not expo.is_Integer or expo < 0:
-                    raise InputError("polynomial coefficients required")
     monos = [(i, j) for i in range(dt_ + 1) for j in range(dx_ + 1)]
 
     def residual(w):

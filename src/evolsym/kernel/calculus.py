@@ -2,11 +2,11 @@
 
 from functools import lru_cache
 
-from sympy import Add, Dummy, Mul, Pow, S, apart
+from sympy import Add, Dummy, Mul, Pow, Rational, S, apart
 
 from ..errors import InputError
 from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, sym
-from .normalform import _exact_input, as_exact, dict_to_expr, normalize
+from .normalform import _exact_input, as_exact, dict_to_expr, normalize, polynomial
 
 
 def _as_sym(var):
@@ -183,14 +183,10 @@ def _integrate_rational(expr, var):
         dpoly = normalize(base)
         if dpoly.den != 1:
             return None
-        a = b = S.Zero
-        for key, c in dpoly.num_terms.items():
-            if key == ():
-                b = c
-            elif len(key) == 1 and key[0][0] == var and key[0][1] == 1:
-                a = c
-            else:
-                return None
+        coeffs = polynomial(dpoly.num_terms, (var,))
+        if coeffs is None or max(coeffs)[0] > 1:
+            return None
+        a, b = (Rational(coeffs.get((k,), 0)) for k in (1, 0))
         if a == 0 or var in n.free_symbols:
             return None
         n = n.xreplace(dec) if dec else n

@@ -35,12 +35,17 @@ fixes, so the order of the ring's generators does not show in the result.
 
 Terms.  A NormalForm keeps the canonical dicts that num and den print as
 num_terms and den_terms: monomial coordinates are read off them, never
-derived from num or den again.
+derived from num or den again, and no module outside the kernel looks
+inside a key.  polynomial reads coefficients off them in one monomial scan
+(exp_polynomial groups them by rate), times_ansatz multiplies a key by
+t^p e^(lam t) and nth_root takes a monomial's root factor by factor.
 
 Budgets.  A power of a sum whose multinomial term count exceeds TERM_BUDGET,
-any converted polynomial longer than that, and non-rational exponents nested
-deeper than EXPONENT_DEPTH_BUDGET raise UnsupportedError (exit 3) naming the
-budget, before the work is done where the bound can be known in advance.
+any converted polynomial longer than that, non-rational exponents nested
+deeper than EXPONENT_DEPTH_BUDGET, and a surd base with a composite factor
+that has no prime factor up to FACTOR_LIMIT raise UnsupportedError (exit 3)
+naming the budget, before the work is done where the bound can be known in
+advance.
 """
 
 import math
@@ -70,7 +75,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
 from ..errors import InputError, UnsupportedError
-from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin
+from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, t
 
 
 @dataclass(frozen=True)
@@ -187,15 +192,25 @@ def _canon_push(fmap, base, e):
     _add_factor(fmap, base, e)
 
 
+# trial division bound of _rat_prime_powers
+FACTOR_LIMIT = 10**4
+
+
 def _rat_prime_powers(q):
-    """Prime factorization of a positive rational as [(prime, exponent)]."""
-    from sympy import factorint
+    """Prime factorization of a positive rational as [(prime, exponent)]:
+    trial division up to FACTOR_LIMIT and a bounded search beyond, so a
+    factor above the limit that is not prime raises UnsupportedError."""
+    from sympy import factorint, isprime
 
     out = []
-    for p, k in factorint(q.p).items():
-        out.append((int(p), int(k)))
-    for p, k in factorint(q.q).items():
-        out.append((int(p), -int(k)))
+    for n, sign in ((q.p, 1), (q.q, -1)):
+        for p, k in factorint(n, limit=FACTOR_LIMIT).items():
+            if p > FACTOR_LIMIT and not isprime(p):
+                raise UnsupportedError(
+                    "factoring budget exceeded: a surd base has a composite"
+                    f" factor with no prime factor up to {FACTOR_LIMIT}"
+                )
+            out.append((int(p), sign * int(k)))
     return out
 
 
@@ -356,6 +371,113 @@ def common_numerators(nfs):
             terms = [(c1 * c2, k1 + k2) for c1, k1 in terms for k2, c2 in d.items()]
         out.append(_canon_terms(terms) if others else nf.num_terms)
     return out
+
+
+# --- reading and multiplying monomial keys --------------------------------
+
+
+def polynomial(terms, variables, exp_var=None):
+    """{exponent tuple: Fraction} of the terms as a polynomial in the
+    variables, one nonnegative integer exponent per variable; None when a
+    monomial has any other factor.  Given exp_var, a monomial may also have
+    exp factors of a rational rate in exp_var, and the keys become
+    (exponent tuple, rate)."""
+    out = {}
+    for key, c in terms.items():
+        exps = [0] * len(variables)
+        rate = Fraction(0)
+        for base, e in key:
+            if base in variables and e.is_Integer and e >= 0:
+                exps[variables.index(base)] = int(e)
+            elif exp_var is not None and isinstance(base, Exp) and e.is_Integer:
+                # the argument must read q exp_var
+                arg = normalize(base.args[0])
+                slope = polynomial(arg.num_terms, (exp_var,)) if arg.den == 1 else None
+                if slope is None or list(slope) != [(1,)]:
+                    return None
+                rate += int(e) * slope[(1,)]
+            else:
+                return None
+        k = tuple(exps) if exp_var is None else (tuple(exps), rate)
+        out[k] = out.get(k, 0) + Fraction(c.p, c.q)
+    return out
+
+
+def exp_polynomial(terms, var):
+    """{rate: {degree: Fraction}} of the terms as a sum of
+    c var^degree exp(rate var) with rational rates; None when a monomial
+    has any other factor."""
+    scan = polynomial(terms, (var,), var)
+    if scan is None:
+        return None
+    out = {}
+    for ((a,), b), c in scan.items():
+        out.setdefault(b, {})[a] = c
+    return out
+
+
+def times_ansatz(key, p, lam, merged):
+    """Monomial key times t^p e^(lam t).  The exponential merges into the
+    key's own Exp factor: a normal-form monomial has at most one, and a
+    second one would give equal functions distinct keys.  merged memoizes
+    the merged factor per (Exp factors of the key, lam)."""
+    fmap = dict(key)
+    if p:
+        _add_factor(fmap, t, Integer(p))
+    if lam:
+        exps = tuple((b, e) for b, e in key if isinstance(b, Exp))
+        if (exps, lam) not in merged:
+            arg = Rational(lam.numerator, lam.denominator) * t
+            for base, e in exps:
+                arg += e * base.args[0]
+            merged[(exps, lam)] = Exp(normalize(arg).as_expr())
+        for base, _e in exps:
+            del fmap[base]
+        if merged[(exps, lam)] != 1:
+            _add_factor(fmap, merged[(exps, lam)], S.One)
+    return _key(fmap)
+
+
+def nth_root(f, r):
+    """Real r-th root of f.  Monomials get exact per-factor roots; other
+    expressions fall back to sgn/abs powers (domain handled by callers)."""
+    nf = normalize(f)
+    if nf.num == 0:
+        return S.Zero
+    e = nf.as_expr()
+    if nf.den == 1 and len(nf.num_terms) == 1:
+        ((key, coeff),) = nf.num_terms.items()
+        c = Rational(coeff)
+        out = S.One
+        if c < 0:
+            if r % 2 == 0:
+                raise UnsupportedError("even-order root of a negative coefficient")
+            out = S.NegativeOne
+            c = -c
+        if c != 1:
+            out *= Pow(c, Rational(1, r))
+        for base, expo in key:
+            q = Rational(expo, r)
+            if isinstance(base, Exp):
+                out *= Exp(q * base.args[0])
+            elif isinstance(base, AbsV):
+                out *= Pow(base, q)
+            elif isinstance(base, Sgn):
+                out *= Pow(base, expo % 2)
+            elif q.is_Integer:
+                if r % 2 == 1 or q % 2 == 0:
+                    out *= Pow(base, q)
+                else:
+                    out *= Pow(AbsV(base), q)
+            else:
+                if r % 2 == 1:
+                    out *= Pow(Sgn(base), expo % 2) * Pow(AbsV(base), q)
+                else:
+                    out *= Pow(AbsV(base), q)
+        return normalize(out).as_expr()
+    if r % 2 == 1:
+        return normalize(Sgn(e) * Pow(AbsV(e), Rational(1, r))).as_expr()
+    return normalize(Pow(AbsV(e), Rational(1, r))).as_expr()
 
 
 # --- the converter: Expr -> polynomials over raw generators ---------------

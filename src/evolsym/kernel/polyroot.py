@@ -2,7 +2,8 @@
 
 Rational roots are extracted exactly (rational root theorem plus synthetic
 deflation, multiplicities included); whatever factor remains is handed to a
-floating companion-matrix solver.
+floating companion-matrix solver, numeric_roots, the library's only one.
+root_multiplicity decides exactly how often a Gaussian rational is a root.
 """
 
 from fractions import Fraction
@@ -25,22 +26,17 @@ def _divisors(n):
     return sorted(out)
 
 
-def _horner(coeffs, z):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _deflate(coeffs, root):
-    # synthetic division by (z - root); exact, remainder known to vanish
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    acc = Fraction(0)
-    for i in range(n - 1, -1, -1):
-        acc = coeffs[i + 1] + root * acc
-        out[i] = acc
-    return out
+def _divide(cs, a, b):
+    """Quotient of the polynomial cs, Gaussian-rational pairs (re, im) low
+    to high degree, by w - (a + ib), or None when a + ib is not a root: the
+    Horner values on pairs are the quotient, high to low degree, and last
+    the value at a + ib."""
+    acc = []
+    re = im = Fraction(0)
+    for cr, ci in reversed(cs):
+        re, im = re * a - im * b + cr, re * b + im * a + ci
+        acc.append((re, im))
+    return acc[-2::-1] if acc[-1] == (0, 0) else None
 
 
 def rational_roots(coeffs):
@@ -70,17 +66,34 @@ def rational_roots(coeffs):
             for q in _divisors(ints[-1]):
                 cands.add(Fraction(p, q))
                 cands.add(Fraction(-p, q))
+        pairs = [(c, 0) for c in coeffs]
         for cand in sorted(cands):
-            while len(coeffs) > 1 and _horner(coeffs, cand) == 0:
-                coeffs = _deflate(coeffs, cand)
+            while len(pairs) > 1 and (quo := _divide(pairs, cand, 0)) is not None:
+                pairs = quo
                 roots[cand] = roots.get(cand, 0) + 1
+        coeffs = [c for c, _im in pairs]
     return sorted(roots.items()), coeffs
 
 
+def root_multiplicity(coeffs, z):
+    """Multiplicity of the Gaussian rational z = (a, b), the number a + ib,
+    as a root of the polynomial with coefficients coeffs, low to high
+    degree, each a rational or a Gaussian-rational pair (re, im).  Exact:
+    Horner and synthetic division on pairs of Fractions."""
+    a, b = Fraction(z[0]), Fraction(z[1])
+    cs = [tuple(map(Fraction, c)) if isinstance(c, tuple) else (Fraction(c), 0) for c in coeffs]
+    m = 0
+    while len(cs) > 1 and (quo := _divide(cs, a, b)) is not None:
+        cs, m = quo, m + 1
+    return m
+
+
 def numeric_roots(coeffs):
-    """Floating roots of the polynomial (low-to-high Fraction coefficients),
-    via the numpy companion-matrix solver; complex values in general."""
-    cs = [float(c) for c in reversed(coeffs)]
+    """Floating roots of the polynomial with coefficients coeffs, low to
+    high degree, via the numpy companion-matrix solver; complex values in
+    general.  A complex coefficient is passed as it is, any other as its
+    float."""
+    cs = [c if isinstance(c, complex) else float(c) for c in reversed(coeffs)]
     if len(cs) < 2:
         return []
     return list(np.roots(cs))

@@ -37,13 +37,8 @@ from .kernel import (
     to_str,
     x,
 )
-from .kernel.polyroot import (
-    _deflate,
-    _horner,
-    cluster_roots,
-    numeric_roots,
-    rational_roots,
-)
+from .kernel.normalform import exp_polynomial
+from .kernel.polyroot import cluster_roots, numeric_roots, rational_roots, root_multiplicity
 from .kernel.quadpack import quad
 from .model import _combination, _slot_coords, as_reduced
 from .symmetry import verify_symmetry
@@ -373,9 +368,8 @@ def reduce_P1Iphi(eq, phi0=None, grid=None, phi0_value=0.0):
         params = ["c0"] + (["phi0"] if free_phi0 else [])
         return certify_symbolic(eq, c0 * Exp(phi * x + G), prov, params)
     tpts, xpts = (grid or default_grid(eq.r)).points()
-    point = {"phi0": phi0_value}
     t0 = float(tpts[0])
-    gfun = numeric_function(g)
+    gfun, phifun = map(numeric_function, (g, phi))
 
     def gnum(tv):
         return gfun({"t": tv, "phi0": phi0_value})
@@ -383,7 +377,7 @@ def reduce_P1Iphi(eq, phi0=None, grid=None, phi0_value=0.0):
     vals = []
     for tv in tpts:
         w = quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
-        pv = eval_numeric(phi, {"t": tv, **point})
+        pv = phifun({"t": float(tv), "phi0": phi0_value})
         vals.append([math.exp(pv * xv + w) for xv in xpts])
     prov = dict(prov, quadrature="adaptive", phi0_value=phi0_value)
     return _grid_solution(eq, tpts, xpts, vals, prov)
@@ -443,15 +437,6 @@ def _char_coeffs(ode):
     return cs
 
 
-def _char_value(char, a, b):
-    """char(a + ib) as its exact (real, imaginary) pair: Horner on pairs."""
-    a, b = to_fraction(a), to_fraction(b)
-    re = im = Fraction(0)
-    for c in reversed(char):
-        re, im = re * a - im * b + c, re * b + im * a
-    return re, im
-
-
 def _ode_numeric_certificate(ode, v):
     res = ode.residual(v)
     pts = [i / 32 for i in range(1, 33)]
@@ -471,28 +456,8 @@ def solve_const_ode(ode):
     rationalized root happens to be exact.
     """
     char = _char_coeffs(ode)
-    rts, rest = rational_roots(char)
-    w = ode.var
-    items = []
-    for root, m in rts:
-        rho = Rational(root.numerator, root.denominator)
-        for k in range(m):
-            items.append((Pow(w, Integer(k)) * Exp(rho * w), str(rho), k))
-    if len(rest) > 1:
-        for z, m in cluster_roots(numeric_roots(rest)):
-            a = _rat(z.real) if abs(z.real) > 1e-13 else S.Zero
-            b = _rat(z.imag) if abs(z.imag) > 1e-13 else S.Zero
-            efac = Exp(a * w) if a != 0 else S.One
-            for k in range(m):
-                wk = Pow(w, Integer(k))
-                if b == 0:
-                    items.append((wk * efac, f"~{z.real:.12g}", k))
-                else:
-                    tag = f"~{z.real:.12g}+-{z.imag:.12g}i"
-                    items.append((wk * efac * Cos(b * w), tag, k))
-                    items.append((wk * efac * Sin(b * w), tag, k))
     out = []
-    for e, root, k in items:
+    for e, root, k, z in _const_ode_modes(ode, char):
         e = normalize(e).as_expr()
         prov = {
             "method": "constant-ode-basis",
@@ -500,7 +465,9 @@ def solve_const_ode(ode):
             "root": root,
             "power": k,
         }
-        if is_zero(ode.residual(e)) is Verdict.ZERO:
+        # L[w^k e^(zw)] = sum_j C(k, j) char^(j)(z) w^(k-j) e^(zw): a mode's
+        # residual is zero exactly when z is a root of multiplicity > k
+        if root_multiplicity(char, z) > k and is_zero(ode.residual(e)) is Verdict.ZERO:
             out.append(
                 Solution(
                     "symbolic",
@@ -522,55 +489,43 @@ def solve_const_ode(ode):
     return out
 
 
+def _const_ode_modes(ode, char):
+    """(e, root tag, k, (a, b)) for each basis element of the ODE with
+    characteristic polynomial char: w^k e^(aw), or w^k e^(aw) cos(bw) and
+    w^k e^(aw) sin(bw), for each root a + ib and k below its multiplicity;
+    floating roots are rounded to rationals a and b."""
+    rts, rest = rational_roots(char)
+    w = ode.var
+    for root, m in rts:
+        rho = Rational(root.numerator, root.denominator)
+        for k in range(m):
+            yield Pow(w, Integer(k)) * Exp(rho * w), str(rho), k, (root, 0)
+    if len(rest) > 1:
+        for z, m in cluster_roots(numeric_roots(rest)):
+            a = _rat(z.real) if abs(z.real) > 1e-13 else S.Zero
+            b = _rat(z.imag) if abs(z.imag) > 1e-13 else S.Zero
+            efac = Exp(a * w) if a != 0 else S.One
+            for k in range(m):
+                wk = Pow(w, Integer(k))
+                if b == 0:
+                    yield wk * efac, f"~{z.real:.12g}", k, (a, b)
+                else:
+                    tag = f"~{z.real:.12g}+-{z.imag:.12g}i"
+                    yield wk * efac * Cos(b * w), tag, k, (a, b)
+                    yield wk * efac * Sin(b * w), tag, k, (a, b)
+
+
 # --- undetermined coefficients for exp-polynomial right-hand sides ---------------
-
-
-def _exp_poly_groups(e, var):
-    """Split e into {rate b: {degree a: Rational}} groups of var^a exp(b var);
-    None when e is outside that span."""
-    nf = normalize(e)
-    if nf.den != 1:
-        return None
-    groups = {}
-    for key, c in nf.num_terms.items():
-        if not c.is_Rational:
-            return None
-        a = 0
-        b = Fraction(0)
-        for base, ex in key:
-            if base == var and ex.is_Integer and ex >= 0:
-                a = int(ex)
-            elif isinstance(base, Exp) and ex.is_Integer:
-                arg = base.args[0]
-                slope = differentiate(arg, var)
-                if not slope.is_Rational:
-                    return None
-                if normalize(arg - slope * var).num != 0:
-                    return None
-                b += Fraction(int(ex)) * to_fraction(slope)
-            else:
-                return None
-        groups.setdefault(b, {})
-        groups[b][a] = groups[b].get(a, S.Zero) + c
-    return groups
-
-
-def _root_multiplicity(char, b):
-    """Multiplicity of b as a root of the characteristic polynomial."""
-    m = 0
-    while len(char) > 1 and _horner(char, b) == 0:
-        char = _deflate(char, b)
-        m += 1
-    return m
 
 
 def _particular(coeffs, rhs, var):
     """Particular solution of v_n + sum coeffs[l] v_l = rhs for constant
     rational coeffs and rhs in the exp-polynomial span, else None."""
-    rhs = normalize(rhs).as_expr()
-    if rhs == 0:
+    nf = normalize(rhs)
+    if nf.num == 0:
         return S.Zero
-    groups = _exp_poly_groups(rhs, var)
+    # {rate b: {degree a: c}} of the terms c var^a exp(b var)
+    groups = exp_polynomial(nf.num_terms, var) if nf.den == 1 else None
     if groups is None:
         return None
     op = LinearODE(len(coeffs), tuple(coeffs), var)
@@ -578,12 +533,12 @@ def _particular(coeffs, rhs, var):
     total = S.Zero
     for b, poly in groups.items():
         d = max(poly)
-        m = _root_multiplicity(char, b)
+        m = root_multiplicity(char, (b, 0))
         rho = Rational(b.numerator, b.denominator)
         efac = Exp(rho * var) if b != 0 else S.One
         basis = [Pow(var, Integer(m + j)) * efac for j in range(d + 1)]
         images = [op.residual(v) for v in basis]
-        target = sum(c * Pow(var, Integer(a)) for a, c in poly.items()) * efac
+        target = sum(Rational(c) * Pow(var, Integer(a)) for a, c in poly.items()) * efac
         got = _combination(_slot_coords(images + [target])[1])
         if got is None:
             raise InternalError("undetermined-coefficient system inconsistent")
@@ -904,11 +859,11 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
     elif N == 0:
         # floating complex roots of char(z) = mu - i nu
         char = _char_coeffs(system.ode)
-        rate = (to_fraction(mu), -to_fraction(nu))
+        shifted = [(char[0] - to_fraction(mu), to_fraction(nu))] + char[1:]
         for z, a, b in _rationalized_roots(char, mu, nu):
             # each mode's residual is Re[c (mu - i nu - char(a + ib)) e^(...)],
-            # which is zero only at an exact root
-            exact = _char_value(char, a, b) == rate
+            # which is zero only at a root of char - (mu - i nu)
+            exact = root_multiplicity(shifted, (a, b)) > 0
             for tag, u in _complex_modes(a, b, mu, nu):
                 prov = _prov(
                     "D", mu, nu, 0, root=f"{z.real:.12g}{z.imag:+.12g}i ({tag})"
@@ -933,8 +888,7 @@ def _rationalized_roots(char, mu, nu):
     within 1e-12)."""
     cpoly = [complex(float(c), 0.0) for c in char]
     cpoly[0] -= complex(float(mu), -float(nu))
-    roots = np.roots(list(reversed(cpoly)))
-    for z in sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
+    for z in sorted(numeric_roots(cpoly), key=lambda z: (round(z.real, 9), round(z.imag, 9))):
         a = _rat(z.real) if abs(z.real) > 1e-12 else S.Zero
         b = _rat(z.imag) if abs(z.imag) > 1e-12 else S.Zero
         yield z, a, b
@@ -1184,7 +1138,6 @@ def generate_nonlocal(eq, h, x0, t0, v0, grid=None, phi0_value=0.0):
     if _params:
         raise InputError("bind the free parameters of h before generating")
     g = _exp_rate(eq, phi)
-    point = {"phi0": phi0_value}
     tpts, xpts = (grid or default_grid(r)).points()
     tpts, xpts = [float(v) for v in tpts], [float(v) for v in xpts]
 
@@ -1214,7 +1167,7 @@ def generate_nonlocal(eq, h, x0, t0, v0, grid=None, phi0_value=0.0):
 
     vals = []
     for tv in tpts:
-        pv = eval_numeric(phi, {"t": tv, **point})
+        pv = phifun({"t": tv, "phi0": phi0_value})
         wv = wof(tv)
         bv = quad(bnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
 

@@ -26,7 +26,7 @@ from .kernel import (
 )
 from .kernel.atoms import Exp
 from .kernel.linalg import nullspace, row_canonical
-from .kernel.normalform import _add_factor, _key, common_numerators
+from .kernel.normalform import common_numerators, times_ansatz
 from .model import (
     ReducedEquation,
     SymmetryAlgebra,
@@ -168,28 +168,6 @@ def _ansatz_derivative(k, lam, d):
     return out
 
 
-def _times_ansatz(key, p, lam, merged):
-    """Monomial key times t^p e^(lam t).  The exponential merges into the
-    key's own Exp factor: a normal-form monomial has at most one, and a
-    second one would give equal functions distinct keys.  merged memoizes
-    the merged factor per (Exp factors of the key, lam)."""
-    fmap = dict(key)
-    if p:
-        _add_factor(fmap, t, Integer(p))
-    if lam:
-        exps = tuple((b, e) for b, e in key if isinstance(b, Exp))
-        if (exps, lam) not in merged:
-            arg = Rational(lam.numerator, lam.denominator) * t
-            for base, e in exps:
-                arg += e * base.args[0]
-            merged[(exps, lam)] = Exp(normalize(arg).as_expr())
-        for base, _e in exps:
-            del fmap[base]
-        if merged[(exps, lam)] != 1:
-            _add_factor(fmap, merged[(exps, lam)], S.One)
-    return _key(fmap)
-
-
 # the probes D(1), D(t) and P(1) of _order_factors
 _PROBES = (VectorField(tau=S.One), VectorField(tau=t), VectorField(chi=S.One))
 
@@ -272,7 +250,7 @@ def _determining_system(eq, space):
                     sk = (name, p, i)
                     if sk not in shifted:
                         shifted[sk] = [
-                            (_times_ansatz(key, p, lam, merged), a)
+                            (times_ansatz(key, p, lam, merged), a)
                             for key, a in nums[name].items()
                         ]
                     for key, a in shifted[sk]:

@@ -23,6 +23,7 @@ from .kernel import (
     t,
     x,
 )
+from .kernel.normalform import polynomial
 from .kernel.polyroot import rational_roots
 from .model import embed_reduced
 
@@ -188,28 +189,6 @@ def residual_symbolic(eq, u):
     return normalize(res).as_expr()
 
 
-def _poly_coeffs_1d(terms, var):
-    """Fraction coefficient list of the canonical terms of a polynomial in
-    var alone, or None."""
-    coeffs = {}
-    for key, c in terms.items():
-        if not c.is_Rational:
-            return None
-        if key == ():
-            coeffs[0] = Fraction(c.p, c.q)
-            continue
-        if len(key) != 1:
-            return None
-        base, expo = key[0]
-        if base != var or not expo.is_Integer or expo < 0:
-            return None
-        coeffs[int(expo)] = Fraction(c.p, c.q)
-    if not coeffs:
-        return None
-    deg = max(coeffs)
-    return [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
-
-
 def singular_loci(eq):
     """Rational zeros of coefficient denominators, per variable.
 
@@ -225,10 +204,11 @@ def singular_loci(eq):
         for var, name in ((t, "t"), (x, "x")):
             if free != {var}:
                 continue
-            coeffs = _poly_coeffs_1d(nf.den_terms, var)
-            if coeffs is None or len(coeffs) < 2:
+            coeffs = polynomial(nf.den_terms, (var,))
+            if coeffs is None:
                 continue
-            roots, _rest = rational_roots(coeffs)
+            dense = [coeffs.get((i,), Fraction(0)) for i in range(max(coeffs)[0] + 1)]
+            roots, _rest = rational_roots(dense)
             out[name].update(root for root, _m in roots)
     return {k: tuple(sorted(v)) for k, v in out.items()}
 

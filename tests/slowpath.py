@@ -45,6 +45,18 @@ nullspace: the library solves each connected block of columns on its own;
 the oracle runs one rref over the whole matrix and reads every free column
 off the reduced rows.  The basis is one vector per free column either way,
 so both must return equal lists of Fractions.
+
+coefficient readers: the library reads polynomial and exp-polynomial
+coefficients off the terms of a normal form with one reader in
+kernel.normalform.  The oracles are the loops each caller used to carry:
+poly_coeffs_1d (singular loci), exp_poly_groups (undetermined
+coefficients, which tested an exp factor's linearity by differentiating
+its argument), tx_polynomial (particular solutions) and linear_coeffs
+(partial fractions).
+
+char_value: the library counts the multiplicity of a Gaussian-rational
+root by synthetic division on pairs; the oracle evaluates the polynomial
+once, by Horner on pairs.
 """
 
 import math
@@ -54,7 +66,17 @@ from sympy import Add, Mul, Rational, S, Symbol, expand, together
 
 from evolsym.equivalence import _pull_back, compose_scalar, nth_root, recognize_scalar
 from evolsym.errors import EvalDomainError, InputError, InternalError, UnsupportedError
-from evolsym.kernel import Verdict, differentiate, is_zero, rref, solve_affine, substitute, t, x
+from evolsym.kernel import (
+    Verdict,
+    differentiate,
+    is_zero,
+    rref,
+    solve_affine,
+    substitute,
+    t,
+    to_fraction,
+    x,
+)
 from evolsym.kernel.atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin
 from evolsym.kernel.normalform import (
     _ZERO,
@@ -390,3 +412,86 @@ def nullspace(rows, ncols):
             v[pc] = -red[i][fc]
         basis.append(v)
     return basis
+
+
+def poly_coeffs_1d(terms, var):
+    """Fraction coefficient list of the canonical terms of a polynomial in
+    var alone, or None."""
+    coeffs = {}
+    for key, c in terms.items():
+        if not c.is_Rational:
+            return None
+        if key == ():
+            coeffs[0] = Fraction(c.p, c.q)
+            continue
+        if len(key) != 1:
+            return None
+        base, expo = key[0]
+        if base != var or not expo.is_Integer or expo < 0:
+            return None
+        coeffs[int(expo)] = Fraction(c.p, c.q)
+    if not coeffs:
+        return None
+    deg = max(coeffs)
+    return [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
+
+
+def exp_poly_groups(e, var):
+    """Split e into {rate b: {degree a: Rational}} groups of var^a exp(b var);
+    None when e is outside that span."""
+    nf = normalize(e)
+    if nf.den != 1:
+        return None
+    groups = {}
+    for key, c in nf.num_terms.items():
+        if not c.is_Rational:
+            return None
+        a = 0
+        b = Fraction(0)
+        for base, ex in key:
+            if base == var and ex.is_Integer and ex >= 0:
+                a = int(ex)
+            elif isinstance(base, Exp) and ex.is_Integer:
+                arg = base.args[0]
+                slope = differentiate(arg, var)
+                if not slope.is_Rational:
+                    return None
+                if normalize(arg - slope * var).num != 0:
+                    return None
+                b += Fraction(int(ex)) * to_fraction(slope)
+            else:
+                return None
+        groups.setdefault(b, {})
+        groups[b][a] = groups[b].get(a, S.Zero) + c
+    return groups
+
+
+def tx_polynomial(terms):
+    """Whether the terms are a polynomial in t and x."""
+    for key in terms:
+        for base, expo in key:
+            if base not in (t, x) or not expo.is_Integer or expo < 0:
+                return False
+    return True
+
+
+def linear_coeffs(terms, var):
+    """(a, b) when the terms are a var + b with rational a, b, else None."""
+    a = b = S.Zero
+    for key, c in terms.items():
+        if key == ():
+            b = c
+        elif len(key) == 1 and key[0][0] == var and key[0][1] == 1:
+            a = c
+        else:
+            return None
+    return a, b
+
+
+def char_value(char, a, b):
+    """char(a + ib) as its exact (real, imaginary) pair: Horner on pairs."""
+    a, b = to_fraction(a), to_fraction(b)
+    re = im = Fraction(0)
+    for c in reversed(char):
+        re, im = re * a - im * b + c, re * b + im * a
+    return re, im

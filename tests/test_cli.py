@@ -204,6 +204,16 @@ class TestClassify:
         assert code == 3 and out == ""
         assert "term budget exceeded" in json.loads(err)["error"]
 
+    def test_semiprime_surd_exit3(self, capsys, tmp_path):
+        # factoring the 59-digit semiprime stops at the trial-division limit
+        n = "30000000000000000000000000096400000000000000000000000002233"
+        doc = {"order": 3, "form": "reduced", "coefficients": {"A0": f"x*{n}^(1/2)"}}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", write(tmp_path, "eq.json", doc))
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert "factoring budget exceeded" in json.loads(err)["error"]
+
     def test_power_tower_exit3(self, capsys, tmp_path):
         doc = {"order": 3, "form": "reduced", "coefficients": {"A0": "^".join(["x"] * 50)}}
         start = time.perf_counter()

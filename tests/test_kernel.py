@@ -3,6 +3,7 @@
 import math
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -43,7 +44,12 @@ from evolsym.kernel import (
     to_str,
     x,
 )
-from evolsym.kernel.normalform import _normal_form, common_numerators
+from evolsym.kernel.normalform import (
+    _normal_form,
+    common_numerators,
+    exp_polynomial,
+    polynomial,
+)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -185,6 +191,29 @@ def test_normalize_abs_sgn_rules():
 def test_normalize_surds_over_primes():
     assert normalize(2 ** Rational(1, 2) * 3 ** Rational(1, 2) - 6 ** Rational(1, 2)).num == 0
     assert normalize(8 ** Rational(2, 3)).as_expr() == 4
+
+
+@pytest.mark.parametrize(
+    "base,exponent,terms",
+    [
+        (Integer(12), Rational(1, 2), {((3, Rational(1, 2)),): 2}),
+        (Rational(2, 45), Rational(1, 3), {((2, Rational(1, 3)), (3, Rational(1, 3)), (5, Rational(2, 3))): Rational(1, 15)}),
+        # a prime factor above the trial-division limit stays a prime base
+        (Integer(6 * 1000003), Rational(1, 2), {((2, Rational(1, 2)), (3, Rational(1, 2)), (1000003, Rational(1, 2))): 1}),
+        (Integer(1000003**3 * 10007), Rational(1, 2), {((10007, Rational(1, 2)), (1000003, Rational(1, 2))): 1000003}),
+    ],
+)
+def test_normalize_surd_factorization_pins(base, exponent, terms):
+    assert dict(normalize(Pow(base, exponent)).num_terms) == terms
+
+
+def test_normalize_surd_factoring_budget():
+    # a 59-digit semiprime: its factors lie far above FACTOR_LIMIT
+    n = Integer(30000000000000000000000000096400000000000000000000000002233)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedError, match="factoring budget exceeded.* up to 10000"):
+        normalize(x * Pow(n, Rational(1, 2)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_normalize_rejects_floats_and_poles():
@@ -401,6 +430,48 @@ def test_common_numerators_oracle(es):
     nfs = [normalize(e) for e in es]
     got = common_numerators(nfs)
     assert [dict(d) for d in got] == slowpath.common_numerators(nfs)
+
+
+def _dense(coeffs):
+    """Low-to-high coefficient list of a nonempty univariate reading."""
+    return [coeffs.get((i,), Fraction(0)) for i in range(max(coeffs)[0] + 1)]
+
+
+@settings(max_examples=oracle_examples(40), deadline=None)
+@given(st.one_of(exprs, poly_exprs, _quotients))
+@example(Exp(x / 4) * x**2 + 3 * Exp(-x / 2) - x)
+@example(Exp(t / 4 + x / 4) * x)
+# exp arguments that are polynomials in x but not rational multiples of it
+@example(x * Exp((x + 1) / 4))
+@example(Exp(x**2 / 4) + x)
+def test_coefficient_readers_match_slow_path_oracles(e):
+    # the kernel's readers carry what the loops they replaced read
+    nf = normalize(e)
+    for terms in (nf.num_terms, nf.den_terms):
+        for var in (t, x):
+            got = polynomial(terms, (var,))
+            if not got:
+                assert slowpath.poly_coeffs_1d(terms, var) is None
+            else:
+                assert _dense(got) == slowpath.poly_coeffs_1d(terms, var)
+            linear = None if got is None or max(got, default=(0,))[0] > 1 else got
+            old = slowpath.linear_coeffs(terms, var)
+            if linear is None:
+                assert old is None
+            else:
+                assert old == tuple(Rational(linear.get((k,), 0)) for k in (1, 0))
+        both = polynomial(terms, (t, x))
+        assert (both is not None) == slowpath.tx_polynomial(terms)
+        if both is not None:
+            back = Add(*[Rational(c) * t**i * x**j for (i, j), c in both.items()])
+            assert normalize(back - slowpath.dict_to_expr(terms)).num == 0
+    for var in (t, x):
+        got = exp_polynomial(nf.num_terms, var) if nf.den == 1 else None
+        old = slowpath.exp_poly_groups(e, var)
+        if got is None:
+            assert old is None
+        else:
+            assert got == {b: {a: Fraction(c.p, c.q) for a, c in g.items()} for b, g in old.items()}
 
 
 @pytest.mark.parametrize(

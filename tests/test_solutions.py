@@ -4,6 +4,7 @@ generation formula, all against the residual oracles."""
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from sympy import Integer, Pow, Rational, S
 
 from conftest import oracle_examples
+from slowpath import char_value
 
 from evolsym.equivalence import (
     EquivTransformation,
@@ -51,7 +53,8 @@ from evolsym.solutions import (
     rk4_integrate,
     solve_const_ode,
 )
-from evolsym.solutions import _char_coeffs, _char_value, _complex_modes, _rationalized_roots
+from evolsym.kernel.polyroot import root_multiplicity
+from evolsym.solutions import _char_coeffs, _complex_modes, _const_ode_modes, _rationalized_roots
 from evolsym.symmetry import solve_symmetries
 from evolsym.verify import GridSpec, residual_symbolic
 
@@ -403,7 +406,7 @@ def _char_root_cases(draw):
         nu = draw(_small_rationals.filter(lambda v: v > 0))
         return eq, draw(_small_rationals), nu, []
     a, b = draw(_small_rationals), draw(_small_rationals)
-    re, im = _char_value(_char_coeffs(LinearODE(r, eq.A + (S.Zero,), x)), a, b)
+    re, im = char_value(_char_coeffs(LinearODE(r, eq.A + (S.Zero,), x)), a, b)
     # char(conj z) = conj char(z): the conjugate root gives the rate nu > 0
     assume(im != 0)
     if im > 0:
@@ -416,14 +419,69 @@ def _char_root_cases(draw):
 # the free r = 3 equation has the exact root z = i at mu = 0, nu = 1
 @example((FREE3, S.Zero, S.One, []))
 def test_exact_root_test_matches_residual_verdict(case):
-    # the symbolic residual's verdict is the oracle of the exact root test
+    # the symbolic residual's verdict is the oracle of the exact root test:
+    # a + ib is a root of char - (mu - i nu), which the Horner value of
+    # char at a + ib decides as well
     eq, mu, nu, extra = case
     char = _char_coeffs(LinearODE(eq.r, eq.A + (S.Zero,), x))
+    rate = (to_fraction(mu), -to_fraction(nu))
+    shifted = [(char[0] - rate[0], -rate[1])] + char[1:]
     roots = [(a, b) for _z, a, b in _rationalized_roots(char, mu, nu)] + extra
     for a, b in roots:
-        exact = _char_value(char, a, b) == (to_fraction(mu), -to_fraction(nu))
+        exact = root_multiplicity(shifted, (a, b)) > 0
+        assert exact == (char_value(char, a, b) == rate)
         for _tag, u in _complex_modes(a, b, mu, nu):
             assert exact == (is_zero(residual_symbolic(eq, u)) is Verdict.ZERO)
+
+
+@st.composite
+def _const_odes(draw):
+    """A rational constant-coefficient ODE of order 3-5 whose monic
+    characteristic polynomial is a product of drawn factors (w - c)^m and
+    ((w - a)^2 + b^2)^m, exact repeated and Gaussian roots, and a monic
+    factor with drawn coefficients for the degree left over."""
+    r = draw(st.integers(3, 5))
+    char = [Fraction(1)]
+
+    def times(factor):
+        nonlocal char
+        out = [Fraction(0)] * (len(char) + len(factor) - 1)
+        for i, p in enumerate(char):
+            for j, q in enumerate(factor):
+                out[i + j] += p * q
+        char = out
+
+    rats = _small_rationals.map(to_fraction)
+    while len(char) - 1 < r and draw(st.booleans()):
+        m = draw(st.integers(1, 2))
+        if r - (len(char) - 1) >= 2 * m and draw(st.booleans()):
+            a, b = draw(rats), draw(rats.filter(lambda v: v != 0))
+            factor = [a * a + b * b, -2 * a, Fraction(1)]
+        else:
+            m = min(m, r - (len(char) - 1))
+            factor = [-draw(rats), Fraction(1)]
+        for _ in range(m):
+            times(factor)
+    left = r - (len(char) - 1)
+    if left:
+        times(draw(st.lists(rats, min_size=left, max_size=left)) + [Fraction(1)])
+    return LinearODE(r, tuple(Rational(c) for c in char[:-1]), x)
+
+
+@settings(max_examples=oracle_examples(10), deadline=None)
+@given(_const_odes())
+# (w^2 + 1)^2 (w - 1): a repeated Gaussian root; (w - 2)^3: a repeated
+# rational root
+@example(LinearODE(5, (-1, 1, -2, 2, -1), x))
+@example(LinearODE(3, (-8, 12, -6), x))
+def test_const_ode_multiplicity_matches_residual_verdict(ode):
+    # a mode w^k e^(aw) [cos|sin](bw) has a zero residual exactly when
+    # a + ib is a root of char of multiplicity > k
+    char = _char_coeffs(ode)
+    for e, _tag, k, z in _const_ode_modes(ode, char):
+        e = normalize(e).as_expr()
+        exact = root_multiplicity(char, z) > k
+        assert exact == (is_zero(ode.residual(e)) is Verdict.ZERO)
 
 
 class TestGeneralizedReductionP:
