@@ -24,6 +24,7 @@ from .kernel import (
     Sgn,
     Verdict,
     as_exact,
+    derivative_terms,
     differentiate,
     integrate,
     is_zero,
@@ -293,18 +294,31 @@ def pushforward_equation(eq, tr):
     A = eq.A
     scale = tr.U1 / differentiate(tr.T, t)
     V = normalize(1 / tr.U1).as_expr()
-    W = normalize(-tr.U0 / tr.U1).as_expr()
+    W = S.Zero if tr.U0 == 0 else normalize(-tr.U0 / tr.U1).as_expr()
     DV = [differentiate(V, x, m) for m in range(r + 1)]
+
+    def scaled(parts):
+        # zero terms are left out, as in derivative_terms; V is x-free
+        # whenever U1 is, and then DV[m] = 0 for m > 0
+        a = Add(*parts)
+        return S.Zero if a == 0 else normalize(scale * a).as_expr()
+
     Atil = []
     for j in range(r + 1):
-        a = Pow(tr.X1, j) * Add(*[comb(k, j) * A[k] * DV[k - j] for k in range(j, r + 1)])
+        terms = [
+            comb(k, j) * A[k] * DV[k - j]
+            for k in range(j, r + 1)
+            if 0 not in (A[k], DV[k - j])
+        ]
+        parts = [Pow(tr.X1, j) * Add(*terms)] if terms else []
         if j == 1:
-            a -= differentiate(tr.X_expr, t) * V
+            Xt = differentiate(tr.X_expr, t)
+            if Xt != 0:
+                parts.append(-(Xt * V))
         elif j == 0:
-            a -= differentiate(V, t)
-        Atil.append(normalize(scale * a).as_expr())
-    LW = Add(*[A[k] * differentiate(W, x, k) for k in range(r + 1)])
-    Btil = normalize(scale * (eq.B + LW - differentiate(W, t))).as_expr()
+            parts.append(-differentiate(V, t))
+        Atil.append(scaled(parts))
+    Btil = scaled([eq.B, *derivative_terms(A, W, x), -differentiate(W, t)])
 
     inv = tr.inverse_map()
     return EvolutionEquation(
@@ -421,16 +435,14 @@ def find_particular_solution(eq, ansatz_degree):
     monos = [(i, j) for i in range(dt_ + 1) for j in range(dx_ + 1)]
 
     def residual(w):
-        return differentiate(w, t) - sum(
-            eq.A[k] * differentiate(w, x, k) for k in range(eq.r + 1)
-        )
+        return differentiate(w, t) - Add(*derivative_terms(eq.A, w, x))
 
     residuals = [residual(Pow(t, i) * Pow(x, j)) for i, j in monos]
     part = _combination(_slot_coords(residuals + [eq.B])[1])
     if part is None:
         return None
     return normalize(
-        Add(*[Rational(c) * Pow(t, i) * Pow(x, j) for c, (i, j) in zip(part, monos)])
+        Add(*[Rational(c) * Pow(t, i) * Pow(x, j) for c, (i, j) in zip(part, monos) if c])
     ).as_expr()
 
 

@@ -1,7 +1,7 @@
 """Exact symbolic kernel: the closed expression fragment and its operations."""
 
 from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, sym, t, x
-from .calculus import differentiate, integrate, substitute
+from .calculus import derivative_terms, differentiate, integrate, substitute
 from .linalg import nullspace, rank, row_canonical, rref, solve_affine, to_fraction
 from .normalform import NormalForm, as_exact, dict_to_expr, normalize
 from .numeric import eval_grid, eval_numeric, numeric_function
@@ -20,6 +20,7 @@ __all__ = [
     "Sin",
     "Verdict",
     "as_exact",
+    "derivative_terms",
     "dict_to_expr",
     "differentiate",
     "eval_grid",

@@ -26,6 +26,28 @@ def sym(name):
     return s
 
 
+def negative_number(e):
+    """Whether the exact number e is negative: a Rational answers from its
+    numerator, without sympy's assumption engine, whose first query on a
+    fresh number deduces all of its facts."""
+    return e.p < 0
+
+
+def minus_sign(e):
+    """e.could_extract_minus_sign(), with exact numbers answering by
+    negative_number: a negative Rational, or a product led by one; a sum
+    has more such terms than others, or on a tie the smaller sort key
+    with its sign flipped, as sympy decides.  sympy also compares a
+    product with its negative, which only zoo equals."""
+    if e.is_Add:
+        neg = sum(map(minus_sign, e.args))
+        if 2 * neg != len(e.args):
+            return 2 * neg > len(e.args)
+        return e.sort_key() < (-e).sort_key()
+    lead = e.args[0] if e.is_Mul else e
+    return lead.is_Rational and negative_number(lead)
+
+
 class Exp(Function):
     fname = "exp"
 
@@ -71,7 +93,7 @@ class Sin(Function):
     def eval(cls, a):
         if a is S.Zero:
             return S.Zero
-        if a.could_extract_minus_sign():
+        if minus_sign(a):
             return -Sin(-a)
 
     def fdiff(self, argindex=1):
@@ -88,7 +110,7 @@ class Cos(Function):
     def eval(cls, a):
         if a is S.Zero:
             return S.One
-        if a.could_extract_minus_sign():
+        if minus_sign(a):
             return Cos(-a)
 
     def fdiff(self, argindex=1):
@@ -105,7 +127,7 @@ class AbsV(Function):
     def eval(cls, a):
         if a.is_Rational:
             return abs(a)
-        if a.could_extract_minus_sign():
+        if minus_sign(a):
             return AbsV(-a)
         if isinstance(a, Exp):
             return a
@@ -144,10 +166,10 @@ class Sgn(Function):
     @classmethod
     def eval(cls, a):
         if a.is_Rational:
-            if a.is_zero:
+            if a.p == 0:
                 return S.Zero
-            return S.One if a > 0 else S.NegativeOne
-        if a.could_extract_minus_sign():
+            return S.NegativeOne if negative_number(a) else S.One
+        if minus_sign(a):
             return -Sgn(-a)
         if isinstance(a, Exp):
             return S.One

@@ -53,9 +53,24 @@ def _derivative(e, var):
         dinv = _terms_derivative(inv_terms, var)
     else:
         inv = Pow(nf.den, -1)
-        dinv = -_terms_derivative(nf.den_terms, var) * inv**2
-    d = _terms_derivative(nf.num_terms, var) * inv + nf.num * dinv
-    return normalize(d).as_expr()
+        dden = _terms_derivative(nf.den_terms, var)
+        dinv = S.Zero if dden is S.Zero else -dden * inv**2
+    # a zero part is left out, as in derivative_terms
+    dnum = _terms_derivative(nf.num_terms, var)
+    parts = [a * b for a, b in ((dnum, inv), (nf.num, dinv)) if 0 not in (a, b)]
+    return normalize(Add(*parts)).as_expr()
+
+
+def derivative_terms(coeffs, e, var):
+    """The products coeffs[k] * (d/dvar)^k e that are not zero, k from 0.
+    A zero factor is left out, not multiplied: sympy asks the other
+    factor of 0 * expr whether it is finite."""
+    var = _as_sym(var)
+    return [
+        c * dk
+        for k, c in enumerate(coeffs)
+        if c != 0 and (dk := differentiate(e, var, k)) != 0
+    ]
 
 
 def _terms_derivative(terms, var):
@@ -82,9 +97,12 @@ def _factor_derivative(f, var):
         return _base_derivative(f, var)
     b, q = f.args
     db = _base_derivative(b, var)
-    if q.is_Rational:
-        return f * (db * q / b)
-    return f * (_derivative(q, var) * Ln(b) + db * q / b)
+    parts = []
+    if not q.is_Rational and (dq := _derivative(q, var)) is not S.Zero:
+        parts.append(dq * Ln(b))
+    if db is not S.Zero:
+        parts.append(db * q / b)
+    return f * Add(*parts) if parts else S.Zero
 
 
 # d/da of head(a), as a function of the atom and its argument

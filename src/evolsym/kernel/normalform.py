@@ -42,8 +42,9 @@ t^p e^(lam t) and nth_root takes a monomial's root factor by factor.
 
 Budgets.  A power of a sum whose multinomial term count exceeds TERM_BUDGET,
 any converted polynomial longer than that, non-rational exponents nested
-deeper than EXPONENT_DEPTH_BUDGET, and a surd base with a composite factor
-that has no prime factor up to FACTOR_LIMIT raise UnsupportedError (exit 3)
+deeper than EXPONENT_DEPTH_BUDGET, and a surd base (or, in polyroot's
+rational root search, a coefficient) with a composite factor that has no
+prime factor up to FACTOR_LIMIT raise UnsupportedError (exit 3)
 naming the budget, before the work is done where the bound can be known in
 advance.
 """
@@ -75,7 +76,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
 from ..errors import InputError, UnsupportedError
-from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, t
+from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, negative_number, t
 
 
 @dataclass(frozen=True)
@@ -192,26 +193,36 @@ def _canon_push(fmap, base, e):
     _add_factor(fmap, base, e)
 
 
-# trial division bound of _rat_prime_powers
+# trial division bound of prime_factors
 FACTOR_LIMIT = 10**4
 
 
-def _rat_prime_powers(q):
-    """Prime factorization of a positive rational as [(prime, exponent)]:
+def prime_factors(n, what):
+    """Prime factorization of the positive integer n as [(prime, exponent)]:
     trial division up to FACTOR_LIMIT and a bounded search beyond, so a
-    factor above the limit that is not prime raises UnsupportedError."""
+    factor above the limit that is not prime raises UnsupportedError,
+    naming what n is."""
     from sympy import factorint, isprime
 
     out = []
-    for n, sign in ((q.p, 1), (q.q, -1)):
-        for p, k in factorint(n, limit=FACTOR_LIMIT).items():
-            if p > FACTOR_LIMIT and not isprime(p):
-                raise UnsupportedError(
-                    "factoring budget exceeded: a surd base has a composite"
-                    f" factor with no prime factor up to {FACTOR_LIMIT}"
-                )
-            out.append((int(p), sign * int(k)))
+    for p, k in factorint(n, limit=FACTOR_LIMIT).items():
+        if p > FACTOR_LIMIT and not isprime(p):
+            raise UnsupportedError(
+                f"factoring budget exceeded: {what} has a composite"
+                f" factor with no prime factor up to {FACTOR_LIMIT}"
+            )
+        out.append((int(p), int(k)))
     return out
+
+
+def _rat_prime_powers(q):
+    """Prime factorization of a positive rational as [(prime, exponent)],
+    the denominator's exponents negative."""
+    return [
+        (p, sign * k)
+        for n, sign in ((q.p, 1), (q.q, -1))
+        for p, k in prime_factors(n, "a surd base")
+    ]
 
 
 def _canon_monomial(coeff, factors):
@@ -232,7 +243,7 @@ def _canon_monomial(coeff, factors):
                 continue
             if base.is_Rational:
                 if not e.is_Rational:
-                    if base.is_negative:
+                    if negative_number(base):
                         raise UnsupportedError(
                             "negative base under a symbolic exponent"
                         )
@@ -241,7 +252,7 @@ def _canon_monomial(coeff, factors):
                     continue
                 del fmap[base]
                 changed = True
-                if base.is_negative:
+                if negative_number(base):
                     if e.q % 2 == 0:
                         raise UnsupportedError(
                             "fractional power of a negative constant"
@@ -859,7 +870,9 @@ def _cancel(num_d, den_d):
     shifting every generator by its lowest exponent across both sides.
     """
     if () in den_d and len(den_d) == 1 and not any(
-        e.is_negative for key in num_d for _b, e in key
+        negative_number(e) if e.is_Rational else e.is_negative
+        for key in num_d
+        for _b, e in key
     ):
         return num_d, den_d
     units = {}  # (base, opaque exponent or None) -> exponent of the generator

@@ -1,7 +1,9 @@
 """Root finding for univariate polynomials with exact rational coefficients.
 
 Rational roots are extracted exactly (rational root theorem plus synthetic
-deflation, multiplicities included); whatever factor remains is handed to a
+deflation, multiplicities included; the candidates' divisors come from the
+bounded factorization normalform.prime_factors, so a coefficient past its
+budget exits 3 instead of running); whatever factor remains is handed to a
 floating companion-matrix solver, numeric_roots, the library's only one.
 root_multiplicity decides exactly how often a Gaussian rational is a root.
 """
@@ -12,18 +14,16 @@ from math import lcm
 import numpy as np
 
 from ..errors import InputError
+from .normalform import prime_factors
 
 
 def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    """Positive divisors of the nonzero integer n, from its bounded prime
+    factorization: past the factoring budget, UnsupportedError (exit 3)."""
+    out = [1]
+    for p, k in prime_factors(abs(n), "a polynomial coefficient"):
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return out
 
 
 def _divide(cs, a, b):

@@ -14,15 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from sympy import Expr, Integer, Pow, Rational, S, Symbol
+from sympy import Add, Expr, Integer, Pow, Rational, S, Symbol
 
-from .errors import InputError, InternalError, UnsupportedError
+from .errors import EvalDomainError, InputError, InternalError, UnsupportedError
 from .kernel import (
     Cos,
     Exp,
     Sin,
     Verdict,
     as_exact,
+    derivative_terms,
     differentiate,
     eval_numeric,
     integrate,
@@ -78,10 +79,8 @@ class LinearODE:
     def residual(self, v):
         """L[v], normalized."""
         v = as_exact(v)
-        res = differentiate(v, self.var, self.order)
-        for l, c in enumerate(self.coeffs):
-            res += c * differentiate(v, self.var, l)
-        return normalize(res).as_expr()
+        terms = derivative_terms(self.coeffs, v, self.var)
+        return normalize(Add(differentiate(v, self.var, self.order), *terms)).as_expr()
 
     def is_constant(self):
         return all(c.is_Rational for c in self.coeffs)
@@ -343,7 +342,7 @@ def _rate_coeffs(eq):
 
 def _exp_rate(eq, phi):
     """sum_{k=2}^{r} A^k phi^k."""
-    g = sum(Ak * Pow(phi, Integer(k)) for k, Ak in _rate_coeffs(eq).items())
+    g = sum(Ak * Pow(phi, Integer(k)) for k, Ak in _rate_coeffs(eq).items() if Ak != 0)
     return normalize(g).as_expr()
 
 
@@ -441,8 +440,13 @@ def _ode_numeric_certificate(ode, v):
     res = ode.residual(v)
     pts = [i / 32 for i in range(1, 33)]
     worst = 0.0
-    for val in pts:
-        worst = max(worst, abs(eval_numeric(res, {ode.var.name: val})))
+    try:
+        for val in pts:
+            worst = max(worst, abs(eval_numeric(res, {ode.var.name: val})))
+    except EvalDomainError:
+        # an exp-trig mode's residual has no domain gaps, so its floats
+        # overflowed, as e^(5000000 w) does for v_3 + 10^21 v = 0
+        raise UnsupportedError("numeric certificate out of float range on (0, 1]") from None
     return worst
 
 
@@ -543,7 +547,7 @@ def _particular(coeffs, rhs, var):
         if got is None:
             raise InternalError("undetermined-coefficient system inconsistent")
         total += sum(
-            Rational(q.numerator, q.denominator) * v for q, v in zip(got, basis)
+            Rational(q.numerator, q.denominator) * v for q, v in zip(got, basis) if q
         )
     return normalize(total).as_expr()
 

@@ -12,11 +12,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from sympy import Expr
+from sympy import Add, Expr
 
 from .errors import InputError
 from .kernel import (
     as_exact,
+    derivative_terms,
     differentiate,
     eval_grid,
     normalize,
@@ -183,10 +184,8 @@ def residual_symbolic(eq, u):
     """normalize(u_t - A^k u_k - B) with u_k the k-th x-derivative."""
     eq = embed_reduced(eq)
     u = as_exact(u)
-    res = differentiate(u, t) - eq.B
-    for k in range(eq.r + 1):
-        res -= eq.A[k] * differentiate(u, x, k)
-    return normalize(res).as_expr()
+    terms = [-p for p in derivative_terms(eq.A, u, x)]
+    return normalize(Add(differentiate(u, t), -eq.B, *terms)).as_expr()
 
 
 def singular_loci(eq):

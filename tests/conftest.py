@@ -5,11 +5,14 @@ checked against high-order central differences of the pointwise evaluator,
 antiderivatives against adaptive quadrature.
 """
 
+import importlib
+import os
 import random
+import sys
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from sympy import Integer, Rational
+from sympy import Integer, Mul, Rational, S
 
 from evolsym.kernel import Cos, Exp, Sin, eval_numeric, sym, t, x
 
@@ -24,6 +27,44 @@ def fd_derivative(expr, name, point, h=1e-5):
 
     v0 = point[name]
     return (f(v0 - 2 * h) - 8 * f(v0 - h) + 8 * f(v0 + h) - f(v0 + 2 * h)) / (12 * h)
+
+
+def number_fact_queries(monkeypatch):
+    """A list that records, from now on, each (fact, number) that sympy's
+    assumption engine is asked about an exact number: its first query on
+    a fresh Rational deduces all of its facts."""
+    assumptions = importlib.import_module("sympy.core.assumptions")
+    ask = assumptions._ask
+    seen = []
+
+    def counting(fact, obj):
+        if isinstance(obj, Rational):
+            seen.append((fact, obj))
+        return ask(fact, obj)
+
+    monkeypatch.setattr(assumptions, "_ask", counting)
+    return seen
+
+
+def zero_products(monkeypatch, sources):
+    """A list that records, from now on, each Mul built with a zero factor
+    whose nearest caller outside sympy is a function of the given source
+    files, as (file name, function name)."""
+    new = Mul.__new__
+    seen = []
+
+    def counting(cls, *args, **options):
+        if any(a is S.Zero for a in args):
+            f = sys._getframe(1)
+            while f is not None and "sympy" in f.f_code.co_filename:
+                f = f.f_back
+            name = os.path.basename(f.f_code.co_filename) if f else ""
+            if name in sources:
+                seen.append((name, f.f_code.co_name))
+        return new(cls, *args, **options)
+
+    monkeypatch.setattr(Mul, "__new__", counting)
+    return seen
 
 
 def rand_points(names, n, seed, lo=0.3, hi=1.7):

@@ -57,6 +57,17 @@ its argument), tx_polynomial (particular solutions) and linear_coeffs
 char_value: the library counts the multiplicity of a Gaussian-rational
 root by synthetic division on pairs; the oracle evaluates the polynomial
 once, by Horner on pairs.
+
+divisors: the library takes a polynomial coefficient's divisors from its
+bounded prime factorization; the oracle divides by every integer up to the
+square root.
+
+to_str: the library's printer orders a sum's terms with sympy's key but
+computes it itself, reading each exact number's float and sign off its
+numerator and denominator; the oracle is the printer as it was, on
+Expr.as_ordered_terms, which evaluates every coefficient with complex(),
+and could_extract_minus_sign.  Both must print the same text byte for
+byte.
 """
 
 import math
@@ -93,6 +104,7 @@ from evolsym.kernel.normalform import (
     normalize,
 )
 from evolsym.kernel.numeric import ZERO_TOL
+from evolsym.kernel.printer import _ADD, _ATOM, _MUL, _NEG, _POW
 from evolsym.model import EvolutionEquation, VectorField, embed_reduced
 from evolsym.verify import _stencil_margin
 
@@ -495,3 +507,74 @@ def char_value(char, a, b):
     for c in reversed(char):
         re, im = re * a - im * b + c, re * b + im * a
     return re, im
+
+
+def divisors(n):
+    """Positive divisors of n by trial division up to its square root."""
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def to_str(e):
+    """The printer on Expr.as_ordered_terms and could_extract_minus_sign."""
+    if e is S.Zero:
+        return "0"
+    if e.is_Integer:
+        return str(int(e))
+    if e.is_Rational:
+        return f"{e.p}/{e.q}"
+    if isinstance(e, Symbol):
+        return e.name
+    if isinstance(e, ATOM_HEADS):
+        return f"{e.fname}({to_str(e.args[0])})"
+    if e.is_Add:
+        terms = e.as_ordered_terms()
+        out = [to_str(terms[0])]
+        for term in terms[1:]:
+            if term.could_extract_minus_sign():
+                out.append(f" - {to_str(-term)}")
+            else:
+                out.append(f" + {to_str(term)}")
+        return "".join(out)
+    if e.is_Mul:
+        coeff, rest = e.as_coeff_Mul()
+        sign = ""
+        if coeff < 0:
+            sign = "-"
+            coeff = -coeff
+        factors = rest.as_ordered_factors() if rest is not S.One else []
+        parts = []
+        if coeff != 1 or not factors:
+            parts.append(to_str(coeff))
+        parts.extend(_paren(f, _MUL + 1) for f in factors)
+        return sign + "*".join(parts)
+    if e.is_Pow:
+        base, expo = e.args
+        return f"{_paren(base, _POW + 1)}^{_paren(expo, _POW)}"
+    raise InternalError(f"cannot print node of type {type(e).__name__}: {e!r}")
+
+
+def _paren(e, ctx):
+    s = to_str(e)
+    return f"({s})" if _prec(e) < ctx else s
+
+
+def _prec(e):
+    if e.is_Add:
+        return _ADD
+    if e.is_Mul:
+        return _NEG if e.could_extract_minus_sign() else _MUL
+    if e.is_Pow:
+        return _POW
+    if e.is_Integer:
+        return _ATOM if e >= 0 else _NEG
+    if e.is_Rational:
+        return _MUL if e >= 0 else _NEG
+    return _ATOM

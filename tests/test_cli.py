@@ -275,6 +275,25 @@ class TestGauge:
 
 
 class TestSolve:
+    @pytest.mark.parametrize(
+        "A0",
+        [
+            # 10^21 has 484 divisors; the root 10^7 is exact, the complex
+            # pair's numeric certificate overflows a float
+            "1000000000000000000000",
+            # a 59-digit semiprime constant: no divisor list within budget
+            "30000000000000000000000000096400000000000000000000000002233",
+        ],
+    )
+    def test_large_constant_term_ends(self, capsys, tmp_path, A0):
+        # the rational root search takes the constant's divisors from its
+        # bounded factorization, not from trial division up to its root
+        doc = {"order": 3, "form": "reduced", "coefficients": {"A0": A0}}
+        start = time.perf_counter()
+        code, _out, err = run(capsys, "solve", write(tmp_path, "eq.json", doc), "--method", "D1")
+        assert time.perf_counter() - start < 2
+        assert code in (0, 3), err
+
     def test_poly_t(self, capsys, tmp_path):
         rep = run_json(
             capsys,

@@ -7,10 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Pow, Rational, S, Symbol
+from sympy import Integer, Pow, Rational, S, Symbol
 
 import slowpath
-from conftest import oracle_examples, rand_points
+from conftest import number_fact_queries, oracle_examples, rand_points, zero_products
+from evolsym.cli import parse_equation_document
 from evolsym.equivalence import (
     EquivTransformation,
     adjoint_general,
@@ -48,6 +49,7 @@ from evolsym.kernel import (
     x,
 )
 from evolsym.model import EvolutionEquation, ReducedEquation, VectorField, embed_reduced
+from evolsym.verify import residual_symbolic
 
 
 def zero(e, **kw):
@@ -398,6 +400,58 @@ def test_normalize_memo_matches_body_after_pushforwards(monkeypatch):
             slowpath.pushforward_equation(eq, tr)
     stale = [k for k, nf in list(nfm._MEMO.items()) if nf != nfm._normal_form(k)]
     assert stale == []
+
+
+# a transform document of the benchmark's gauge-transform stream
+_TRANSFORM_EQ = {
+    "order": 3,
+    "form": "general",
+    "coefficients": {
+        "A0": "2*x^2 + t*x + x + 2*t - 1",
+        "A1": "-x^2 - t*x - x + t + 1",
+        "A2": "x^2 + t*x - x + t - 2",
+        "A3": "1",
+        "B": "-2*x^2 - 2*t*x - x - t - 2",
+    },
+}
+_TRANSFORM_TR = {"T": "2*t + 1", "X0": "0", "U1": "exp(t)", "U0": "0"}
+
+
+def test_printing_pushforward_asks_no_number_facts(monkeypatch):
+    # the printer reads each exact number's float and sign itself
+    eq, params = parse_equation_document(_TRANSFORM_EQ)
+    tr = EquivTransformation.from_doc(_TRANSFORM_TR, 3, params=params)
+    out = pushforward_equation(embed_reduced(eq), tr)
+    coefficients = out.A + (out.B,)
+    asks = number_fact_queries(monkeypatch)
+    texts = [to_str(a) for a in coefficients]
+    assert asks == []
+    # the same text from the printer on as_ordered_terms, which asks
+    assert [slowpath.to_str(a) for a in coefficients] == texts
+    assert asks
+
+
+def test_no_zero_products(monkeypatch):
+    # 0 * expr asks expr is_finite: the equation and residual assemblies
+    # and the derivative step leave zero terms out instead
+    from evolsym.kernel.calculus import _derivative
+
+    eq = EvolutionEquation(3, (t * x + Rational(1, 3), S.Zero, 2 * t / 7, 1 + t**2), x**2 / 5 - t)
+    products = zero_products(monkeypatch, {"equivalence.py", "calculus.py", "verify.py"})
+    for tr in (
+        EquivTransformation(3, T=2 * t + 3, X0=t / 3, U1=Exp(t) / 5, U0=x / 7 + t),
+        # U1 and so V = 1/U1 are x-free: DV[m] = 0 for m > 0; U0 = 0
+        EquivTransformation(3, T=t, U1=S(2)),
+        EquivTransformation(3, T=t, U1=x + 2, U0=x),
+    ):
+        pushforward_equation(eq, tr)
+    residual_symbolic(eq, Exp(t) * x)
+    find_particular_solution(EvolutionEquation(3, (t * x, S.Zero, S.Zero, S.One), x - t), (1, 1))
+    _derivative.cache_clear()
+    for e in (x**3 / (x + 1), Exp(2 * t) / (Exp(t) - 1), Sin(x) * t, Integer(2) ** t * x, AbsV(x) ** Rational(1, 2)):
+        for var in (t, x):
+            _derivative(e, var)
+    assert products == []
 
 
 _monomials = (S.One, t, x, t * x, x**2, Exp(t), Sin(x))

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from sympy import Add, Float, Integer, Pow, Rational, S, cancel, default_sort_key, gcd
 
 import slowpath
-from conftest import exprs, fd_derivative, oracle_examples, poly_exprs, rand_points
+from conftest import (
+    exprs,
+    fd_derivative,
+    number_fact_queries,
+    oracle_examples,
+    poly_exprs,
+    rand_points,
+)
 from evolsym.errors import (
     EvalDomainError,
     InputError,
@@ -45,11 +52,14 @@ from evolsym.kernel import (
     x,
 )
 from evolsym.kernel.normalform import (
+    _cancel,
     _normal_form,
     common_numerators,
     exp_polynomial,
     polynomial,
 )
+from evolsym.kernel.atoms import minus_sign
+from evolsym.kernel.printer import ordered_terms
 
 
 # --- parsing ----------------------------------------------------------------
@@ -472,6 +482,86 @@ def test_coefficient_readers_match_slow_path_oracles(e):
             assert old is None
         else:
             assert got == {b: {a: Fraction(c.p, c.q) for a, c in g.items()} for b, g in old.items()}
+
+
+# --- printer ----------------------------------------------------------------
+
+# number factors that leave a term's monomial as it is, so that terms tie
+# on the monomial and the float of coefficient times surd decides
+_SURDS = (S.One, 2 ** Rational(1, 3), 3 ** Rational(1, 2), 5 ** Rational(2, 3))
+
+_surd_sums = st.lists(
+    st.builds(
+        lambda p, q, s, i, j: Rational(p, q) * s * t**i * x**j,
+        st.integers(-(10**7), 10**7),
+        st.integers(1, 10**7),
+        st.sampled_from(_SURDS),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda terms: Add(*terms))
+
+_printed = st.one_of(exprs, poly_exprs, _quotients, _surd_sums)
+
+# evalf rounds 711753975/9244735 to 76.99019766385948, p/q to ...49, and
+# the surd term's float is the first of these exactly
+_DOUBLE_ROUNDING = Rational(711753975, 9244735) * x + Rational(
+    2150017068151993, 35184372088832
+) * 2 ** Rational(1, 3) * x
+
+
+def _normalized(e):
+    try:
+        return normalize(e).as_expr()
+    except (InputError, UnsupportedError):
+        return e
+
+
+@settings(max_examples=oracle_examples(100), deadline=None)
+@given(_printed, st.booleans())
+@example(_DOUBLE_ROUNDING, False)
+@example(1 - x, False)
+@example(Rational(1, 2) - 3 * Exp(x), False)
+@example(Sin(Integer(-3) / 2) + Cos(-t - 1) + Exp(Integer(1) / 4) * x, False)
+def test_printer_matches_slow_path_oracle(e, normal):
+    # the printer on as_ordered_terms and could_extract_minus_sign is the
+    # oracle, byte for byte
+    if normal:
+        e = _normalized(e)
+    assert to_str(e) == slowpath.to_str(e)
+
+
+def test_cancel_fast_path_asks_no_number_facts(monkeypatch):
+    # a numerator over 1 with no negative exponent is returned as it is;
+    # the exponents' signs are read off their numerators
+    num_d = {
+        ((t, Rational(1009, 1013)), (x, Integer(1019))): Rational(2, 9),
+        ((x, Rational(1021, 1031)),): Integer(-3),
+    }
+    den_d = {(): Integer(1)}
+    asks = number_fact_queries(monkeypatch)
+    assert _cancel(num_d, den_d) == (num_d, den_d)
+    assert asks == []
+    # sympy's is_negative on the same exponents does ask
+    assert not any(e.is_negative for key in num_d for _b, e in key)
+    assert asks
+
+
+@settings(max_examples=oracle_examples(100), deadline=None)
+@given(_printed, st.booleans())
+@example(_DOUBLE_ROUNDING, False)
+@example(1 - x, False)
+@example(Sin(x - 1) + Cos(1 - t), False)
+def test_printer_term_order_matches_sympy(e, normal):
+    # the term order and the sign rule of every subexpression are sympy's
+    if normal:
+        e = _normalized(e)
+    for a in sympy.preorder_traversal(e):
+        assert minus_sign(a) == a.could_extract_minus_sign()
+        if a.is_Add:
+            assert ordered_terms(a) == a.as_ordered_terms()
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sympy import Integer, Pow, Rational, S
 
 from conftest import oracle_examples
-from slowpath import char_value
+from slowpath import char_value, divisors
 
 from evolsym.equivalence import (
     EquivTransformation,
@@ -53,7 +53,7 @@ from evolsym.solutions import (
     rk4_integrate,
     solve_const_ode,
 )
-from evolsym.kernel.polyroot import root_multiplicity
+from evolsym.kernel.polyroot import _divisors, rational_roots, root_multiplicity
 from evolsym.solutions import _char_coeffs, _complex_modes, _const_ode_modes, _rationalized_roots
 from evolsym.symmetry import solve_symmetries
 from evolsym.verify import GridSpec, residual_symbolic
@@ -482,6 +482,22 @@ def test_const_ode_multiplicity_matches_residual_verdict(ode):
         e = normalize(e).as_expr()
         exact = root_multiplicity(char, z) > k
         assert exact == (is_zero(ode.residual(e)) is Verdict.ZERO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-(10**6), 10**6).filter(bool))
+@example(720720)
+@example(-(2**19))
+def test_divisors_match_trial_division(n):
+    # the candidate set of rational_roots, and so its roots, are unchanged
+    assert sorted(_divisors(n)) == divisors(n)
+
+
+def test_rational_roots_of_a_large_constant_term():
+    # w^3 - 10^21: trial division up to 10^10.5 never ended
+    roots, rest = rational_roots([-(10**21), 0, 0, 1])
+    assert roots == [(Fraction(10**7), 1)]
+    assert rest == [10**14, 10**7, 1]
 
 
 class TestGeneralizedReductionP:
