@@ -26,26 +26,27 @@ def sym(name):
     return s
 
 
-def negative_number(e):
-    """Whether the exact number e is negative: a Rational answers from its
-    numerator, without sympy's assumption engine, whose first query on a
-    fresh number deduces all of its facts."""
-    return e.p < 0
+def number_sign(e):
+    """The sign of the Rational e, -1, 0 or 1, read from its numerator
+    without sympy's assumption engine, whose first query on a fresh number
+    deduces all of its facts."""
+    return (e.p > 0) - (e.p < 0)
 
 
 def minus_sign(e):
-    """e.could_extract_minus_sign(), with exact numbers answering by
-    negative_number: a negative Rational, or a product led by one; a sum
-    has more such terms than others, or on a tie the smaller sort key
-    with its sign flipped, as sympy decides.  sympy also compares a
-    product with its negative, which only zoo equals."""
+    """e.could_extract_minus_sign() for an exact expression, with numbers
+    answering by number_sign: a negative Rational, or a product led by
+    one; a sum has more such terms than others, or on a tie the smaller
+    sort key with its sign flipped, as sympy decides.  sympy also compares
+    a product with its negative, which only zoo equals.  A product led by
+    a Float, which sympy may call negative, is not one here."""
     if e.is_Add:
         neg = sum(map(minus_sign, e.args))
         if 2 * neg != len(e.args):
             return 2 * neg > len(e.args)
         return e.sort_key() < (-e).sort_key()
     lead = e.args[0] if e.is_Mul else e
-    return lead.is_Rational and negative_number(lead)
+    return lead.is_Rational and number_sign(lead) < 0
 
 
 class Exp(Function):
@@ -166,9 +167,7 @@ class Sgn(Function):
     @classmethod
     def eval(cls, a):
         if a.is_Rational:
-            if a.p == 0:
-                return S.Zero
-            return S.NegativeOne if negative_number(a) else S.One
+            return Integer(number_sign(a))
         if minus_sign(a):
             return -Sgn(-a)
         if isinstance(a, Exp):

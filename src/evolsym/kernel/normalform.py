@@ -43,10 +43,10 @@ t^p e^(lam t) and nth_root takes a monomial's root factor by factor.
 Budgets.  A power of a sum whose multinomial term count exceeds TERM_BUDGET,
 any converted polynomial longer than that, non-rational exponents nested
 deeper than EXPONENT_DEPTH_BUDGET, and a surd base (or, in polyroot's
-rational root search, a coefficient) with a composite factor that has no
-prime factor up to FACTOR_LIMIT raise UnsupportedError (exit 3)
-naming the budget, before the work is done where the bound can be known in
-advance.
+rational root search, a coefficient) with a composite factor of at least
+COMPLETE_BELOW that has no prime factor up to FACTOR_LIMIT raise
+UnsupportedError (exit 3) naming the budget, before the work is done
+where the bound can be known in advance.
 """
 
 import math
@@ -76,7 +76,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
 from ..errors import InputError, UnsupportedError
-from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, negative_number, t
+from .atoms import ATOM_HEADS, AbsV, Cos, Exp, Ln, Sgn, Sin, number_sign, t
 
 
 @dataclass(frozen=True)
@@ -195,24 +195,32 @@ def _canon_push(fmap, base, e):
 
 # trial division bound of prime_factors
 FACTOR_LIMIT = 10**4
+# a composite factor below this is factored completely, in at most about
+# 0.1 s; trial division up to its square root, which once enumerated a
+# polynomial coefficient's divisors, ended there too
+COMPLETE_BELOW = 10**16
 
 
 def prime_factors(n, what):
     """Prime factorization of the positive integer n as [(prime, exponent)]:
-    trial division up to FACTOR_LIMIT and a bounded search beyond, so a
-    factor above the limit that is not prime raises UnsupportedError,
-    naming what n is."""
+    trial division up to FACTOR_LIMIT and a bounded search beyond.  A
+    factor above the limit that is not prime is factored completely below
+    COMPLETE_BELOW and otherwise raises UnsupportedError, naming what n is."""
     from sympy import factorint, isprime
 
-    out = []
+    out = {}
     for p, k in factorint(n, limit=FACTOR_LIMIT).items():
         if p > FACTOR_LIMIT and not isprime(p):
-            raise UnsupportedError(
-                f"factoring budget exceeded: {what} has a composite"
-                f" factor with no prime factor up to {FACTOR_LIMIT}"
-            )
-        out.append((int(p), int(k)))
-    return out
+            if p >= COMPLETE_BELOW:
+                raise UnsupportedError(
+                    f"factoring budget exceeded: {what} has a composite"
+                    f" factor with no prime factor up to {FACTOR_LIMIT}"
+                )
+            for r, j in factorint(p).items():
+                out[r] = out.get(r, 0) + j * k
+        else:
+            out[p] = out.get(p, 0) + k
+    return [(int(p), int(k)) for p, k in out.items()]
 
 
 def _rat_prime_powers(q):
@@ -243,7 +251,7 @@ def _canon_monomial(coeff, factors):
                 continue
             if base.is_Rational:
                 if not e.is_Rational:
-                    if negative_number(base):
+                    if number_sign(base) < 0:
                         raise UnsupportedError(
                             "negative base under a symbolic exponent"
                         )
@@ -252,7 +260,7 @@ def _canon_monomial(coeff, factors):
                     continue
                 del fmap[base]
                 changed = True
-                if negative_number(base):
+                if number_sign(base) < 0:
                     if e.q % 2 == 0:
                         raise UnsupportedError(
                             "fractional power of a negative constant"
@@ -870,7 +878,7 @@ def _cancel(num_d, den_d):
     shifting every generator by its lowest exponent across both sides.
     """
     if () in den_d and len(den_d) == 1 and not any(
-        negative_number(e) if e.is_Rational else e.is_negative
+        number_sign(e) < 0 if e.is_Rational else e.is_negative
         for key in num_d
         for _b, e in key
     ):

@@ -6,17 +6,15 @@ the parser accepts, with deterministic term and factor order.
 A sum's terms come in the order of sympy's Expr.as_ordered_terms, computed
 here without evalf: exact numbers give their float and their sign
 themselves, and only an irrational number factor such as 2^(1/3) is
-evaluated by complex(), once per factor.
+evaluated by complex().
 """
-
-from functools import lru_cache
 
 from mpmath.libmp import from_rational, normalize, round_nearest, to_float
 from sympy import Mul, S, Symbol, default_sort_key
 from sympy.core.exprtools import decompose_power
 
 from ..errors import InternalError
-from .atoms import ATOM_HEADS, minus_sign, negative_number
+from .atoms import ATOM_HEADS, minus_sign, number_sign
 
 _ADD, _MUL, _NEG, _POW, _ATOM = 10, 20, 15, 30, 40
 
@@ -29,9 +27,9 @@ def _prec(e):
     if e.is_Pow:
         return _POW
     if e.is_Integer:
-        return _NEG if negative_number(e) else _ATOM
+        return _NEG if number_sign(e) < 0 else _ATOM
     if e.is_Rational:
-        return _NEG if negative_number(e) else _MUL
+        return _NEG if number_sign(e) < 0 else _MUL
     return _ATOM
 
 
@@ -46,16 +44,6 @@ def _rational_float(c):
     the correctly rounded p / q in about one case in thirty."""
     sign, man, exp, bc = from_rational(c.p, c.q, 57)
     return to_float(normalize(sign, man, exp, bc, 53, round_nearest))
-
-
-@lru_cache(maxsize=1024)
-def _factor_value(f):
-    """complex(f) for a number factor, or None where it has no value
-    (sympy then treats f as a generator, as exp(1) here)."""
-    try:
-        return complex(f)
-    except (TypeError, ValueError):
-        return None
 
 
 def ordered_terms(e):
@@ -74,8 +62,8 @@ def ordered_terms(e):
             and b.is_Mul
             and len(b.args) == 2
             and b.args[0].is_Rational
-            and a.p > 0
-            and negative_number(b.args[0])
+            and number_sign(a) > 0
+            and number_sign(b.args[0]) < 0
         ):
             return list(args)
     gens = set()
@@ -87,10 +75,13 @@ def ordered_terms(e):
         if rest is not S.One:
             for f in Mul.make_args(rest):
                 if f.is_number:
-                    v = _factor_value(f)
-                    if v is not None:
-                        value *= v
+                    # a number factor without a value, such as exp(1/4)
+                    # here, is a generator, as in sympy
+                    try:
+                        value *= complex(f)
                         continue
+                    except (TypeError, ValueError):
+                        pass
                 base, k = decompose_power(f)
                 powers[base] = k
                 gens.add(base)
@@ -128,7 +119,7 @@ def to_str(e):
     if e.is_Mul:
         coeff, rest = e.as_coeff_Mul()
         sign = ""
-        if negative_number(coeff):
+        if number_sign(coeff) < 0:
             sign = "-"
             coeff = -coeff
         factors = rest.as_ordered_factors() if rest is not S.One else []

@@ -294,6 +294,15 @@ class TestSolve:
         assert time.perf_counter() - start < 2
         assert code in (0, 3), err
 
+    def test_semiprime_constant_term_keeps_its_rational_root(self, capsys, tmp_path):
+        # char (w + 2)(w^2 - 2w + c), c = 4094999 * 7038671: A0 = 2c has a
+        # composite factor that only the complete factorization splits
+        c = 4094999 * 7038671
+        doc = {"order": 3, "form": "reduced", "coefficients": {"A0": str(2 * c), "A1": str(c - 4)}}
+        rep = run_json(capsys, "solve", write(tmp_path, "eq.json", doc), "--method", "D1")
+        assert rep["solutions"][0]["expr"] == "exp(-2*x)"
+        assert rep["solutions"][0]["certificate"] == "zero-residual"
+
     def test_poly_t(self, capsys, tmp_path):
         rep = run_json(
             capsys,

@@ -211,6 +211,8 @@ def test_normalize_surds_over_primes():
         # a prime factor above the trial-division limit stays a prime base
         (Integer(6 * 1000003), Rational(1, 2), {((2, Rational(1, 2)), (3, Rational(1, 2)), (1000003, Rational(1, 2))): 1}),
         (Integer(1000003**3 * 10007), Rational(1, 2), {((10007, Rational(1, 2)), (1000003, Rational(1, 2))): 1000003}),
+        # a composite factor below COMPLETE_BELOW is factored completely
+        (Integer(4094999 * 7038671), Rational(1, 2), {((4094999, Rational(1, 2)), (7038671, Rational(1, 2))): 1}),
     ],
 )
 def test_normalize_surd_factorization_pins(base, exponent, terms):

@@ -485,9 +485,12 @@ def test_const_ode_multiplicity_matches_residual_verdict(ode):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(-(10**6), 10**6).filter(bool))
+@given(st.one_of(st.integers(-(10**6), 10**6).filter(bool), st.integers(10**8, 10**10)))
 @example(720720)
 @example(-(2**19))
+@example(100160063)
+# 4094999 * 7038671: the bounded search alone leaves it composite
+@example(28823350706329)
 def test_divisors_match_trial_division(n):
     # the candidate set of rational_roots, and so its roots, are unchanged
     assert sorted(_divisors(n)) == divisors(n)
