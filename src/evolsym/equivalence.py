@@ -50,8 +50,6 @@ from .verify import residual_symbolic
 __all__ = [
     "EquivTransformation",
     "adjoint_general",
-    "canonicalize_1d",
-    "compose",
     "compose_scalar",
     "equivalence_flow",
     "expand_special",
@@ -61,7 +59,6 @@ __all__ = [
     "gauge_leading",
     "gauge_subleading",
     "infinitesimal_action",
-    "invert",
     "nth_root",
     "pushforward_equation",
     "recognize_scalar",
@@ -187,8 +184,9 @@ class EquivTransformation:
     equivalence group; gauge transformations pass an explicit X1.  The
     inverse time map T_inverse is resolved once here from the invertible
     catalog, so every element can be inverted; a T outside the catalog is
-    refused.  Only invert passes T_inverse: the forward map of the element
-    it inverts, whose inverse need not lie in the catalog."""
+    refused.  The inverse of an element passes T_inverse instead: the
+    forward map of the element it inverts, whose inverse need not lie in
+    the catalog."""
 
     r: int
     T: Expr = t
@@ -324,34 +322,6 @@ def pushforward_equation(eq, tr):
     return EvolutionEquation(
         r, tuple(_pull_back(a, inv) for a in Atil), _pull_back(Btil, inv)
     )
-
-
-def compose(tr1, tr2):
-    """The single transformation equal to tr2 after tr1."""
-    if tr1.r != tr2.r:
-        raise InputError("orders do not match")
-    r = tr1.r
-    T = compose_scalar(tr2.T, tr1.T)
-    push = {t: tr1.T, x: tr1.X_expr}
-    X1_2 = _pull_back(tr2.X1, push)
-    U1_2 = _pull_back(tr2.U1, push)
-    # the constructor stores the normal forms of these
-    X1 = X1_2 * tr1.X1
-    X0 = X1_2 * tr1.X0 + compose_scalar(tr2.X0, tr1.T)
-    U1 = U1_2 * tr1.U1
-    U0 = U1_2 * tr1.U0 + _pull_back(tr2.U0, push)
-    return EquivTransformation(r, T, X0, U1, U0, tr1.eps * tr2.eps, X1)
-
-
-def invert(tr):
-    r = tr.r
-    inv = tr.inverse_map()
-    tin = inv[t]
-    X1i = normalize(1 / compose_scalar(tr.X1, tin)).as_expr()
-    X0i = normalize(-compose_scalar(tr.X0, tin) * X1i).as_expr()
-    U1i = normalize(1 / _pull_back(tr.U1, inv)).as_expr()
-    U0i = normalize(-_pull_back(tr.U0, inv) * U1i).as_expr()
-    return EquivTransformation(r, tin, X0i, U1i, U0i, tr.eps, X1i, T_inverse=tr.T)
 
 
 # --- gauging -------------------------------------------------------------------
@@ -551,7 +521,7 @@ def adjoint_general(Q, tr):
     )
 
 
-# --- canonical one-dimensional subalgebras --------------------------------------
+# --- sign certificates -----------------------------------------------------------
 
 
 def _sign_certificate(f):
@@ -560,76 +530,6 @@ def _sign_certificate(f):
     if is_zero(AbsV(f) + f) is Verdict.ZERO:
         return -1
     return 0
-
-
-def canonicalize_1d(Q, r):
-    """Representative of <Q> among <D(1)>, <P(1)+I(phi)>, <I(1)>, <I(t)>.
-
-    Returns (canonical, c, chain): chain is a tuple of group elements,
-    applied in order, and c a constant with c times the image of Q under
-    the chain equal to canonical.  Each element is pushed once, onto the
-    image of the elements before it."""
-    if is_zero(Q.eta0) is not Verdict.ZERO:
-        raise UnsupportedError("canonicalization applies to essential fields only")
-    chain = []
-    c = S.One
-    got = Q
-
-    def push(**element):
-        nonlocal got
-        tr = EquivTransformation(r, **element)
-        chain.append(tr)
-        got = adjoint_general(got, tr)
-
-    if is_zero(Q.tau) is not Verdict.ZERO:
-        sgn = _sign_certificate(Q.tau)
-        if r % 2 == 0:
-            if sgn == 0:
-                raise UnsupportedError("sign of tau must be definite for even order")
-            if sgn < 0:
-                c = S.NegativeOne
-        # the elements are those of c Q; the pushforward is linear in Q
-        T = integrate(normalize(1 / (c * Q.tau)).as_expr(), t)
-        if T is None:
-            raise UnsupportedError("int dt/tau leaves the invertible catalog")
-        push(T=T)
-        if is_zero(got.chi) is not Verdict.ZERO:
-            X0 = integrate(normalize(-c * got.chi).as_expr(), t)
-            if X0 is None:
-                raise UnsupportedError("int chi dt outside the closed-form catalog")
-            push(X0=X0)
-        if is_zero(got.phi) is not Verdict.ZERO:
-            ph = integrate(normalize(-c * got.phi).as_expr(), t)
-            if ph is None:
-                raise UnsupportedError("int phi dt outside the closed-form catalog")
-            push(U1=normalize(expand_special(Exp(ph))).as_expr())
-        canonical = VectorField(tau=S.One)
-    elif is_zero(Q.chi) is not Verdict.ZERO:
-        if Q.chi != 1:
-            sgn = _sign_certificate(Q.chi)
-            if r % 2 == 0 and sgn == 0:
-                raise UnsupportedError("sign of chi must be definite for even order")
-            T = integrate(normalize(Pow(Q.chi, -r)).as_expr(), t)
-            if T is None:
-                raise UnsupportedError("int chi^-r dt leaves the invertible catalog")
-            push(T=T, eps=-1 if r % 2 == 0 and sgn < 0 else 1)
-        if is_zero(got.chi - 1) is not Verdict.ZERO:
-            raise InternalError("translation part did not normalize to 1")
-        canonical = VectorField(chi=S.One, phi=got.phi)
-    elif is_zero(Q.phi) is not Verdict.ZERO:
-        if _tfree(Q.phi):
-            c = normalize(1 / Q.phi).as_expr()
-            canonical = VectorField(phi=S.One)
-        else:
-            push(T=Q.phi)
-            canonical = VectorField(phi=t)
-    else:
-        raise InputError("cannot canonicalize the zero field")
-    for slot in ("tau", "chi", "phi"):
-        diff = c * getattr(got, slot) - getattr(canonical, slot)
-        if is_zero(diff) is not Verdict.ZERO:
-            raise InternalError("canonicalization chain failed verification")
-    return canonical, c, tuple(chain)
 
 
 # --- solution transport ----------------------------------------------------------

@@ -156,7 +156,7 @@ def integrate(e, var):
     nf = normalize(e)
     num, den, expr = nf.num, nf.den, nf.as_expr()
     if var not in expr.free_symbols:
-        return normalize(expr * var).as_expr()
+        return normalize(expr * var).as_expr() if expr != 0 else S.Zero
     if var in den.free_symbols:
         if any(var in a.free_symbols for a in expr.atoms(*ATOM_HEADS)):
             return None

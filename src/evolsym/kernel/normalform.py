@@ -71,6 +71,7 @@ from sympy import (
     oo,
     zoo,
 )
+from sympy.core.basic import _args_sortkey
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
@@ -356,8 +357,10 @@ def _reduce_cos(out):
         coeff = out.pop(key)
         rest = {b: q for b, q in key if b is not base}
         a = base.args[0]
+        binom = 1  # (-1)^k C(n2, k), one step from the last
         for k in range(n2 + 1):
-            c = coeff * Integer(math.comb(n2, k)) * Integer(-1) ** k
+            c = coeff * Integer(binom)
+            binom = -binom * (n2 - k) // (k + 1)
             fmap = dict(rest)
             if k:
                 _add_factor(fmap, Sin(a), Integer(2 * k))
@@ -367,13 +370,57 @@ def _reduce_cos(out):
         _checked(out)
 
 
-def fmap_to_expr(fmap):
-    return Mul(*[Pow(b, e) for b, e in _key(fmap)])
+def _monomial(coeff, key):
+    """coeff times the powers of key, as Mul(coeff, *powers) would give it,
+    and whether it was built without flattening.  Flattening asks the
+    coefficient is_zero, which deduces all the facts of an Integer that
+    sympy has not met yet, so the factors go in its order directly: the
+    coefficient first unless it is 1, then the powers by _args_sortkey.
+    It runs only where it would change the shape: a power that evaluates
+    to another expression, or two Rational bases, since sqrt(2)*sqrt(3)
+    becomes sqrt(6)."""
+    powers = [Pow(b, e) for b, e in key]
+    if sum(b.is_Rational for b, _e in key) > 1 or not all(
+        _kept(p, b, e) for p, (b, e) in zip(powers, key)
+    ):
+        return Mul(coeff, *powers), False
+    powers.sort(key=_args_sortkey)
+    return _assemble(Mul, [] if coeff is S.One else [coeff], powers), True
+
+
+def _kept(p, b, e):
+    # p = Pow(b, e) is a factor that Mul.flatten keeps as it stands
+    if e is S.One:
+        return not (p.is_Pow or p.is_Mul or p.is_Add or p.is_Number)
+    return p.is_Pow and p.base == b
+
+
+def _assemble(op, first, rest):
+    args = first + rest
+    if len(args) == 1:
+        return args[0]
+    return op._from_args(args, True) if args else op.identity
 
 
 def dict_to_expr(d):
-    # Add and Mul order their arguments themselves
-    return Add(*[Mul(coeff, *[Pow(b, e) for b, e in key]) for key, coeff in d.items()])
+    """The Expr of a polynomial dict, as Add over the Mul of each monomial
+    would give it: the number term first, then the others by _args_sortkey.
+    A monomial that went through flattening sends the sum through it too,
+    since it may merge with or split into other terms."""
+    number = []
+    terms = []
+    assembled = True
+    for key, coeff in d.items():
+        if not key:
+            number.append(coeff)
+            continue
+        term, built = _monomial(coeff, key)
+        terms.append(term)
+        assembled = assembled and built
+    if not assembled:
+        return Add(*number, *terms)
+    terms.sort(key=_args_sortkey)
+    return _assemble(Add, number, terms)
 
 
 def common_numerators(nfs):
@@ -932,7 +979,7 @@ def _scale(num_d, den_d):
     g = 0
     for c in coeffs:
         g = math.gcd(g, abs(c.p) * (l // c.q))
-    lead_key = min(den_d, key=lambda k: default_sort_key(fmap_to_expr(dict(k))))
+    lead_key = min(den_d, key=lambda k: default_sort_key(_monomial(S.One, k)[0]))
     s = Rational(l, g)
     if den_d[lead_key] < 0:
         s = -s

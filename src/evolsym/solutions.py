@@ -312,7 +312,8 @@ def _p_shape(eq):
     """Check A^0 = f(t) x, A^1 = 0, A^j = A^j(t) and return f."""
     eq = as_reduced(eq)
     f = differentiate(eq.A[0], x)
-    if x in f.free_symbols or is_zero(eq.A[0] - f * x) is not Verdict.ZERO:
+    rest = eq.A[0] - f * x if f != 0 else eq.A[0]
+    if x in f.free_symbols or is_zero(rest) is not Verdict.ZERO:
         raise UnsupportedError("the shape needs A^0 = f(t)*x")
     if is_zero(eq.A[1]) is not Verdict.ZERO:
         raise UnsupportedError("the shape needs A^1 = 0")
@@ -380,47 +381,6 @@ def reduce_P1Iphi(eq, phi0=None, grid=None, phi0_value=0.0):
         vals.append([math.exp(pv * xv + w) for xv in xpts])
     prov = dict(prov, quadrature="adaptive", phi0_value=phi0_value)
     return _grid_solution(eq, tpts, xpts, vals, prov)
-
-
-def lie_reduce(eq, Q):
-    """Dispatch a Lie reduction by the vector field Q.
-
-    Only the canonical representatives act directly: constant multiples of
-    D(1) run the time-translation reduction, constant multiples of P(1)
-    (plus the shape-determined I(phi)) run the exponential ansatz.  Pure
-    u-scalings are rejected: I(1)-invariant solutions all vanish, and I(phi)
-    with nonconstant phi is not a Lie symmetry generator of any equation in
-    the class.
-    """
-    eq = as_reduced(eq)
-    tau, chi, phi = Q.tau, Q.chi, Q.phi
-    if Q.eta0 != 0:
-        raise UnsupportedError(
-            "superposition parts are handled by the nonlocal generation formula"
-        )
-    if tau == 0 and chi == 0:
-        if phi == 0:
-            raise InputError("the zero vector field does not reduce anything")
-        if is_zero(differentiate(phi, t)) is Verdict.ZERO:
-            raise UnsupportedError(
-                "I(1) generates scalings of u; its invariant solutions all"
-                " vanish, so it cannot be used for Lie reductions"
-            )
-        raise UnsupportedError(
-            "I(phi) with nonconstant phi is not a Lie symmetry generator of"
-            " any equation in the class"
-        )
-    if tau != 0:
-        if not tau.is_Rational or chi != 0 or phi != 0:
-            raise UnsupportedError(
-                "transport Q to the canonical representative D(1) first"
-            )
-        return reduce_D1(eq)
-    if not chi.is_Rational:
-        raise UnsupportedError(
-            "transport Q to the canonical representative P(1)+I(phi) first"
-        )
-    return reduce_P1Iphi(eq)
 
 
 # --- constant-coefficient ODE solver --------------------------------------------
@@ -502,8 +462,9 @@ def _const_ode_modes(ode, char):
     w = ode.var
     for root, m in rts:
         rho = Rational(root.numerator, root.denominator)
+        efac = Exp(rho * w) if rho != 0 else S.One
         for k in range(m):
-            yield Pow(w, Integer(k)) * Exp(rho * w), str(rho), k, (root, 0)
+            yield Pow(w, Integer(k)) * efac, str(rho), k, (root, 0)
     if len(rest) > 1:
         for z, m in cluster_roots(numeric_roots(rest)):
             a = _rat(z.real) if abs(z.real) > 1e-13 else S.Zero
@@ -652,10 +613,18 @@ def _pow0(base, e):
     return S.One if e == 0 else Pow(base, Integer(e))
 
 
+def _dot(*pairs):
+    """The sum of the products u * v that are not zero.  A zero factor is
+    left out, not multiplied, as in derivative_terms."""
+    return Add(*[u * v for u, v in pairs if u != 0 and v != 0])
+
+
 def _gpow(a, b, e):
     """(a + i b)^e as its (real, imaginary) pair."""
     parts = [S.Zero, S.Zero]
     for j in range(e + 1):
+        if b == 0 and j > 0:
+            continue
         sign = -1 if j % 4 >= 2 else 1
         parts[j % 2] += (
             Integer(sign * math.comb(e, j)) * _pow0(a, e - j) * _pow0(b, j)
@@ -671,7 +640,7 @@ def _p_coupling(eq, N, phat, nu):
     cp = [[(S.Zero, S.Zero)] * n for _ in range(n)]
     for s in range(n):
         for p in range(s, n):
-            re = im = S.Zero
+            re, im = [], []
             for k, Ak in A.items():
                 if p - s > k:
                     continue
@@ -679,15 +648,15 @@ def _p_coupling(eq, N, phat, nu):
                     math.factorial(p), math.factorial(s)
                 )
                 gre, gim = _gpow(phat, nu, k + s - p)
-                re += Ak * c * gre
-                im += Ak * c * gim
-            cp[s][p] = (normalize(re).as_expr(), normalize(im).as_expr())
+                re.append((Ak * c, gre))
+                im.append((Ak * c, gim))
+            cp[s][p] = (normalize(_dot(*re)).as_expr(), normalize(_dot(*im)).as_expr())
     return cp
 
 
 def _pair_dot(row, col):
-    re = sum(a * c - b * d for (a, b), (c, d) in zip(row, col))
-    im = sum(a * d + b * c for (a, b), (c, d) in zip(row, col))
+    re = _dot(*[p for (a, b), (c, d) in zip(row, col) for p in ((a, c), (-b, d))])
+    im = _dot(*[p for (a, b), (c, d) in zip(row, col) for p in ((a, d), (b, c))])
     return normalize(re).as_expr(), normalize(im).as_expr()
 
 
@@ -706,9 +675,9 @@ def _nilpotent_exp(T):
             for j in range(n):
                 c, d = power[i][j]
                 if c != 0 or d != 0:
-                    out[i][j] = (
-                        normalize(out[i][j][0] + c * tk).as_expr(),
-                        normalize(out[i][j][1] + d * tk).as_expr(),
+                    out[i][j] = tuple(
+                        normalize(o + v * tk).as_expr() if v != 0 else o
+                        for o, v in zip(out[i][j], (c, d))
                     )
         power = [[_pair_dot(row, col) for col in cols] for row in power]
     return out
@@ -763,9 +732,10 @@ def _d_real_chain(eq, N, coeffs, top, basis_exact):
 
 
 def _assemble_d_real(layers, lam):
+    efac = Exp(lam * t) if lam != 0 else S.One
     u = S.Zero
     for s, vs in layers.items():
-        u += vs * Pow(t, Integer(s)) * Exp(lam * t)
+        u += vs * Pow(t, Integer(s)) * efac
     return normalize(u).as_expr()
 
 
@@ -945,25 +915,23 @@ def _gen_reduction_p(eq, N, mu, nu, phi0, numeric):
             efac = Exp(Pint)
             cosb = Cos(Sint)
             sinb = Sin(Sint)
-            inits = [((S.One, S.Zero), "v")]
-            if nu != 0:
-                inits.append(((S.Zero, S.One), "w"))
+            cosx, sinx = (Cos(nu * x), Sin(nu * x)) if nu != 0 else (S.One, S.Zero)
+            expx = Exp(phat * x) if phat != 0 else S.One
+            tags = ("v", "w") if nu != 0 else ("v",)
             for p in range(n):
-                for init, tag in inits:
+                for tag in tags:
                     u = S.Zero
                     for s in range(p + 1):
                         c, d = Pn[s][p]
-                        # block action [[c, d], [-d, c]] on the init pair,
-                        # then the diagonal phase
-                        v1 = c * init[0] + d * init[1]
-                        w1 = -d * init[0] + c * init[1]
-                        vs = efac * (cosb * v1 + sinb * w1)
-                        ws = efac * (-sinb * v1 + cosb * w1)
-                        u += (
-                            (vs * Cos(nu * x) + ws * Sin(nu * x))
-                            * Pow(x, Integer(s))
-                            * Exp(phat * x)
-                        )
+                        # block action [[c, d], [-d, c]] on the init pair
+                        # (1, 0) or (0, 1), then the diagonal phase; zero
+                        # products are left out
+                        v1, w1 = (c, -d) if tag == "v" else (d, c)
+                        vs = _dot((cosb, v1), (sinb, w1))
+                        ws = _dot((-sinb, v1), (cosb, w1))
+                        wave = _dot((vs, cosx), (ws, sinx))
+                        if wave != 0:
+                            u += efac * wave * Pow(x, Integer(s)) * expx
                     prov = _prov("P", mu, nu, N, init=f"{tag}{p}")
                     sols.append(certify_symbolic(eq, u, prov, params))
     else:

@@ -46,6 +46,22 @@ def number_fact_queries(monkeypatch):
     return seen
 
 
+def fresh_caches(monkeypatch):
+    """Empty sympy's caches and the derivative cache, and give this test
+    an empty normal-form memo, so that the numbers a computation makes are
+    new objects and every normal form is computed again."""
+    from collections import OrderedDict
+
+    from sympy.core.cache import clear_cache
+
+    from evolsym.kernel import normalform
+    from evolsym.kernel.calculus import _derivative
+
+    clear_cache()
+    _derivative.cache_clear()
+    monkeypatch.setattr(normalform, "_MEMO", OrderedDict())
+
+
 def zero_products(monkeypatch, sources):
     """A list that records, from now on, each Mul built with a zero factor
     whose nearest caller outside sympy is a function of the given source

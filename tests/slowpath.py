@@ -62,6 +62,15 @@ divisors: the library takes a polynomial coefficient's divisors from its
 bounded prime factorization; the oracle divides by every integer up to the
 square root.
 
+dict_to_expr: the library assembles the Expr of a canonical dict in the
+order that flattening gives, without flattening it; the oracle builds each
+monomial with Mul(coeff, *powers) and the sum with Add, which flatten.
+Both must give the same srepr, == and hash.
+
+compose and invert: the library has no API to compose or invert group
+elements; these helpers do it for the tests of the pushforward's action
+law.
+
 to_str: the library's printer orders a sum's terms with sympy's key but
 computes it itself, reading each exact number's float and sign off its
 numerator and denominator; the oracle is the printer as it was, on
@@ -73,9 +82,15 @@ byte.
 import math
 from fractions import Fraction
 
-from sympy import Add, Mul, Rational, S, Symbol, expand, together
+from sympy import Add, Mul, Pow, Rational, S, Symbol, expand, together
 
-from evolsym.equivalence import _pull_back, compose_scalar, nth_root, recognize_scalar
+from evolsym.equivalence import (
+    EquivTransformation,
+    _pull_back,
+    compose_scalar,
+    nth_root,
+    recognize_scalar,
+)
 from evolsym.errors import EvalDomainError, InputError, InternalError, UnsupportedError
 from evolsym.kernel import (
     Verdict,
@@ -100,7 +115,6 @@ from evolsym.kernel.normalform import (
     _reduce_cos,
     _v_mul,
     as_exact,
-    dict_to_expr,
     normalize,
 )
 from evolsym.kernel.numeric import ZERO_TOL
@@ -127,6 +141,11 @@ def term_parts(term):
         else:
             factors.append(f.as_base_exp())
     return coeff, factors
+
+
+def dict_to_expr(d):
+    # Add and Mul order their arguments themselves
+    return Add(*[Mul(coeff, *[Pow(b, e) for b, e in key]) for key, coeff in d.items()])
 
 
 def mono_dict(e):
@@ -325,6 +344,34 @@ def adjoint_general(Q, tr):
     for step in chain:
         Q = adjoint_pushforward(Q, step, r)
     return Q
+
+
+def compose(tr1, tr2):
+    """The single transformation equal to tr2 after tr1."""
+    if tr1.r != tr2.r:
+        raise InputError("orders do not match")
+    r = tr1.r
+    T = compose_scalar(tr2.T, tr1.T)
+    push = {t: tr1.T, x: tr1.X_expr}
+    X1_2 = _pull_back(tr2.X1, push)
+    U1_2 = _pull_back(tr2.U1, push)
+    # the constructor stores the normal forms of these
+    X1 = X1_2 * tr1.X1
+    X0 = X1_2 * tr1.X0 + compose_scalar(tr2.X0, tr1.T)
+    U1 = U1_2 * tr1.U1
+    U0 = U1_2 * tr1.U0 + _pull_back(tr2.U0, push)
+    return EquivTransformation(r, T, X0, U1, U0, tr1.eps * tr2.eps, X1)
+
+
+def invert(tr):
+    r = tr.r
+    inv = tr.inverse_map()
+    tin = inv[t]
+    X1i = normalize(1 / compose_scalar(tr.X1, tin)).as_expr()
+    X0i = normalize(-compose_scalar(tr.X0, tin) * X1i).as_expr()
+    U1i = normalize(1 / _pull_back(tr.U1, inv)).as_expr()
+    U0i = normalize(-_pull_back(tr.U0, inv) * U1i).as_expr()
+    return EquivTransformation(r, tin, X0i, U1i, U0i, tr.eps, X1i, T_inverse=tr.T)
 
 
 def eval_numeric(e, point):

@@ -1,5 +1,5 @@
 """Transformations: inversion catalog, conjugation vs closed formulas,
-gauging pipeline, adjoint actions and 1d canonicalization."""
+gauging pipeline and adjoint actions."""
 
 import math
 import random
@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 from sympy import Integer, Pow, Rational, S, Symbol
 
 import slowpath
-from conftest import number_fact_queries, oracle_examples, rand_points, zero_products
+from conftest import (
+    fresh_caches,
+    number_fact_queries,
+    oracle_examples,
+    rand_points,
+    zero_products,
+)
 from evolsym.cli import parse_equation_document
 from evolsym.equivalence import (
     EquivTransformation,
     adjoint_general,
-    canonicalize_1d,
-    compose,
     compose_scalar,
     equivalence_flow,
     expand_special,
@@ -26,7 +30,6 @@ from evolsym.equivalence import (
     gauge_leading,
     gauge_subleading,
     infinitesimal_action,
-    invert,
     nth_root,
     pushforward_equation,
     recognize_scalar,
@@ -306,29 +309,29 @@ class TestPushforward:
         tr1 = EquivTransformation(3, T=2 * t, X0=t)
         tr2 = EquivTransformation(3, T=t + 1, U1=Exp(t))
         seq = pushforward_equation(pushforward_equation(eq, tr1), tr2)
-        onego = pushforward_equation(eq, compose(tr1, tr2))
+        onego = pushforward_equation(eq, slowpath.compose(tr1, tr2))
         for a, b in zip(seq.A, onego.A):
             assert zero(a - b)
         assert zero(seq.B - onego.B)
 
     def test_compose_examples(self):
-        tr = compose(EquivTransformation(3, T=2 * t), EquivTransformation(3, T=3 * t))
+        tr = slowpath.compose(EquivTransformation(3, T=2 * t), EquivTransformation(3, T=3 * t))
         assert zero(tr.T - 6 * t)
         assert zero(tr.X1 - Pow(6, Rational(1, 3)))
-        ident = compose(tr, invert(tr))
+        ident = slowpath.compose(tr, slowpath.invert(tr))
         assert zero(ident.T - t)
         assert zero(ident.X0)
         assert zero(ident.U1 - 1)
 
     def test_invert_examples(self):
-        tr = invert(EquivTransformation(3, T=2 * t))
+        tr = slowpath.invert(EquivTransformation(3, T=2 * t))
         assert zero(tr.T - t / 2)
         c = Symbol("c")
-        tr = invert(EquivTransformation(3, X0=c))
+        tr = slowpath.invert(EquivTransformation(3, X0=c))
         assert zero(tr.X0 + c)
         # sgn(t)|t|^(1/3) lies outside the catalog: the inverse element
         # takes the forward map t^3 as its own inverse
-        tr = invert(EquivTransformation(3, T=t**3))
+        tr = slowpath.invert(EquivTransformation(3, T=t**3))
         assert zero(tr.T_inverse - t**3)
         for tv in (-1.3, 0.7):
             assert eval_numeric(tr.T, {"t": tv**3}) == pytest.approx(tv)
@@ -336,7 +339,7 @@ class TestPushforward:
     def test_invert_roundtrip_on_equation(self):
         eq = EvolutionEquation(3, (x**2, t, S.Zero, S.One), S.Zero)
         tr = EquivTransformation(3, T=2 * t, X0=t, U1=Exp(t))
-        back = pushforward_equation(pushforward_equation(eq, tr), invert(tr))
+        back = pushforward_equation(pushforward_equation(eq, tr), slowpath.invert(tr))
         for a, b in zip(back.A, eq.A):
             assert zero(a - b)
         assert zero(back.B)
@@ -431,13 +434,53 @@ def test_printing_pushforward_asks_no_number_facts(monkeypatch):
     assert asks
 
 
+def test_normal_forms_of_a_pushforward_ask_no_number_facts(monkeypatch):
+    # each normal form is assembled from its canonical dicts without
+    # flattening, which asks a coefficient is_zero where sympy has not
+    # deduced its facts yet (an Integer's are deduced on demand)
+    from sympy.core.cache import clear_cache
+
+    import evolsym.kernel.normalform as nfm
+
+    fresh_caches(monkeypatch)
+    asks = number_fact_queries(monkeypatch)
+    build = nfm.dict_to_expr
+    built = []
+
+    def recording(d):
+        before = len(asks)
+        built.append(d)
+        e = build(d)
+        assert len(asks) == before
+        return e
+
+    monkeypatch.setattr(nfm, "dict_to_expr", recording)
+    eq, params = parse_equation_document(_TRANSFORM_EQ)
+    tr = EquivTransformation.from_doc(_TRANSFORM_TR, 3, params=params)
+    pushforward_equation(embed_reduced(eq), tr)
+    # the same dicts with coefficients that sympy's caches have not seen
+    clear_cache()
+    dicts = [{k: Rational(c.p, c.q) for k, c in d.items()} for d in built]
+    coeffs = {id(c) for d in dicts for c in d.values()}
+    asks.clear()
+    exprs = [build(d) for d in dicts]
+    assert [n for _fact, n in asks if id(n) in coeffs] == []
+    # the flattening builder asks them
+    assert [slowpath.dict_to_expr(d) for d in dicts] == exprs
+    assert [n for _fact, n in asks if id(n) in coeffs]
+
+
 def test_no_zero_products(monkeypatch):
-    # 0 * expr asks expr is_finite: the equation and residual assemblies
-    # and the derivative step leave zero terms out instead
+    # 0 * expr asks expr is_finite: the equation and residual assemblies,
+    # the derivative step and the reductions' solution assemblies leave
+    # zero terms out instead
     from evolsym.kernel.calculus import _derivative
+    from evolsym.solutions import generalized_reduction, reduce_D1, solve_const_ode
 
     eq = EvolutionEquation(3, (t * x + Rational(1, 3), S.Zero, 2 * t / 7, 1 + t**2), x**2 / 5 - t)
-    products = zero_products(monkeypatch, {"equivalence.py", "calculus.py", "verify.py"})
+    products = zero_products(
+        monkeypatch, {"equivalence.py", "calculus.py", "verify.py", "solutions.py"}
+    )
     for tr in (
         EquivTransformation(3, T=2 * t + 3, X0=t / 3, U1=Exp(t) / 5, U0=x / 7 + t),
         # U1 and so V = 1/U1 are x-free: DV[m] = 0 for m > 0; U0 = 0
@@ -451,6 +494,16 @@ def test_no_zero_products(monkeypatch):
     for e in (x**3 / (x + 1), Exp(2 * t) / (Exp(t) - 1), Sin(x) * t, Integer(2) ** t * x, AbsV(x) ** Rational(1, 2)):
         for var in (t, x):
             _derivative(e, var)
+    # nu != 0 pairs the layers and lam = 0 expands (phi0 + 0 i)^k; for
+    # u_t = u_4 + 2 u_2 and phi0 = 0 the layers do not couple and there is
+    # no exp(phi0 x); the root 0 of v_3 = 0 has no exp factor
+    free = ReducedEquation(3, (S.Zero, S.Zero))
+    assert len(generalized_reduction(free, "P", 1, mu=0, nu=1).solutions) == 4
+    assert len(generalized_reduction(free, "P", 1, lam=0).solutions) == 2
+    decoupled = ReducedEquation(4, (S.Zero, S.Zero, S(2)))
+    assert len(generalized_reduction(decoupled, "P", 1, mu=0, nu=1, phi0=0).solutions) == 4
+    assert generalized_reduction(free, "D", 1, lam=0, top_layer=x**2).solutions
+    assert len(solve_const_ode(reduce_D1(free))) == 3
     assert products == []
 
 
@@ -659,8 +712,8 @@ _GAUGE_INPUTS = [
     ((S.One, t, S.Zero, S(-1)), t * x**2, False),
 ]
 # reduced coefficients and chain documents as printed when the particular
-# solution is transported by compose() of the leading and subleading steps;
-# step-by-step transport must print the same.  The last step's U0 is minus
+# solution was transported by the composition of the leading and subleading
+# steps; step-by-step transport must print the same.  The last step's U0 is minus
 # the transported solution
 _GAUGE_PINS = [
     (
@@ -862,116 +915,3 @@ class TestAdjoint:
         rhs = lie_bracket(adjoint_general(q1, tr), adjoint_general(q2, tr), r)
         for slot in ("tau", "chi", "phi"):
             assert zero(getattr(lhs, slot) - getattr(rhs, slot), assume={"t": (0.1, 3.0)})
-
-
-def _push_chain(Q, c, chain, adjoint=adjoint_general):
-    for tr in chain:
-        Q = adjoint(Q, tr)
-    return VectorField(c * Q.tau, c * Q.chi, c * Q.phi, c * Q.eta0)
-
-
-_t_polys = st.tuples(*[st.integers(-2, 2)] * 3).map(lambda a: a[0] + a[1] * t + a[2] * t**2)
-
-
-@settings(max_examples=oracle_examples(5), deadline=None)
-@given(
-    r=st.integers(3, 5),
-    tau=st.sampled_from((S.One, t, S(2), t + 1, S.NegativeOne)),
-    chi=_t_polys,
-    phi=_t_polys,
-)
-def test_canonicalize_matches_slow_path_steps(r, tau, chi, phi):
-    # the chain, pushed element by element through the I-P-X-D
-    # factorization and scaled by c, lands on the canonical field
-    if tau == -1 and r % 2 == 1:
-        tau = S.One
-    Q = VectorField(tau, chi, phi)
-    if r % 2 == 0 and tau in (t, t + 1):
-        # the sign of tau is certified exactly, on the whole real line
-        with pytest.raises(UnsupportedError, match="sign of tau"):
-            canonicalize_1d(Q, r)
-        return
-    canon, c, chain = canonicalize_1d(Q, r)
-    got = _push_chain(Q, c, chain, slowpath.adjoint_general)
-    assume = {"t": (0.1, 3.0)}
-    for slot in ("tau", "chi", "phi"):
-        assert zero(getattr(got, slot) - getattr(canon, slot), assume=assume), slot
-
-
-class TestCanonicalize1d:
-    def test_dilation(self):
-        Q = VectorField(tau=t)
-        canon, c, chain = canonicalize_1d(Q, 3)
-        assert zero(canon.tau - 1) and zero(canon.chi) and zero(canon.phi)
-        assert c == 1 and len(chain) == 1
-        assert zero(chain[0].T - Ln(t))
-
-    def test_full_tau_case(self):
-        Q = VectorField(tau=t, chi=S.One, phi=S.One)
-        assume = {"t": (0.1, 3.0)}
-        canon, c, chain = canonicalize_1d(Q, 3)
-        assert zero(canon.tau - 1) and zero(canon.chi) and zero(canon.phi)
-        assert all(isinstance(tr, EquivTransformation) for tr in chain)
-        got = _push_chain(Q, c, chain)
-        assert zero(got.tau - 1, assume=assume)
-        assert zero(got.chi, assume=assume)
-        assert zero(got.phi, assume=assume)
-
-    def test_pushes_each_element_once(self, monkeypatch):
-        import evolsym.equivalence as equivalence
-
-        calls = []
-
-        def counting(Q, tr):
-            calls.append(tr)
-            return adjoint_general(Q, tr)
-
-        monkeypatch.setattr(equivalence, "adjoint_general", counting)
-        Q = VectorField(tau=t, chi=S.One, phi=S.One)
-        _, _, chain = canonicalize_1d(Q, 3)
-        assert len(chain) == 3
-        assert tuple(calls) == chain
-
-    def test_negative_tau_even_order(self):
-        Q = VectorField(tau=S.NegativeOne, chi=t)
-        canon, c, chain = canonicalize_1d(Q, 4)
-        assert canon == VectorField(tau=S.One)
-        assert c == -1
-        got = _push_chain(Q, c, chain)
-        assert zero(got.tau - 1) and zero(got.chi) and zero(got.phi)
-
-    def test_scaling_of_I(self):
-        canon, c, chain = canonicalize_1d(VectorField(phi=S(5)), 3)
-        assert zero(canon.phi - 1)
-        assert c == Rational(1, 5)
-        assert chain == ()
-
-    def test_time_dependent_I(self):
-        canon, c, chain = canonicalize_1d(VectorField(phi=2 * t), 3)
-        assert zero(canon.phi - t)
-        assert c == 1
-        assert chain[0].T == 2 * t
-
-    def test_P_exponential(self):
-        Q = VectorField(chi=Exp(t), phi=Exp(t))
-        canon, c, chain = canonicalize_1d(Q, 3)
-        assert zero(canon.tau) and zero(canon.chi - 1)
-        # transported phi = (-3t)^{-1/3} on t < 0
-        assume = {"t": (-3.0, -0.2)}
-        want = Pow(-3 * t, Rational(-1, 3))
-        assert zero(canon.phi - want, assume=assume)
-
-    def test_P_negative_even_order(self):
-        # the dilation and the reflection x -> -x are one element
-        Q = VectorField(chi=S.NegativeOne)
-        canon, c, chain = canonicalize_1d(Q, 4)
-        assert zero(canon.chi - 1)
-        assert chain == (EquivTransformation(4, eps=-1),)
-
-    def test_zero_field_rejected(self):
-        with pytest.raises(InputError):
-            canonicalize_1d(VectorField(), 3)
-
-    def test_nonessential_rejected(self):
-        with pytest.raises(UnsupportedError):
-            canonicalize_1d(VectorField(eta0=x), 3)

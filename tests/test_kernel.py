@@ -15,6 +15,7 @@ import slowpath
 from conftest import (
     exprs,
     fd_derivative,
+    fresh_caches,
     number_fact_queries,
     oracle_examples,
     poly_exprs,
@@ -55,6 +56,7 @@ from evolsym.kernel.normalform import (
     _cancel,
     _normal_form,
     common_numerators,
+    dict_to_expr,
     exp_polynomial,
     polynomial,
 )
@@ -486,6 +488,57 @@ def test_coefficient_readers_match_slow_path_oracles(e):
             assert got == {b: {a: Fraction(c.p, c.q) for a, c in g.items()} for b, g in old.items()}
 
 
+def _same_expr(a, b):
+    assert sympy.srepr(a) == sympy.srepr(b)
+    assert a == b and hash(a) == hash(b)
+
+
+@settings(max_examples=oracle_examples(60), deadline=None)
+@given(st.one_of(exprs, poly_exprs, _quotients))
+# two surds, which flattening merges into sqrt(6)
+@example(2 ** Rational(1, 2) * 3 ** Rational(1, 2) * x)
+@example(-x)
+@example(Rational(-3, 7))
+@example(t**2)
+@example(Sin(x) / (x + 1) ** Rational(1, 2))
+@example(AbsV(x) ** Rational(1, 3) * Sgn(x) + AbsV(t) ** Rational(2, 3))
+@example(Integer(2) ** t * x - 1)
+@example(Exp(t) * Exp(x) * x + Exp(2 * t))
+def test_dict_to_expr_matches_slow_path_oracle(e):
+    # the canonical dicts assembled in flattening's order give what Add
+    # over Mul(coeff, *powers) gives: the same srepr, == and hash
+    try:
+        nf = normalize(e)
+    except (InputError, UnsupportedError):
+        return
+    for d in (nf.num_terms, nf.den_terms):
+        _same_expr(dict_to_expr(d), slowpath.dict_to_expr(d))
+        for key, c in d.items():
+            # one-term dicts, and the inverse of a monomial, whose negative
+            # surd exponents evaluate to a product
+            _same_expr(dict_to_expr({key: c}), slowpath.dict_to_expr({key: c}))
+            inv = {tuple((b, -q) for b, q in key): 1 / c}
+            _same_expr(dict_to_expr(inv), slowpath.dict_to_expr(inv))
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        # two surds merge, a coefficient distributes over a sum, and
+        # powers evaluate to a product, to a number and to a power of
+        # another base, which merges with a factor
+        {((Integer(2), Rational(1, 2)), (Integer(3), Rational(1, 2)), (x, S.One)): S.One},
+        {((x + 1, S.One),): Integer(2)},
+        {((Integer(2), Rational(-1, 2)),): Integer(3)},
+        {(): S.One, ((Integer(4), Rational(1, 2)),): S.One},
+        {((t * x, S.One),): Integer(-1), ((t, S.One),): S.One},
+        {((t**2, Integer(3)), (t, S.One)): S.One},
+    ],
+)
+def test_dict_to_expr_flattens_where_the_shape_changes(d):
+    _same_expr(dict_to_expr(d), slowpath.dict_to_expr(d))
+
+
 # --- printer ----------------------------------------------------------------
 
 # number factors that leave a term's monomial as it is, so that terms tie
@@ -612,7 +665,23 @@ def test_normalize_cos_rule_term_budget():
     assert time.perf_counter() - start < 1.0
     with pytest.raises(UnsupportedError, match="term budget exceeded: a product"):
         normalize(parse_expr("cos(x)^400*cos(t)^400"))
-    assert len(Add.make_args(normalize(parse_expr("cos(x)^200")).num)) == 101
+    # (1 - sin(x)^2)^100, each coefficient (-1)^k C(100, k)
+    terms = normalize(parse_expr("cos(x)^200")).num_terms
+    got = {int(dict(key).get(Sin(x), 0)) // 2: c for key, c in terms.items()}
+    assert got == {k: (-1) ** k * math.comb(100, k) for k in range(101)}
+
+
+def test_cos_rule_asks_no_number_facts(monkeypatch):
+    # the rule's binomial coefficients are numbers that sympy's caches
+    # have not seen (a memo hit would ask nothing), and building the sum
+    # from them asks none of their facts
+    fresh_caches(monkeypatch)
+    asks = number_fact_queries(monkeypatch)
+    nf = normalize(Cos(x) ** 200)
+    assert asks == []
+    # the flattening builder on the same numbers does ask
+    assert slowpath.dict_to_expr(nf.num_terms) == nf.num
+    assert asks
 
 
 def test_normalize_opaque_exponent_over_a_sum():

@@ -46,7 +46,6 @@ from evolsym.solutions import (
     certify_symbolic,
     generalized_reduction,
     generate_nonlocal,
-    lie_reduce,
     polynomial_t_solutions,
     reduce_D1,
     reduce_P1Iphi,
@@ -705,32 +704,6 @@ class TestGenerateNonlocal:
         s = reduce_P1Iphi(LINDRIFT3)
         with pytest.raises(InputError):
             generate_nonlocal(LINDRIFT3, s, 0.0, 0.0, 1.0)
-
-
-class TestLieReduce:
-    def test_time_translation_dispatch(self):
-        out = lie_reduce(FREE3, D(S.One))
-        assert isinstance(out, LinearODE)
-
-    def test_space_translation_dispatch(self):
-        out = lie_reduce(FREE3, P(S.One))
-        assert isinstance(out, Solution)
-
-    def test_scaling_rejected_with_explanation(self):
-        with pytest.raises(UnsupportedError, match="invariant solutions all"):
-            lie_reduce(FREE3, I(S.One))
-
-    def test_time_dependent_multiplier_rejected(self):
-        with pytest.raises(UnsupportedError, match="not a Lie symmetry"):
-            lie_reduce(FREE3, I(t))
-
-    def test_noncanonical_representative_rejected(self):
-        with pytest.raises(UnsupportedError, match="canonical"):
-            lie_reduce(FREE3, D(t))
-
-    def test_superposition_part_rejected(self):
-        with pytest.raises(UnsupportedError):
-            lie_reduce(FREE3, VectorField(eta0=Exp(x + t)))
 
 
 class TestSolutionDocuments:
