@@ -1,20 +1,22 @@
-"""Pointwise floating evaluation with explicit domain errors.
+"""Floating evaluation with explicit domain errors, at points or on grids.
 
-Each exact expression is validated and compiled once into nested closures,
-which are kept in a bounded LRU keyed on the expression; evaluating it at
-many points then costs one cache lookup per point, and none through the
-closure that numeric_function returns.  The closures do the float
-operations of a recursive walk of the tree in the same order, and every
-error of evaluation (a domain error, an unbound symbol, a node outside the
-fragment, overflow) is raised when evaluation reaches it, never at compile
-time.  Validation errors are not cached.
+Every node that is not a number, a symbol, a sum or a product has one
+scalar rule: a plain function of its children's floats that raises
+EvalDomainError where the value leaves the domain (_rule).  Each exact
+expression is validated and compiled once into nested closures, which are
+kept in a bounded LRU keyed on the expression; evaluating it at many points
+then costs one cache lookup per point, and none through the closure that
+numeric_function returns.  The closures do the float operations of a
+recursive walk of the tree in the same order, and every error of evaluation
+(a domain error, an unbound symbol, a node outside the fragment, overflow)
+is raised when evaluation reaches it, never at compile time.  Validation
+errors are not cached.
 
-eval_grid evaluates an expression on a whole (t, x) grid with a second
-compiler, which returns the pointwise closures' floats bit for bit: numpy
-does only the operations whose IEEE result cannot differ (+, *, abs, sign),
-every library call goes point by point through the same Python call, and
-wherever a closure could raise or leave the finite floats the grid path
-gives up and the pointwise closures run instead.
+eval_grid applies the same rules point by point on a whole (t, x) grid,
+once per distinct value of the variables a node depends on; numpy does only
+the 2-term sum and the product, whose IEEE results are those of the
+pointwise closures.  Where a rule raises or a value is not finite, the
+pointwise closures run instead.
 """
 
 import math
@@ -50,18 +52,18 @@ def eval_grid(e, tpts, xpts):
 
     Each node is evaluated once per distinct value of the variables it
     depends on: t is bound to a column and x to a row, and numpy broadcasts.
-    Where evaluation could raise or a value is not finite, the grid is
-    evaluated point by point in t-major order instead, so that the error
-    raised is eval_numeric's at its first failing point.
+    Where a rule raises or a value is not finite, the grid is evaluated
+    point by point in t-major order instead, so that the error raised is
+    eval_numeric's at its first failing point.
     """
     tpts = [float(v) for v in tpts]
     xpts = [float(v) for v in xpts]
     grid = _grid_compiled(_exact_input(e))
     try:
         with np.errstate(all="ignore"):
-            v = grid(np.array(tpts)[:, None], np.array(xpts)[None, :])
+            v = grid({"t": np.array(tpts)[:, None], "x": np.array(xpts)[None, :]})
         return np.array(np.broadcast_to(v, (len(tpts), len(xpts))))
-    except (_GiveUp, ArithmeticError, ValueError):
+    except (InputError, ArithmeticError, ValueError):
         pass
     f = numeric_function(e)
     return np.array([[f({"t": tv, "x": xv}) for xv in xpts] for tv in tpts])
@@ -117,85 +119,86 @@ def _compile(e):
             return v
 
         return product
+    rule, args = _rule(e)
+    if len(args) == 1:
+        fa = _compile(args[0])
+        return lambda env: rule(fa(env))
+    fs = [_compile(a) for a in args]
+    return lambda env: rule(*[f(env) for f in fs])
+
+
+# --- the scalar rules -------------------------------------------------------
+
+
+def _rule(e):
+    """The scalar rule of e, a node that is not a number, symbol, sum or
+    product, and the children whose values it takes, in evaluation order."""
     if e.is_Pow:
-        return _compile_pow(*e.args)
-    for head, fn in _UNARY:
+        base, expo = e.args
+        if expo.is_Integer:
+            return _integer_power(int(expo)), (base,)
+        if expo.is_Rational:
+            return _rational_power(expo.p, expo.q), (base,)
+        return _power, (base, expo)
+    for head, rule in _UNARY:
         if isinstance(e, head):
-            return fn(_compile(e.args[0]))
+            return rule, e.args
     message = f"cannot evaluate node of type {type(e).__name__}"
 
-    def unknown(env):
+    def unknown():
         raise InputError(message)
 
-    return unknown
+    return unknown, ()
 
 
-def _compile_pow(base, expo):
-    fb = _compile(base)
-    if expo.is_Integer:
-        n = int(expo)
-
-        def integer_power(env):
-            b = fb(env)
-            if n < 0 and abs(b) <= ZERO_TOL:
-                raise EvalDomainError("division by zero within tolerance")
-            return b**n
-
-        return integer_power
-    if expo.is_Rational:
-        p, q = expo.p, expo.q
-
-        def rational_power(env):
-            b = fb(env)
-            if p < 0 and abs(b) <= ZERO_TOL:
-                raise EvalDomainError("division by zero within tolerance")
-            if b < 0:
-                if q % 2 == 0:
-                    raise EvalDomainError("even root of a negative value")
-                # real odd root
-                return (-1.0) ** p * abs(b) ** (p / q)
-            return b ** (p / q)
-
-        return rational_power
-    fe = _compile(expo)
-
-    def power(env):
-        b = fb(env)
-        ev = fe(env)
-        if b < 0:
-            raise EvalDomainError("negative base under symbolic exponent")
-        if abs(b) <= ZERO_TOL and ev < 0:
+def _integer_power(n):
+    def integer_power(b):
+        if n < 0 and abs(b) <= ZERO_TOL:
             raise EvalDomainError("division by zero within tolerance")
-        return b**ev
+        return b**n
 
-    return power
-
-
-def _ln(fa):
-    def ln(env):
-        v = fa(env)
-        if v <= ZERO_TOL:
-            raise EvalDomainError("ln of a nonpositive value")
-        return math.log(v)
-
-    return ln
+    return integer_power
 
 
-def _sgn(fa):
-    def sgn(env):
-        v = fa(env)
-        return 0.0 if v == 0 else math.copysign(1.0, v)
+def _rational_power(p, q):
+    def rational_power(b):
+        if p < 0 and abs(b) <= ZERO_TOL:
+            raise EvalDomainError("division by zero within tolerance")
+        if b < 0:
+            if q % 2 == 0:
+                raise EvalDomainError("even root of a negative value")
+            # real odd root
+            return (-1.0) ** p * abs(b) ** (p / q)
+        return b ** (p / q)
 
-    return sgn
+    return rational_power
+
+
+def _power(b, ev):
+    if b < 0:
+        raise EvalDomainError("negative base under symbolic exponent")
+    if abs(b) <= ZERO_TOL and ev < 0:
+        raise EvalDomainError("division by zero within tolerance")
+    return b**ev
+
+
+def _ln(v):
+    if v <= ZERO_TOL:
+        raise EvalDomainError("ln of a nonpositive value")
+    return math.log(v)
+
+
+def _sgn(v):
+    return 0.0 if v == 0 else math.copysign(1.0, v)
 
 
 # in the order a recursive walk tests the heads
 _UNARY = (
-    (Exp, lambda fa: lambda env: math.exp(fa(env))),
+    (Exp, math.exp),
     (Ln, _ln),
-    (Sin, lambda fa: lambda env: math.sin(fa(env))),
-    (Cos, lambda fa: lambda env: math.cos(fa(env))),
-    (AbsV, lambda fa: lambda env: abs(fa(env))),
+    (Sin, math.sin),
+    (Cos, math.cos),
+    (AbsV, abs),
     (Sgn, _sgn),
 )
 
@@ -203,129 +206,53 @@ _UNARY = (
 # --- whole grids ------------------------------------------------------------
 
 
-class _GiveUp(Exception):
-    """A grid value the pointwise closures would raise on, or not finite."""
-
-
 @lru_cache(maxsize=4096)
 def _grid_compiled(e):
     return _grid(as_exact(e))
 
 
-def _finite(v):
-    if not np.isfinite(v).all():
-        raise _GiveUp
-    return v
-
-
-def _each(fn, *vals):
-    """fn of Python floats, point by point over the broadcast shape of vals."""
+def _each(rule, *vals):
+    """rule of Python floats, point by point over the broadcast shape of vals."""
     vals = np.broadcast_arrays(*vals)
     flat = zip(*(v.ravel().tolist() for v in vals))
-    return _finite(np.array([fn(*p) for p in flat]).reshape(vals[0].shape))
-
-
-def _give_up(tcol, xrow):
-    raise _GiveUp
+    return np.array([rule(*p) for p in flat]).reshape(vals[0].shape)
 
 
 def _grid(e):
-    """Function (tcol, xrow) -> values of the validated e, broadcast over an
-    (nt, 1) column of t and a (1, nx) row of x, in the order of _compile."""
-    if e.is_Rational:
-        p, q = e.p, e.q
-        return lambda tcol, xrow: np.float64(p / q)
-    if isinstance(e, Symbol):
-        return {"t": lambda tcol, xrow: tcol, "x": lambda tcol, xrow: xrow}.get(
-            e.name, _give_up
-        )
+    """Function env -> values of the validated e, where env binds t to an
+    (nt, 1) column and x to a (1, nx) row, in the order of _compile.  A
+    product folds left from 1.0 as the closure does, and numpy's float
+    product is Python's, overflow to inf included."""
+    if e.is_Rational or isinstance(e, Symbol):
+        return _compile(e)
     if e.is_Add:
         terms = [_grid(a) for a in e.args]
         if len(terms) == 2:
             fa, fb = terms
-            # fsum of two finite floats is their rounded sum, with +0.0 for
-            # two negative zeros
-            return lambda tcol, xrow: _finite(fa(tcol, xrow) + fb(tcol, xrow) + 0.0)
-        return lambda tcol, xrow: _each(
-            lambda *vs: math.fsum(vs), *(f(tcol, xrow) for f in terms)
-        )
+
+            def two_terms(env):
+                # fsum of two floats is their rounded sum, with +0.0 for two
+                # negative zeros, where that sum is finite; fsum raises on
+                # overflow and on inf - inf
+                v = fa(env) + fb(env) + 0.0
+                if not np.isfinite(v).all():
+                    raise ArithmeticError("sum not finite")
+                return v
+
+            return two_terms
+        return lambda env: _each(lambda *vs: math.fsum(vs), *(f(env) for f in terms))
     if e.is_Mul:
         factors = [_grid(a) for a in e.args]
 
-        def product(tcol, xrow):
+        def product(env):
             v = 1.0
             for f in factors:
-                v = v * f(tcol, xrow)
-            return _finite(v)
+                v = v * f(env)
+            return v
 
         return product
-    if e.is_Pow:
-        return _grid_pow(*e.args)
-    for head, fn in _GRID_UNARY:
-        if isinstance(e, head):
-            return fn(_grid(e.args[0]))
-    return _give_up
-
-
-def _grid_pow(base, expo):
-    fb = _grid(base)
-    if expo.is_Integer:
-        n = int(expo)
-
-        def integer_power(tcol, xrow):
-            b = fb(tcol, xrow)
-            if n < 0 and np.any(np.abs(b) <= ZERO_TOL):
-                raise _GiveUp
-            return _each(lambda v: v**n, b)
-
-        return integer_power
-    if expo.is_Rational:
-        p, q = expo.p, expo.q
-
-        def root(v):
-            return (-1.0) ** p * abs(v) ** (p / q) if v < 0 else v ** (p / q)
-
-        def rational_power(tcol, xrow):
-            b = fb(tcol, xrow)
-            if p < 0 and np.any(np.abs(b) <= ZERO_TOL):
-                raise _GiveUp
-            if q % 2 == 0 and np.any(b < 0):
-                raise _GiveUp
-            return _each(root, b)
-
-        return rational_power
-    fe = _grid(expo)
-
-    def power(tcol, xrow):
-        b = fb(tcol, xrow)
-        ev = fe(tcol, xrow)
-        if np.any(b < 0) or np.any((np.abs(b) <= ZERO_TOL) & (ev < 0)):
-            raise _GiveUp
-        return _each(lambda u, w: u**w, b, ev)
-
-    return power
-
-
-def _grid_ln(fa):
-    def ln(tcol, xrow):
-        v = fa(tcol, xrow)
-        if np.any(v <= ZERO_TOL):
-            raise _GiveUp
-        return _each(math.log, v)
-
-    return ln
-
-
-def _per_point(fn):
-    return lambda fa: lambda tcol, xrow: _each(fn, fa(tcol, xrow))
-
-
-# in _UNARY's order; abs and the sign are exact in numpy
-_GRID_UNARY = (
-    (Exp, _per_point(math.exp)),
-    (Ln, _grid_ln),
-    (Sin, _per_point(math.sin)),
-    (Cos, _per_point(math.cos)),
-    (AbsV, lambda fa: lambda tcol, xrow: np.abs(fa(tcol, xrow))),
-    (Sgn, lambda fa: lambda tcol, xrow: np.sign(fa(tcol, xrow))),
-)
+    rule, args = _rule(e)
+    if not args:
+        return _compile(e)
+    fs = [_grid(a) for a in args]
+    return lambda env: _each(rule, *(f(env) for f in fs))

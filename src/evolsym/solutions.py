@@ -43,7 +43,8 @@ from .kernel.polyroot import cluster_roots, numeric_roots, rational_roots, root_
 from .kernel.quadpack import quad
 from .model import _combination, _slot_coords, as_reduced
 from .symmetry import verify_symmetry
-from .verify import GridSpec, finite_numbers, residual_numeric, residual_symbolic
+from .verify import MAX_AXIS_POINTS, MAX_GRID_POINTS, GridSpec, finite_numbers
+from .verify import residual_numeric, residual_symbolic
 
 QUAD_TOL = 1e-11
 
@@ -972,8 +973,7 @@ def rk4_integrate(system, init, span, n_steps, params=None):
     step-halving error estimate max |y_h - y_{h/2}| / 15 over the final
     state, an order-4 Richardson gauge.
     """
-    if not (isinstance(n_steps, int) and n_steps >= 1):
-        raise InputError("n_steps must be a positive integer")
+    _check_points(n_steps)
     lo, hi = float(span[0]), float(span[1])
     if not lo < hi:
         raise InputError("span must be increasing")
@@ -1036,6 +1036,19 @@ def rk4_integrate(system, init, span, n_steps, params=None):
     return ws, traj, err
 
 
+def _check_points(n_steps, key=None, n_other=1):
+    """Refuse, before the first step, an RK4 run whose n_steps + 1 points,
+    or whose grid with the n_other points of key, is over verify's bounds."""
+    if not (isinstance(n_steps, int) and n_steps >= 1):
+        raise InputError("n_steps must be a positive integer")
+    if n_steps >= MAX_AXIS_POINTS:
+        raise InputError(f"n_steps gives more than MAX_AXIS_POINTS = {MAX_AXIS_POINTS} points")
+    if n_other > MAX_AXIS_POINTS:
+        raise InputError(f"{key} has more than MAX_AXIS_POINTS = {MAX_AXIS_POINTS} points")
+    if (n_steps + 1) * n_other > MAX_GRID_POINTS:
+        raise InputError(f"grid has {n_steps + 1} x {n_other} points, over MAX_GRID_POINTS")
+
+
 def _numeric_reduction(eq, family, system, mu, nu, phi, numeric):
     """Assemble a numeric Solution from an RK4 run of the reduced system."""
     spec = dict(numeric)
@@ -1049,7 +1062,9 @@ def _numeric_reduction(eq, family, system, mu, nu, phi, numeric):
     n_steps = spec.pop("n_steps", 128)
     init = take("init")
     params = spec.pop("params", {})
-    other = np.array([float(v) for v in take("t_pts" if family == "D" else "x_pts")])
+    key = "t_pts" if family == "D" else "x_pts"
+    other = np.array([float(v) for v in take(key)])
+    _check_points(n_steps, key, len(other))
     ws, traj, err = rk4_integrate(system, init, span, n_steps, params)
     ws = np.array(ws)
     # (v^s, w^s) per layer; on the real axis there is no w block
@@ -1117,11 +1132,12 @@ def generate_nonlocal(eq, h, x0, t0, v0, grid=None, phi0_value=0.0):
     for _ in range(r - 1):
         hs.append(differentiate(hs[-1], x))
     x0r = _rat(x0)
+    hx0 = [substitute(hi, {x: x0r}) for hi in hs]
     # boundary series sum_k A^k sum_{i<k} phi^{k-i-1} h_i at x = x0
-    bseries = S.Zero
-    for k, Ak in _rate_coeffs(eq).items():
-        for i in range(k):
-            bseries += Ak * _pow0(phi, k - i - 1) * substitute(hs[i], {x: x0r})
+    bseries = _dot(
+        *[(Ak * _pow0(phi, k - i - 1), hx0[i])
+          for k, Ak in _rate_coeffs(eq).items() if Ak != 0 for i in range(k)]
+    )
     bseries = normalize(bseries).as_expr()
 
     gfun, phifun, bfun, hfun = map(numeric_function, (g, phi, bseries, hexpr))

@@ -475,7 +475,13 @@ def test_no_zero_products(monkeypatch):
     # the derivative step and the reductions' solution assemblies leave
     # zero terms out instead
     from evolsym.kernel.calculus import _derivative
-    from evolsym.solutions import generalized_reduction, reduce_D1, solve_const_ode
+    from evolsym.solutions import (
+        generalized_reduction,
+        generate_nonlocal,
+        reduce_D1,
+        solve_const_ode,
+    )
+    from evolsym.verify import GridSpec
 
     eq = EvolutionEquation(3, (t * x + Rational(1, 3), S.Zero, 2 * t / 7, 1 + t**2), x**2 / 5 - t)
     products = zero_products(
@@ -504,6 +510,14 @@ def test_no_zero_products(monkeypatch):
     assert len(generalized_reduction(decoupled, "P", 1, mu=0, nu=1, phi0=0).solutions) == 4
     assert generalized_reduction(free, "D", 1, lam=0, top_layer=x**2).solutions
     assert len(solve_const_ode(reduce_D1(free))) == 3
+    assert products == []
+    # the nonlocal boundary series leaves out A^k = 0 (A^2 at r = 4) and the
+    # h_i that vanish at x0 = 0; calculus.substitute still multiplies by
+    # zero through xreplace, so only solutions.py is watched here
+    products = zero_products(monkeypatch, {"solutions.py"})
+    grid = GridSpec((0, 1), (0, 1), 1 / 8, 1 / 12)
+    generate_nonlocal(free, t * x**2 + x**5 / 60, 0.0, 0.0, 0.0, grid)
+    generate_nonlocal(ReducedEquation(4, (S.Zero,) * 3), x**4 / 24 + t, 0.0, 0.0, 0.0, grid)
     assert products == []
 
 

@@ -1103,6 +1103,25 @@ _grid_axes = st.lists(_eval_values, min_size=2, max_size=6)
 @example(Exp(Exp(x)), [0.0, 1.0], [1.0, 10.0])
 @example(Ln(t), [1.0, 1e-12], [0.0, 1.0])
 @example(t + sym("a"), [0.0, 1.0], [0.0, 1.0])
+# each power rule and the atoms' rules on both sides of their domain
+@example(t ** Rational(1, 2), [-8.0, 8.0], [0.0, 1.0])
+@example(t ** Rational(1, 3), [-8.0, 8.0], [0.0, 1.0])
+@example(1 / t, [-1e-12, 1.0], [0.0, 1.0])
+@example(x**t, [0.5, 1.0], [-2.0, 1.0])
+@example(Sgn(t) * x, [-0.0, 0.0], [-0.0, 0.0])
+@example(AbsV(t), [-0.0, 0.0], [-0.0, 0.0])
+# a node outside the fragment
+@example(sympy.tan(x), [0.0, 1.0], [0.0, 1.0])
+# the grid meets the pole of 1/t at t = 0 first, the closures ln(-1) at
+# their first point (1, -1)
+@example(1 / t + Ln(x), [1.0, 0.0], [-1.0, 1.0])
+# and sin(inf) at (1e200, 1e200), where math.sin raises ValueError
+@example(Sin(t * x) + Ln(x), [1.0, 1e200], [-1.0, 1e200])
+# a product overflows to inf as the closure's does; where fsum raises
+# (overflow, inf - inf) the 2-term sum gives up
+@example(t * x, [1e200, 1.0], [1e200, 1.0])
+@example(t + x, [1e308, 1.0], [1e308, 1.0])
+@example(t * x - x * AbsV(t), [1e200, 1.0], [1e200, 1.0])
 def test_grid_values_match_pointwise(e, tpts, xpts):
     # the pointwise closure at each point in t-major order is the oracle:
     # the same float bit for bit, or the first failing point's error

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Integer, Pow, Rational, S
 
+import evolsym.solutions as solutions
 from conftest import oracle_examples
 from slowpath import char_value, divisors
 
@@ -55,11 +56,25 @@ from evolsym.solutions import (
 from evolsym.kernel.polyroot import _divisors, rational_roots, root_multiplicity
 from evolsym.solutions import _char_coeffs, _complex_modes, _const_ode_modes, _rationalized_roots
 from evolsym.symmetry import solve_symmetries
-from evolsym.verify import GridSpec, residual_symbolic
+from evolsym.verify import MAX_AXIS_POINTS, GridSpec, residual_symbolic
 
 FREE3 = ReducedEquation(3, (S.Zero, S.Zero))
 FREE4 = ReducedEquation(4, (S.Zero, S.Zero, S.Zero))
 LINDRIFT3 = ReducedEquation(3, (x, S.Zero))  # A^0 = x, A^1 = 0
+
+# (n_steps, points on the other axis, the bound named): refused before the
+# first RK4 step, since the run is the axis of a residual grid
+OVER_GRID_BOUNDS = [
+    (MAX_AXIS_POINTS, 2, "MAX_AXIS_POINTS"),
+    (10**12, 2, "MAX_AXIS_POINTS"),
+    (64, MAX_AXIS_POINTS + 1, "MAX_AXIS_POINTS"),
+    (MAX_AXIS_POINTS - 1, 128, "MAX_GRID_POINTS"),
+]
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("an RK4 step ran")
+
 
 D = lambda f: VectorField(tau=f)  # noqa: E731
 P = lambda f: VectorField(chi=f)  # noqa: E731
@@ -389,6 +404,18 @@ class TestGeneralizedReductionD:
         with pytest.raises(InputError, match=key):
             generalized_reduction(FREE3, "D", 0, lam=1, numeric=spec)
 
+    @pytest.mark.parametrize("n_steps, n_pts, bound", OVER_GRID_BOUNDS)
+    def test_numeric_spec_over_grid_bounds(self, monkeypatch, n_steps, n_pts, bound):
+        monkeypatch.setattr(solutions, "rk4_integrate", _no_step)
+        spec = {
+            "span": (0.0, 1.0),
+            "n_steps": n_steps,
+            "init": [1.0, 1.0, 1.0],
+            "t_pts": np.linspace(0.0, 1.0, n_pts),
+        }
+        with pytest.raises(InputError, match=bound):
+            generalized_reduction(FREE3, "D", 0, lam=1, numeric=spec)
+
 
 _small_rationals = st.builds(Rational, st.integers(-4, 4), st.integers(1, 3))
 
@@ -604,6 +631,18 @@ class TestGeneralizedReductionP:
         with pytest.raises(InputError, match=key):
             generalized_reduction(FREE3, "P", 0, phi0=0, numeric=spec)
 
+    @pytest.mark.parametrize("n_steps, n_pts, bound", OVER_GRID_BOUNDS)
+    def test_numeric_spec_over_grid_bounds(self, monkeypatch, n_steps, n_pts, bound):
+        monkeypatch.setattr(solutions, "rk4_integrate", _no_step)
+        spec = {
+            "span": (0.0, 1.0),
+            "n_steps": n_steps,
+            "init": [1.0],
+            "x_pts": np.linspace(0.0, 1.0, n_pts),
+        }
+        with pytest.raises(InputError, match=bound):
+            generalized_reduction(FREE3, "P", 0, phi0=0, numeric=spec)
+
     def test_nu_must_be_positive(self):
         with pytest.raises(InputError):
             generalized_reduction(FREE3, "P", 0, mu=0, nu=-1)
@@ -645,13 +684,20 @@ class TestRK4:
         assert err > true_err / 20
         assert err < 1e-6
 
-    def test_input_validation(self):
+    def test_input_validation(self, monkeypatch):
         ode = LinearODE(1, (S.Zero,), t)
         system = ReducedSystem(t, ("v0",), ode, ((S.Zero,),))
         with pytest.raises(InputError):
             rk4_integrate(system, [1.0, 2.0], (0.0, 1.0), 8)
         with pytest.raises(InputError):
             rk4_integrate(system, [1.0], (1.0, 0.0), 8)
+        # rk4_integrate's own bound, on its n_steps + 1 points; a step
+        # evaluates the coefficient -1, and none may run
+        growth = ReducedSystem(t, ("v0",), LinearODE(1, (Integer(-1),), t), ((S.Zero,),))
+        monkeypatch.setattr(solutions, "eval_numeric", _no_step)
+        for n_steps, _n_pts, bound in OVER_GRID_BOUNDS[:2]:
+            with pytest.raises(InputError, match=bound):
+                rk4_integrate(growth, [1.0], (0.0, 1.0), n_steps)
 
 
 # np.linspace(0.0, 1.0, 17) on both axes
