@@ -209,7 +209,7 @@ def _read_json(path):
 
 
 def _emit(obj, args):
-    text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -13,10 +13,10 @@ is raised when evaluation reaches it, never at compile time.  Validation
 errors are not cached.
 
 eval_grid applies the same rules point by point on a whole (t, x) grid,
-once per distinct value of the variables a node depends on; numpy does only
-the 2-term sum and the product, whose IEEE results are those of the
-pointwise closures.  Where a rule raises or a value is not finite, the
-pointwise closures run instead.
+with any other symbols bound to floats, once per distinct value of the
+variables a node depends on; numpy does only the 2-term sum and the
+product, whose IEEE results are those of the pointwise closures.  Where a
+rule raises or a value is not finite, the pointwise closures run instead.
 """
 
 import math
@@ -46,27 +46,29 @@ def eval_numeric(e, point):
     return f(env)
 
 
-def eval_grid(e, tpts, xpts):
+def eval_grid(e, tpts, xpts, scalars=None):
     """Values of e on the grid tpts x xpts, as a (len(tpts), len(xpts))
-    array equal bit for bit to eval_numeric at each point {"t": tv, "x": xv}.
+    array equal bit for bit to eval_numeric at each point {"t": tv, "x": xv},
+    with the other symbols bound by scalars (a name -> float mapping).
 
     Each node is evaluated once per distinct value of the variables it
-    depends on: t is bound to a column and x to a row, and numpy broadcasts.
-    Where a rule raises or a value is not finite, the grid is evaluated
-    point by point in t-major order instead, so that the error raised is
-    eval_numeric's at its first failing point.
+    depends on: t is bound to a column, x to a row and the scalars to
+    floats, and numpy broadcasts.  Where a rule raises or a value is not
+    finite, the grid is evaluated point by point in t-major order instead,
+    so that the error raised is eval_numeric's at its first failing point.
     """
     tpts = [float(v) for v in tpts]
     xpts = [float(v) for v in xpts]
+    env = {k: float(v) for k, v in (scalars or {}).items()}
     grid = _grid_compiled(_exact_input(e))
     try:
         with np.errstate(all="ignore"):
-            v = grid({"t": np.array(tpts)[:, None], "x": np.array(xpts)[None, :]})
+            v = grid({**env, "t": np.array(tpts)[:, None], "x": np.array(xpts)[None, :]})
         return np.array(np.broadcast_to(v, (len(tpts), len(xpts))))
     except (InputError, ArithmeticError, ValueError):
         pass
     f = numeric_function(e)
-    return np.array([[f({"t": tv, "x": xv}) for xv in xpts] for tv in tpts])
+    return np.array([[f({**env, "t": tv, "x": xv}) for xv in xpts] for tv in tpts])
 
 
 def numeric_function(e):
@@ -220,9 +222,9 @@ def _each(rule, *vals):
 
 def _grid(e):
     """Function env -> values of the validated e, where env binds t to an
-    (nt, 1) column and x to a (1, nx) row, in the order of _compile.  A
-    product folds left from 1.0 as the closure does, and numpy's float
-    product is Python's, overflow to inf included."""
+    (nt, 1) column, x to a (1, nx) row and other names to floats, in the
+    order of _compile.  A product folds left from 1.0 as the closure does,
+    and numpy's float product is Python's, overflow to inf included."""
     if e.is_Rational or isinstance(e, Symbol):
         return _compile(e)
     if e.is_Add:

@@ -8,11 +8,18 @@ Fortran's, in the Fortran's order and with its literals, so for finite
 limits `quad` returns the same bits as `scipy.integrate.quad`, which wraps
 the same routine.  Arrays are 1-based, as in the Fortran, and the comments
 name its statement labels.
+
+quad_many integrates one integrand over many intervals with a common lower
+limit, as quad would one by one: the first 21-point pass of every interval
+is one batch, which is where a smooth integrand's QAGS ends, and the
+intervals that pass on go through quad.
 """
 
 import math
 import sys
 import warnings
+
+import numpy as np
 
 # d1mach(1), d1mach(2), d1mach(4)
 _UFLOW = sys.float_info.min
@@ -113,6 +120,104 @@ def quad(f, a, b, epsabs, epsrel):
     return (-result if flip else result), abserr
 
 
+def quad_many(f, fmany, a, bs, epsabs, epsrel):
+    """[quad(f, a, b, epsabs, epsrel) for b in bs], bit for bit, with the
+    first 21-point pass of all the intervals in one batch.
+
+    fmany takes a 1-D float array of abscissae and returns f's values there;
+    it is called once, on the first-pass nodes of every interval.  The
+    Kronrod sums are _qk21's, elementwise in its order, and numpy does only
+    +, -, * and abs; the error scaling and dqagse's first-pass test run per
+    interval on Python floats.  An interval that this test does not end,
+    and every interval when fmany raises or returns a value that is not
+    finite, is integrated by quad(f, ...) at its place in bs, so that
+    warnings and errors come as the loop's do.
+    """
+    bs = list(bs)
+    done = {}
+    epsabs, epsrel = float(epsabs), float(epsrel)
+    if _valid_tolerances(epsabs, epsrel) and math.isfinite(a):
+        batch = [i for i, b in enumerate(bs) if a != b and math.isfinite(b)]
+        ends = _first_passes(fmany, float(a), [float(bs[i]) for i in batch], epsabs, epsrel)
+        done = {batch[k]: got for k, got in ends.items()}
+    return [done[i] if i in done else quad(f, a, b, epsabs, epsrel) for i, b in enumerate(bs)]
+
+
+def first_pass_nodes(a, b):
+    """The abscissae at which quad(f, a, b, ...) first calls f, in its
+    order: the 21 nodes of the first Kronrod pass, none when a == b or a
+    limit is not finite."""
+    if a == b or not (math.isfinite(a) and math.isfinite(b)):
+        return []
+    a, b = float(a), float(b)
+    lo, hi = min(a, b), max(a, b)
+    return _nodes(0.5 * (lo + hi), 0.5 * (hi - lo))
+
+
+# the order in which _qk21 calls f after the centre: the Gauss abscissae
+# xgk[2], xgk[4], ..., then the Kronrod ones, each at centr -+ hlgth * xgk[j]
+_CALL_ORDER = (2, 4, 6, 8, 10, 1, 3, 5, 7, 9)
+
+
+def _nodes(centr, hlgth):
+    """_qk21's abscissae on the interval(s) of centre centr and half-length
+    hlgth (floats or arrays), in its call order."""
+    out = [centr]
+    for j in _CALL_ORDER:
+        absc = hlgth * _XGK[j]
+        out += (centr - absc, centr + absc)
+    return out
+
+
+def _first_passes(fmany, a, bs, epsabs, epsrel):
+    """{k: (result, abserr)} for each interval from a to bs[k] that ends at
+    dqagse's first-pass test, each a != bs[k] and all finite; {} when
+    fmany raises or returns a value that is not finite."""
+    if not bs:
+        return {}
+    lo = np.array([min(a, b) for b in bs])
+    hi = np.array([max(a, b) for b in bs])
+    centr = 0.5 * (lo + hi)
+    hlgth = 0.5 * (hi - lo)
+    dhlgth = abs(hlgth)
+    nodes = np.array(_nodes(centr, hlgth))
+    try:
+        fv = np.asarray(fmany(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    except Exception:  # the intervals are integrated one by one instead
+        return {}
+    if not np.isfinite(fv).all():
+        return {}
+    with np.errstate(all="ignore"):
+        fc = fv[0]
+        resg = 0.0
+        resk = _WGK[11] * fc
+        resabs = abs(resk)
+        fv1, fv2 = {}, {}
+        for m, j in enumerate(_CALL_ORDER):
+            fval1 = fv1[j] = fv[2 * m + 1]
+            fval2 = fv2[j] = fv[2 * m + 2]
+            fsum = fval1 + fval2
+            if j % 2 == 0:
+                resg = resg + _WG[j // 2] * fsum
+            resk = resk + _WGK[j] * fsum
+            resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+        reskh = resk * 0.5
+        resasc = _WGK[11] * abs(fc - reskh)
+        for j in range(1, 11):
+            resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+        result = resk * hlgth
+        resabs = resabs * dhlgth
+        resasc = resasc * dhlgth
+        abserr = abs((resk - resg) * hlgth)
+    ends = {}
+    rows = zip(bs, result.tolist(), abserr.tolist(), resabs.tolist(), resasc.tolist())
+    for k, (b, res, err, defabs, asc) in enumerate(rows):
+        err = _qk21_error(err, defabs, asc)
+        if _first_pass(res, err, defabs, asc, epsabs, epsrel) == 0:
+            ends[k] = (-res if b < a else res), err
+    return ends
+
+
 def _qk21(f, a, b):
     """dqk21: (result, abserr, resabs, resasc) of the 21-point rule on [a, b]."""
     centr = 0.5 * (a + b)
@@ -153,6 +258,11 @@ def _qk21(f, a, b):
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
     abserr = abs((resk - resg) * hlgth)
+    return result, _qk21_error(abserr, resabs, resasc), resabs, resasc
+
+
+def _qk21_error(abserr, resabs, resasc):
+    """dqk21's scaling of the raw error estimate |resk - resg| * hlgth."""
     if resasc != 0.0 and abserr != 0.0:
         # min(1, q**1.5), where the power of a q >= 1 (which is >= 1, and
         # may overflow, which C's pow does silently and Python's does not)
@@ -161,7 +271,7 @@ def _qk21(f, a, b):
         abserr = resasc * (q**1.5 if q < 1.0 else 1.0)
     if resabs > _UFLOW / (50.0 * _EPMACH):
         abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    return result, abserr, resabs, resasc
+    return abserr
 
 
 def _qagse(f, a, b, epsabs, epsrel):
@@ -175,27 +285,23 @@ def _qagse(f, a, b, epsabs, epsrel):
     res3la = [0.0] * 4
 
     # test on validity of parameters
-    ier = 0
     alist[1] = a
     blist[1] = b
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
+    if not _valid_tolerances(epsabs, epsrel):
         return 0.0, 0.0, 6
 
-    # first approximation to the integral
+    # first approximation to the integral and test on accuracy
     ierro = 0
     result, abserr, defabs, resabs = _qk21(f, a, b)
-
-    # test on accuracy
+    ier = _first_pass(result, abserr, defabs, resabs, epsabs, epsrel)
+    if ier is not None:
+        return result, abserr, ier  # 140
+    ier = 0
     dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
     last = 1
     rlist[1] = result
     elist[1] = abserr
     iord[1] = 1
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return result, abserr, ier  # 140
 
     # initialization
     rlist2[1] = result
@@ -390,6 +496,22 @@ def _qagse(f, a, b, epsabs, epsrel):
     if ier > 2:
         ier = ier - 1
     return result, abserr, ier
+
+
+def _valid_tolerances(epsabs, epsrel):
+    return not (epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28))
+
+
+def _first_pass(result, abserr, defabs, resabs, epsabs, epsrel):
+    """dqagse's test on the accuracy of the first 21-point pass: its ier
+    (0, or 2 for roundoff) when the integral ends there, else None."""
+    errbnd = max(epsabs, epsrel * abs(result))
+    ier = 0
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return ier
+    return None
 
 
 def _divide(x, y):

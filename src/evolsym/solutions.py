@@ -10,6 +10,7 @@ finite-difference residual.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .kernel import (
     as_exact,
     derivative_terms,
     differentiate,
+    eval_grid,
     eval_numeric,
     integrate,
     is_zero,
@@ -40,7 +42,7 @@ from .kernel import (
 )
 from .kernel.normalform import exp_polynomial
 from .kernel.polyroot import cluster_roots, numeric_roots, rational_roots, root_multiplicity
-from .kernel.quadpack import quad
+from .kernel.quadpack import first_pass_nodes, quad, quad_many
 from .model import _combination, _slot_coords, as_reduced
 from .symmetry import verify_symmetry
 from .verify import MAX_AXIS_POINTS, MAX_GRID_POINTS, GridSpec, finite_numbers
@@ -369,19 +371,64 @@ def reduce_P1Iphi(eq, phi0=None, grid=None, phi0_value=0.0):
         params = ["c0"] + (["phi0"] if free_phi0 else [])
         return certify_symbolic(eq, c0 * Exp(phi * x + G), prov, params)
     tpts, xpts = (grid or default_grid(eq.r)).points()
-    t0 = float(tpts[0])
-    gfun, phifun = map(numeric_function, (g, phi))
+    with _float_range("P1I reduction"):
+        vals = _p1i_values(g, phi, phi0_value, tpts, xpts)
+    prov = dict(prov, quadrature="adaptive", phi0_value=phi0_value)
+    return _grid_solution(eq, tpts, xpts, vals, prov)
+
+
+def _p1i_values(g, phi, phi0_value, tpts, xpts):
+    """exp(phi x + w(t)) on tpts x xpts, with w(t) the integral of g from
+    the first time point and phi0 bound to phi0_value; g and phi are free
+    of x.  The values and errors are those of a scalar quad per time."""
+    tpts, xpts = [float(v) for v in tpts], [float(v) for v in xpts]
+    t0 = tpts[0]
+    phifun = numeric_function(phi)
+    gnum, gmany = _time_integrand(g, phi0_value)
+    ws = _integrals(gnum, gmany, t0, tpts)
+    vals = []
+    for i, tv in enumerate(tpts):
+        if ws is not None:
+            w = ws[i]
+        else:
+            w = quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
+        pv = phifun({"t": tv, "phi0": phi0_value})
+        vals.append([math.exp(pv * xv + w) for xv in xpts])
+    return vals
+
+
+def _time_integrand(g, phi0_value):
+    """g, free of x, as a function of t and as one of an array of times."""
+    gfun = numeric_function(g)
 
     def gnum(tv):
         return gfun({"t": tv, "phi0": phi0_value})
 
-    vals = []
-    for tv in tpts:
-        w = quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
-        pv = phifun({"t": float(tv), "phi0": phi0_value})
-        vals.append([math.exp(pv * xv + w) for xv in xpts])
-    prov = dict(prov, quadrature="adaptive", phi0_value=phi0_value)
-    return _grid_solution(eq, tpts, xpts, vals, prov)
+    def gmany(tvs):
+        return eval_grid(g, tvs.tolist(), [0.0], {"phi0": phi0_value})[:, 0]
+
+    return gnum, gmany
+
+
+def _integrals(f, fmany, a, bs):
+    """The QUAD_TOL integrals of f from a to each b in bs, by quad_many, or
+    None where that raises.  The caller then integrates point by point in
+    its own loop, and so raises what that loop met first."""
+    try:
+        return [v for v, _ in quad_many(f, fmany, a, bs, QUAD_TOL, QUAD_TOL)]
+    except Exception:  # replayed point by point by the caller
+        return None
+
+
+@contextmanager
+def _float_range(stage):
+    """An OverflowError of math.exp in stage's value loop exits 3."""
+    try:
+        yield
+    except OverflowError:
+        raise UnsupportedError(
+            f"numeric certificate out of float range in {stage}"
+        ) from None
 
 
 # --- constant-coefficient ODE solver --------------------------------------------
@@ -1113,8 +1160,10 @@ def generate_nonlocal(eq, h, x0, t0, v0, grid=None, phi0_value=0.0):
 
     with w(t) = int_{t0}^{t} sum_{k=2}^{r} A^k phi^k dt', evaluated by
     adaptive quadrature on the points of grid, default_grid(r) when
-    omitted.  h must be a certified symbolic solution; phi0_value fixes the
-    integration constant of phi.
+    omitted; the integrals of a grid row are batched, and each equals
+    QAGS' own bit for bit.  h must be a certified symbolic solution;
+    phi0_value fixes the integration constant of phi.  A value out of the
+    float range exits 3.
     """
     eq = as_reduced(eq)
     r = eq.r
@@ -1124,51 +1173,11 @@ def generate_nonlocal(eq, h, x0, t0, v0, grid=None, phi0_value=0.0):
     hexpr, _params = _solution_expr(eq, h)
     if _params:
         raise InputError("bind the free parameters of h before generating")
-    g = _exp_rate(eq, phi)
+    g, bseries = _nonlocal_integrands(eq, phi, hexpr, x0)
     tpts, xpts = (grid or default_grid(r)).points()
     tpts, xpts = [float(v) for v in tpts], [float(v) for v in xpts]
-
-    hs = [hexpr]
-    for _ in range(r - 1):
-        hs.append(differentiate(hs[-1], x))
-    x0r = _rat(x0)
-    hx0 = [substitute(hi, {x: x0r}) for hi in hs]
-    # boundary series sum_k A^k sum_{i<k} phi^{k-i-1} h_i at x = x0
-    bseries = _dot(
-        *[(Ak * _pow0(phi, k - i - 1), hx0[i])
-          for k, Ak in _rate_coeffs(eq).items() if Ak != 0 for i in range(k)]
-    )
-    bseries = normalize(bseries).as_expr()
-
-    gfun, phifun, bfun, hfun = map(numeric_function, (g, phi, bseries, hexpr))
-
-    def gnum(tv):
-        return gfun({"t": tv, "phi0": phi0_value})
-
-    def wof(tv):
-        return quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
-
-    def bnum(tv):
-        env = {"t": tv, "phi0": phi0_value}
-        pv = phifun(env)
-        return bfun(env) * math.exp(-pv * x0 - wof(tv))
-
-    vals = []
-    for tv in tpts:
-        pv = phifun({"t": tv, "phi0": phi0_value})
-        wv = wof(tv)
-        bv = quad(bnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
-
-        def hker(xv, tv=tv, pv=pv):
-            return math.exp(-pv * xv) * hfun({"t": tv, "x": xv})
-
-        row = []
-        for xv in xpts:
-            inner = quad(hker, x0, xv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
-            row.append(
-                math.exp(pv * xv) * inner + (bv + v0) * math.exp(pv * xv + wv)
-            )
-        vals.append(row)
+    with _float_range("nonlocal generation"):
+        vals = _nonlocal_values(g, phi, bseries, hexpr, x0, t0, v0, phi0_value, tpts, xpts)
     prov = {
         "method": "nonlocal-generation",
         "h": to_str(hexpr),
@@ -1178,3 +1187,98 @@ def generate_nonlocal(eq, h, x0, t0, v0, grid=None, phi0_value=0.0):
         "phi0_value": phi0_value,
     }
     return _grid_solution(eq, tpts, xpts, vals, prov)
+
+
+def _nonlocal_integrands(eq, phi, h, x0):
+    """The exp-rate g and the boundary series
+    sum_k A^k sum_{i<k} phi^{k-i-1} h_i at x = x0 of the nonlocal formula."""
+    hs = [h]
+    for _ in range(eq.r - 1):
+        hs.append(differentiate(hs[-1], x))
+    x0r = _rat(x0)
+    hx0 = [substitute(hi, {x: x0r}) for hi in hs]
+    bseries = _dot(
+        *[(Ak * _pow0(phi, k - i - 1), hx0[i])
+          for k, Ak in _rate_coeffs(eq).items() if Ak != 0 for i in range(k)]
+    )
+    return _exp_rate(eq, phi), normalize(bseries).as_expr()
+
+
+def _nonlocal_values(g, phi, bseries, h, x0, t0, v0, phi0_value, tpts, xpts):
+    """generate_nonlocal's values on tpts x xpts, row by row.
+
+    w at every grid time and at the first-pass nodes of every boundary
+    integral comes from one quad_many on g, and a row's x-integrals from
+    one quad_many on its integrand, whose h values are evaluated for blocks
+    of rows at once.  The boundary integral is a scalar quad whose integrand
+    integrates g itself where it leaves the table of w.  The values and
+    errors are those of a scalar quad per integral: a batch that raises is
+    replayed point by point.  Warnings of the w integrals come first."""
+    phifun, bfun, hfun = map(numeric_function, (phi, bseries, h))
+    gnum, gmany = _time_integrand(g, phi0_value)
+
+    def wof(tv):
+        return quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
+
+    ts = [sv for tv in tpts for sv in [tv] + first_pass_nodes(t0, tv)]
+    ws = _integrals(gnum, gmany, t0, ts)
+    table = {} if ws is None else dict(zip(ts, ws))
+
+    def bnum(sv):
+        env = {"t": sv, "phi0": phi0_value}
+        psv = phifun(env)
+        bsv = bfun(env)
+        wsv = table.get(sv)
+        return bsv * math.exp(-psv * x0 - (wof(sv) if wsv is None else wsv))
+
+    # every row's x-integrals have the same nodes: h is evaluated there on
+    # blocks of rows of at most MAX_GRID_POINTS values, and e^(-phi x) is
+    # kept while phi stays the same; each holds its last value only
+    last_h, last_decay = {}, {}
+
+    def h_row(i, xvs):
+        n = max(1, MAX_GRID_POINTS // len(xvs))
+        lo = i - i % n
+        key = (lo, xvs.tobytes())
+        if key not in last_h:
+            last_h.clear()
+            try:
+                last_h[key] = eval_grid(h, tpts[lo : lo + n], xvs.tolist())
+            except Exception:  # each row of the block evaluates its own
+                last_h[key] = None
+        block = last_h[key]
+        if block is None:
+            return eval_grid(h, [tpts[i]], xvs.tolist())[0]
+        return block[i - lo]
+
+    def decay(pv, xvs):
+        key = (pv, xvs.tobytes())
+        if key not in last_decay:
+            last_decay.clear()
+            last_decay[key] = np.array([math.exp(-pv * xv) for xv in xvs.tolist()])
+        return last_decay[key]
+
+    vals = []
+    for i, tv in enumerate(tpts):
+        pv = phifun({"t": tv, "phi0": phi0_value})
+        wv = table[tv] if tv in table else wof(tv)
+        bv = quad(bnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
+
+        def hker(xv, tv=tv, pv=pv):
+            return math.exp(-pv * xv) * hfun({"t": tv, "x": xv})
+
+        def hmany(xvs, i=i, pv=pv):
+            return decay(pv, xvs) * h_row(i, xvs)
+
+        inners = _integrals(hker, hmany, x0, xpts)
+        row = []
+        for j, xv in enumerate(xpts):
+            if inners is not None:
+                inner = inners[j]
+            else:
+                inner = quad(hker, x0, xv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
+            row.append(
+                math.exp(pv * xv) * inner + (bv + v0) * math.exp(pv * xv + wv)
+            )
+        vals.append(row)
+    return vals

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from sympy import Add, Expr
 
-from .errors import InputError
+from .errors import InputError, UnsupportedError
 from .kernel import (
     as_exact,
     derivative_terms,
@@ -242,9 +242,11 @@ def _derivative(U, d, p, h, axis):
     out = np.zeros_like(
         np.take(U, range(m, n - m), axis=axis), dtype=float
     )
-    for idx, c in enumerate(coeffs):
-        k = idx - m
-        out += float(c) * np.take(U, range(m + k, n - m + k), axis=axis)
+    # an overflow here leaves inf or NaN, which residual_numeric refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, c in enumerate(coeffs):
+            k = idx - m
+            out += float(c) * np.take(U, range(m + k, n - m + k), axis=axis)
     return out / h**d, m
 
 
@@ -360,4 +362,7 @@ def residual_numeric(eq, u, g=None):
             num = sum((h - mh) * (v - mr) for h, v in clean)
             den = sum((h - mh) ** 2 for h, _ in clean)
             slope = num / den
+    if not all(math.isfinite(v) for v in (max_residual, slope or 0.0)):
+        # finite grid values whose stencil products overflow, or meet inf - inf
+        raise UnsupportedError("numeric certificate out of float range in the residual")
     return max_residual, slope

@@ -1,5 +1,5 @@
 """Slow paths kept as oracles for the normal form, derivatives, the
-pushforward of equations and numeric evaluation.
+pushforward of equations, numeric evaluation and quadrature loops.
 
 normal_form: normalize turns an expression into num/den dicts with one
 recursive converter to a polynomial ring.  The code below is the path it
@@ -71,6 +71,14 @@ compose and invert: the library has no API to compose or invert group
 elements; these helpers do it for the tests of the pushforward's action
 law.
 
+nonlocal_values and p1i_values: the library integrates the x-integrals of
+a grid row, and w(t) at a row's time and at the first-pass nodes of its
+boundary integral, in batches whose first Kronrod pass is one array
+evaluation.  The oracles are the loops of generate_nonlocal and
+reduce_P1Iphi as they were, one scalar quad per integral, the boundary
+integrand calling the w quadrature at every node.  Both must give the same
+floats bit for bit, or raise the same error.
+
 to_str: the library's printer orders a sum's terms with sympy's key but
 computes it itself, reading each exact number's float and sign off its
 numerator and denominator; the oracle is the printer as it was, on
@@ -117,9 +125,11 @@ from evolsym.kernel.normalform import (
     as_exact,
     normalize,
 )
-from evolsym.kernel.numeric import ZERO_TOL
+from evolsym.kernel.numeric import ZERO_TOL, numeric_function
+from evolsym.kernel.quadpack import quad
 from evolsym.kernel.printer import _ADD, _ATOM, _MUL, _NEG, _POW
 from evolsym.model import EvolutionEquation, VectorField, embed_reduced
+from evolsym.solutions import QUAD_TOL
 from evolsym.verify import _stencil_margin
 
 
@@ -443,6 +453,56 @@ def _ev(e, env):
         v = _ev(e.args[0], env)
         return 0.0 if v == 0 else math.copysign(1.0, v)
     raise InputError(f"cannot evaluate node of type {type(e).__name__}")
+
+
+def nonlocal_values(g, phi, bseries, h, x0, t0, v0, phi0_value, tpts, xpts):
+    """generate_nonlocal's values by a scalar quad per integral."""
+    gfun, phifun, bfun, hfun = map(numeric_function, (g, phi, bseries, h))
+
+    def gnum(tv):
+        return gfun({"t": tv, "phi0": phi0_value})
+
+    def wof(tv):
+        return quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
+
+    def bnum(tv):
+        env = {"t": tv, "phi0": phi0_value}
+        pv = phifun(env)
+        return bfun(env) * math.exp(-pv * x0 - wof(tv))
+
+    vals = []
+    for tv in tpts:
+        pv = phifun({"t": tv, "phi0": phi0_value})
+        wv = wof(tv)
+        bv = quad(bnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
+
+        def hker(xv, tv=tv, pv=pv):
+            return math.exp(-pv * xv) * hfun({"t": tv, "x": xv})
+
+        row = []
+        for xv in xpts:
+            inner = quad(hker, x0, xv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
+            row.append(
+                math.exp(pv * xv) * inner + (bv + v0) * math.exp(pv * xv + wv)
+            )
+        vals.append(row)
+    return vals
+
+
+def p1i_values(g, phi, phi0_value, tpts, xpts):
+    """reduce_P1Iphi's values by a scalar quad per time point."""
+    t0 = float(tpts[0])
+    gfun, phifun = map(numeric_function, (g, phi))
+
+    def gnum(tv):
+        return gfun({"t": tv, "phi0": phi0_value})
+
+    vals = []
+    for tv in tpts:
+        w = quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
+        pv = phifun({"t": float(tv), "phi0": phi0_value})
+        vals.append([math.exp(pv * xv + w) for xv in xpts])
+    return vals
 
 
 def stencil(d, p):

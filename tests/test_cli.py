@@ -584,6 +584,26 @@ def test_malformed_documents_and_nonfinite_flags_exit2(
 
 
 @pytest.mark.parametrize(
+    "flag,stage",
+    [
+        # math.exp overflows in the value loop
+        ("--phi0-value=1e300", "nonlocal generation"),
+        # finite grid values whose stencil products overflow to inf - inf
+        ("--v0=1e308", "the residual"),
+    ],
+)
+def test_nonlocal_out_of_float_range_exits3(capsys, tmp_path, flag, stage):
+    seed = write(tmp_path, "seed.json", {"kind": "symbolic", "expr": "t*x^2 + 1/60*x^5"})
+    eq = write(tmp_path, "eq.json", FREE3)
+    code, out, err = run(capsys, "solve", eq, "--method", "nonlocal", "--seed", seed, flag)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": f"numeric certificate out of float range in {stage}",
+        "exit_code": 3,
+    }
+
+
+@pytest.mark.parametrize(
     "command,document,key",
     [
         # refused before a coefficient slot is made for each order

@@ -1089,46 +1089,66 @@ def test_eval_numeric_matches_slow_path_oracle(e, point):
 
 
 _grid_axes = st.lists(_eval_values, min_size=2, max_size=6)
+PHI0 = sym("phi0")
+# expressions in t, x and phi0, a symbol bound to one float: phi0 takes the
+# place of t or x in the whole expression or in one term
+_grid_exprs = st.one_of(
+    _eval_exprs,
+    st.builds(lambda e, s: e.xreplace({s: PHI0}), _eval_exprs, st.sampled_from([t, x])),
+    st.builds(
+        lambda a, b, s: a + b.xreplace({s: PHI0}), _eval_exprs, _eval_exprs, st.sampled_from([t, x])
+    ),
+)
 
 
 @settings(max_examples=oracle_examples(100), deadline=None)
-@given(_eval_exprs, _grid_axes, _grid_axes)
+@given(_grid_exprs, _grid_axes, _grid_axes, _eval_values)
 # fsum of the three terms at each point, not two roundings
-@example(Add(Rational(3, 10), t, x, evaluate=False), [0.1, 0.1], [0.2, 0.2])
+@example(Add(Rational(3, 10), t, x, evaluate=False), [0.1, 0.1], [0.2, 0.2], 0.5)
 # fsum of two negative zeros is +0.0
-@example(t + x, [-0.0, 1.0], [-0.0, 2.0])
+@example(t + x, [-0.0, 1.0], [-0.0, 2.0], 0.5)
 # a product folds left from 1.0: (0.3 * 0.1) * 0.1, not 0.3 * (0.1 * 0.1)
-@example(Rational(3, 10) * t * x, [0.1, 1.0], [0.1, 2.0])
-@example(Exp(t / 2 - Rational(707106781187, 10**12) * x), [0.0, 0.5, 1.0], [0.25, 0.75])
-@example(Exp(Exp(x)), [0.0, 1.0], [1.0, 10.0])
-@example(Ln(t), [1.0, 1e-12], [0.0, 1.0])
-@example(t + sym("a"), [0.0, 1.0], [0.0, 1.0])
+@example(Rational(3, 10) * t * x, [0.1, 1.0], [0.1, 2.0], 0.5)
+@example(Exp(t / 2 - Rational(707106781187, 10**12) * x), [0.0, 0.5, 1.0], [0.25, 0.75], 0.5)
+@example(Exp(Exp(x)), [0.0, 1.0], [1.0, 10.0], 0.5)
+@example(Ln(t), [1.0, 1e-12], [0.0, 1.0], 0.5)
+@example(t + sym("a"), [0.0, 1.0], [0.0, 1.0], 0.5)
 # each power rule and the atoms' rules on both sides of their domain
-@example(t ** Rational(1, 2), [-8.0, 8.0], [0.0, 1.0])
-@example(t ** Rational(1, 3), [-8.0, 8.0], [0.0, 1.0])
-@example(1 / t, [-1e-12, 1.0], [0.0, 1.0])
-@example(x**t, [0.5, 1.0], [-2.0, 1.0])
-@example(Sgn(t) * x, [-0.0, 0.0], [-0.0, 0.0])
-@example(AbsV(t), [-0.0, 0.0], [-0.0, 0.0])
+@example(t ** Rational(1, 2), [-8.0, 8.0], [0.0, 1.0], 0.5)
+@example(t ** Rational(1, 3), [-8.0, 8.0], [0.0, 1.0], 0.5)
+@example(1 / t, [-1e-12, 1.0], [0.0, 1.0], 0.5)
+@example(x**t, [0.5, 1.0], [-2.0, 1.0], 0.5)
+@example(Sgn(t) * x, [-0.0, 0.0], [-0.0, 0.0], 0.5)
+@example(AbsV(t), [-0.0, 0.0], [-0.0, 0.0], 0.5)
 # a node outside the fragment
-@example(sympy.tan(x), [0.0, 1.0], [0.0, 1.0])
+@example(sympy.tan(x), [0.0, 1.0], [0.0, 1.0], 0.5)
 # the grid meets the pole of 1/t at t = 0 first, the closures ln(-1) at
 # their first point (1, -1)
-@example(1 / t + Ln(x), [1.0, 0.0], [-1.0, 1.0])
+@example(1 / t + Ln(x), [1.0, 0.0], [-1.0, 1.0], 0.5)
 # and sin(inf) at (1e200, 1e200), where math.sin raises ValueError
-@example(Sin(t * x) + Ln(x), [1.0, 1e200], [-1.0, 1e200])
+@example(Sin(t * x) + Ln(x), [1.0, 1e200], [-1.0, 1e200], 0.5)
 # a product overflows to inf as the closure's does; where fsum raises
 # (overflow, inf - inf) the 2-term sum gives up
-@example(t * x, [1e200, 1.0], [1e200, 1.0])
-@example(t + x, [1e308, 1.0], [1e308, 1.0])
-@example(t * x - x * AbsV(t), [1e200, 1.0], [1e200, 1.0])
-def test_grid_values_match_pointwise(e, tpts, xpts):
+@example(t * x, [1e200, 1.0], [1e200, 1.0], 0.5)
+@example(t + x, [1e308, 1.0], [1e308, 1.0], 0.5)
+@example(t * x - x * AbsV(t), [1e200, 1.0], [1e200, 1.0], 0.5)
+# phi0 inside ln and under a negative power, on both sides of their domain
+@example(Ln(PHI0) * t + x, [0.0, 1.0], [0.0, 2.0], 2.0)
+@example(Ln(PHI0) * t + x, [0.0, 1.0], [0.0, 2.0], -1.0)
+@example(PHI0 ** -3 * x, [0.0, 1.0], [0.5, 2.0], 0.5)
+@example(PHI0 ** -3 * x, [0.0, 1.0], [0.5, 2.0], 1e-12)
+@example((PHI0 + t) ** -2, [-0.5, 1.0], [0.0, 1.0], 0.5)
+def test_grid_values_match_pointwise(e, tpts, xpts, phi0):
     # the pointwise closure at each point in t-major order is the oracle:
     # the same float bit for bit, or the first failing point's error
-    want = [_eval_outcome(eval_numeric, e, {"t": tv, "x": xv}) for tv in tpts for xv in xpts]
+    want = [
+        _eval_outcome(eval_numeric, e, {"t": tv, "x": xv, "phi0": phi0})
+        for tv in tpts
+        for xv in xpts
+    ]
     errors = [w for w in want if isinstance(w, tuple)]
     try:
-        got = eval_grid(e, tpts, xpts)
+        got = eval_grid(e, tpts, xpts, {"phi0": phi0})
     except Exception as exc:  # compared with the pointwise error below
         assert errors and (type(exc), str(exc)) == errors[0]
         return

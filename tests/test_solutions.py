@@ -12,8 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Integer, Pow, Rational, S
 
+import evolsym.kernel.quadpack as quadpack
 import evolsym.solutions as solutions
-from conftest import oracle_examples
+import slowpath
+from conftest import exprs, oracle_examples, poly_exprs
 from slowpath import char_value, divisors
 
 from evolsym.equivalence import (
@@ -21,10 +23,11 @@ from evolsym.equivalence import (
     pushforward_equation,
     transport_solution,
 )
-from evolsym.errors import InputError, UnsupportedError
+from evolsym.errors import EvalDomainError, InputError, UnsupportedError
 from evolsym.kernel import (
     Cos,
     Exp,
+    Ln,
     Sin,
     Verdict,
     eval_numeric,
@@ -229,6 +232,13 @@ class TestReduceP1Iphi:
         expected = math.exp(xv + tv + quad(lambda v: math.exp(v * v), 0, tv)[0])
         assert s.grid["values"][8][16] == pytest.approx(expected, rel=1e-9)
         assert s.max_residual < 1e-5
+
+    def test_overflow_exits_unsupported(self):
+        # w(1/2) is near 4e9 at phi0 = 300, and exp(300 x + w) overflows
+        eq = ReducedEquation(4, (S.Zero, S.Zero, Exp(t**2)))
+        g = GridSpec((0.0, 0.5), (0.0, 1.0), 1 / 32, 1 / 32)
+        with pytest.raises(UnsupportedError, match="^numeric certificate out of float range in P1I reduction$"):
+            reduce_P1Iphi(eq, grid=g, phi0_value=300.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(UnsupportedError):
@@ -750,6 +760,134 @@ class TestGenerateNonlocal:
         s = reduce_P1Iphi(LINDRIFT3)
         with pytest.raises(InputError):
             generate_nonlocal(LINDRIFT3, s, 0.0, 0.0, 1.0)
+
+
+def _values_outcome(values, *args):
+    """The grid values bit for bit (repr tells -0.0 from 0.0), or the error
+    raised."""
+    try:
+        return [[repr(v) for v in row] for row in values(*args)]
+    except Exception as exc:  # whatever either side raises is compared
+        return type(exc), str(exc)
+
+
+PHI0 = sym("phi0")
+_small_rationals = st.builds(Rational, st.integers(-3, 3), st.integers(1, 4))
+# the benchmark's nonlocal seeds, and polynomial-exp integrands, which need
+# not solve the equation for the loops to integrate them
+_nonlocal_seeds = st.one_of(
+    st.sampled_from(
+        [parse_expr(s) for s in ("t*x^2 + 1/60*x^5", "x^3 + 6*t", "x", "t*x + 1/24*x^4")]
+    ),
+    st.builds(lambda p, a, b: p * Exp(a * x + b * t), poly_exprs, _small_rationals, _small_rationals),
+)
+# a row grid of 5 x 9 points, as default_grid spaces them
+_ROW_T = [i / 8 for i in range(5)]
+_ROW_X = [i / 8 for i in range(9)]
+_moderate = st.floats(-2.0, 2.0)
+# large enough that math.exp overflows on the grid
+_huge = st.sampled_from([700.0, -700.0, 1e300, -1e300])
+
+
+@settings(max_examples=oracle_examples(40), deadline=None)
+@given(
+    st.sampled_from([FREE3, LINDRIFT3, ReducedEquation(4, (S.Zero, S.Zero, S.One))]),
+    _nonlocal_seeds,
+    # inside the grid, so that the x-integrals left of x0 run reversed, or
+    # on a grid point
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from(_ROW_X)),
+    # the first grid time, where the boundary integral of the first row is
+    # empty, or any other
+    st.one_of(st.floats(-0.5, 0.75), st.sampled_from(_ROW_T)),
+    st.one_of(_moderate, st.sampled_from([1e308, -1e308])),
+    st.one_of(_moderate, _huge),
+)
+@example(FREE3, parse_expr("t*x^2 + 1/60*x^5"), 0.25, 0.0, 0.5, -0.5)
+@example(FREE3, parse_expr("t*x^2 + 1/60*x^5"), 0.0, 0.0, 0.0, 1e300)
+@example(FREE3, parse_expr("t*x^2 + 1/60*x^5"), 0.0, 0.0, 1e308, 0.0)
+# the integrand raises at the x-integrals' nodes left of x = 1/2
+@example(FREE3, Ln(x - Rational(1, 2)), 0.75, 0.1, 1.0, 0.5)
+# the boundary integrals subdivide near the pole at t = -0.51, and their
+# integrand integrates w at nodes outside the table
+@example(FREE3, x / (t + Rational(51, 100)), 0.5, -0.5, 1.0, 0.5)
+def test_nonlocal_values_match_slow_path_oracle(eq, h, x0, t0, v0, phi0_value):
+    # the loops of scalar quads in tests/slowpath.py are the oracle: the
+    # same float at every grid point, or the same error
+    phi = solutions._phi_of(eq, PHI0)
+    g, bseries = solutions._nonlocal_integrands(eq, phi, h, x0)
+    args = (g, phi, bseries, h, x0, t0, v0, phi0_value, _ROW_T, _ROW_X)
+    want = _values_outcome(slowpath.nonlocal_values, *args)
+    assert _values_outcome(solutions._nonlocal_values, *args) == want
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 2])
+def test_nonlocal_values_integrate_in_batches(monkeypatch, rows_per_block):
+    # where every first pass ends its integral, scalar QAGS runs only for
+    # each row's boundary integral and for the empty intervals, whether h
+    # is evaluated on all the rows at once or on blocks of rows (8
+    # x-integrals of 21 nodes a row)
+    if rows_per_block:
+        monkeypatch.setattr(solutions, "MAX_GRID_POINTS", rows_per_block * 8 * 21)
+    scalar = quadpack.quad
+    boundary, handed_on = [], []
+
+    def boundary_quad(f, a, b, **tolerances):
+        boundary.append(b)
+        return scalar(f, a, b, **tolerances)
+
+    def handed_on_quad(f, a, b, *tolerances):
+        handed_on.append(b)
+        return scalar(f, a, b, *tolerances)
+
+    monkeypatch.setattr(solutions, "quad", boundary_quad)
+    monkeypatch.setattr(quadpack, "quad", handed_on_quad)
+    h = parse_expr("t*x^2 + 1/60*x^5")
+    phi = solutions._phi_of(FREE3, PHI0)
+    g, bseries = solutions._nonlocal_integrands(FREE3, phi, h, 0.25)
+    args = (g, phi, bseries, h, 0.25, 0.0, 0.5, -0.5, _ROW_T, _ROW_X)
+    got = solutions._nonlocal_values(*args)
+    assert boundary == _ROW_T
+    # w(t0) of the table, and each row's x-integral to x0
+    assert handed_on == [0.0] + [0.25] * len(_ROW_T)
+    assert got == slowpath.nonlocal_values(*args)
+
+
+def test_nonlocal_values_when_a_block_of_rows_raises(monkeypatch):
+    # h is evaluated two rows at a time; the block of rows 2 and 3 raises
+    # at row 3, where the x-integrals from x0 = 1/2 reach x < t - 1/4, and
+    # row 2 evaluates on its own
+    monkeypatch.setattr(solutions, "MAX_GRID_POINTS", 2 * 8 * 21)
+    h = Ln(x + Rational(1, 4) - t)
+    phi = solutions._phi_of(FREE3, PHI0)
+    g, bseries = solutions._nonlocal_integrands(FREE3, phi, h, 0.5)
+    args = (g, phi, bseries, h, 0.5, 0.0, 1.0, 0.5, _ROW_T, _ROW_X)
+    want = _values_outcome(slowpath.nonlocal_values, *args)
+    assert want == (EvalDomainError, "ln of a nonpositive value")
+    assert _values_outcome(solutions._nonlocal_values, *args) == want
+
+
+# exponential rates and phi in t and phi0, free of x
+_time_exprs = st.one_of(exprs, poly_exprs).map(lambda e: e.xreplace({x: PHI0}))
+
+
+@settings(max_examples=oracle_examples(60), deadline=None)
+@given(
+    _time_exprs,
+    _time_exprs,
+    st.one_of(_moderate, _huge),
+    st.sampled_from([0.0, -0.5, 0.25]),
+)
+# the quadrature tail of test_quadrature_tail
+@example(Exp(t**2) + PHI0**4 + PHI0**2, PHI0, 1.0, 0.0)
+@example(Exp(t**2), PHI0, 1e300, 0.0)
+# the rate raises at the nodes of the later time integrals
+@example(Ln(t - Rational(1, 4)), t + PHI0, 0.5, 0.25)
+def test_p1i_values_match_slow_path_oracle(g, phi, phi0_value, tstart):
+    tpts = np.linspace(tstart, tstart + 0.5, 5)
+    xpts = np.linspace(0.0, 1.0, 9)
+    args = (g, phi, phi0_value, tpts, xpts)
+    want = _values_outcome(slowpath.p1i_values, *args)
+    assert _values_outcome(solutions._p1i_values, *args) == want
 
 
 class TestSolutionDocuments:
