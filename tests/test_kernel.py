@@ -1,7 +1,6 @@
 """Kernel: grammar, normal form, zero test, calculus, numeric evaluation."""
 
 import math
-import sys
 import time
 from fractions import Fraction
 
@@ -870,19 +869,18 @@ def test_differentiate_order_zero_and_bad_orders():
 @settings(max_examples=40, deadline=None)
 @given(exprs)
 @example(Exp(Rational(81, 4)))
+# a float difference quotient with h = 1e-5 is off by 2.3 here
+@example(Sin(Exp((t + 2) ** 3 / 4)))
 def test_differentiate_matches_finite_differences(e):
     de = differentiate(e, "t")
     for pt in rand_points(["t", "x"], 2, seed=7):
         try:
             got = eval_numeric(de, pt)
-            want = fd_derivative(e, "t", pt)
-            # the difference quotient's rounding floor, about eps |f| / h
-            # with h = 1e-5, is the oracle's own error
-            floor = sys.float_info.epsilon * abs(eval_numeric(e, pt)) / 1e-5
         except (EvalDomainError, OverflowError):
             continue
+        want = fd_derivative(e, "t", pt)
         tol = 1e-5 * max(1.0, abs(want))
-        if abs(want) > 1e6 or floor > tol:
+        if abs(want) > 1e6:
             continue
         assert abs(got - want) <= tol
 
