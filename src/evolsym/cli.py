@@ -356,7 +356,9 @@ def cmd_solve(args):
             out["solutions"] = []
             out["notes"] = ["non-constant reduced ODE returned unsolved"]
     elif args.method == "P1I":
-        sol = reduce_P1Iphi(red, phi0=phi0)
+        sol = reduce_P1Iphi(
+            red, phi0=phi0, grid=_grid_from_args(args, red.r), phi0_value=args.phi0_value
+        )
         out["solutions"] = [sol.to_doc()]
     elif args.method == "poly-t":
         if args.N is None:

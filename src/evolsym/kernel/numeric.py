@@ -86,7 +86,7 @@ def _compiled(e):
     def evaluate(env):
         try:
             return f(env)
-        except OverflowError:
+        except (OverflowError, ValueError):  # ValueError: sin, cos or fsum of an overflow's inf
             raise EvalDomainError("numeric overflow") from None
 
     return evaluate

@@ -10,9 +10,10 @@ the same routine.  Arrays are 1-based, as in the Fortran, and the comments
 name its statement labels.
 
 quad_many integrates one integrand over many intervals with a common lower
-limit, as quad would one by one: the first 21-point pass of every interval
-is one batch, which is where a smooth integrand's QAGS ends, and the
-intervals that pass on go through quad.
+limit, as a loop of quads would: the first 21-point pass of every interval
+is one batch, which is where a smooth integrand's QAGS ends, and each
+interval that passes on goes through quad when its turn in the loop comes.
+_qk21 and the batch share one function of the 21 node values, _kronrod.
 """
 
 import math
@@ -121,26 +122,25 @@ def quad(f, a, b, epsabs, epsrel):
 
 
 def quad_many(f, fmany, a, bs, epsabs, epsrel):
-    """[quad(f, a, b, epsabs, epsrel) for b in bs], bit for bit, with the
-    first 21-point pass of all the intervals in one batch.
+    """The iterator of quad(f, a, b, epsabs, epsrel) for b in bs, bit for
+    bit, with the first 21-point pass of all the intervals in one batch.
 
     fmany takes a 1-D float array of abscissae and returns f's values there;
-    it is called once, on the first-pass nodes of every interval.  The
-    Kronrod sums are _qk21's, elementwise in its order, and numpy does only
-    +, -, * and abs; the error scaling and dqagse's first-pass test run per
-    interval on Python floats.  An interval that this test does not end,
+    it is called once, by quad_many itself, on the first-pass nodes of every
+    interval.  The Kronrod sums are _qk21's, elementwise, and numpy does
+    only +, -, * and abs; the error scaling and dqagse's first-pass test run
+    per interval on Python floats.  An interval that this test does not end,
     and every interval when fmany raises or returns a value that is not
-    finite, is integrated by quad(f, ...) at its place in bs, so that
-    warnings and errors come as the loop's do.
+    finite, is integrated by quad(f, ...) when the iterator reaches it, so
+    that warnings and errors come where a loop of quads puts them.
     """
     bs = list(bs)
     done = {}
     epsabs, epsrel = float(epsabs), float(epsrel)
     if _valid_tolerances(epsabs, epsrel) and math.isfinite(a):
-        batch = [i for i, b in enumerate(bs) if a != b and math.isfinite(b)]
-        ends = _first_passes(fmany, float(a), [float(bs[i]) for i in batch], epsabs, epsrel)
-        done = {batch[k]: got for k, got in ends.items()}
-    return [done[i] if i in done else quad(f, a, b, epsabs, epsrel) for i, b in enumerate(bs)]
+        batch = {i: float(b) for i, b in enumerate(bs) if a != b and math.isfinite(b)}
+        done = _first_passes(fmany, float(a), batch, epsabs, epsrel)
+    return (done[i] if i in done else quad(f, a, b, epsabs, epsrel) for i, b in enumerate(bs))
 
 
 def first_pass_nodes(a, b):
@@ -157,6 +157,13 @@ def first_pass_nodes(a, b):
 # the order in which _qk21 calls f after the centre: the Gauss abscissae
 # xgk[2], xgk[4], ..., then the Kronrod ones, each at centr -+ hlgth * xgk[j]
 _CALL_ORDER = (2, 4, 6, 8, 10, 1, 3, 5, 7, 9)
+# for each j of _CALL_ORDER: the place in _nodes of f(centr - hlgth *
+# xgk[j]), which f(centr + hlgth * xgk[j]) follows, wgk[j] and wg[j / 2]
+# for even j; then the places and wgk[j] for j = 1..10, resasc's order
+_STEPS = tuple(
+    (2 * m + 1, _WGK[j], _WG[j // 2] if j % 2 == 0 else None) for m, j in enumerate(_CALL_ORDER)
+)
+_ASC = tuple((2 * _CALL_ORDER.index(j) + 1, _WGK[j]) for j in range(1, 11))
 
 
 def _nodes(centr, hlgth):
@@ -169,18 +176,39 @@ def _nodes(centr, hlgth):
     return out
 
 
+def _kronrod(fv, hlgth):
+    """dqk21's sums, in its order, of the 21 values fv of f at _nodes(centr,
+    hlgth): (result, abserr, resabs, resasc), with abserr not yet scaled by
+    _qk21_error.  On floats, or elementwise on arrays."""
+    fc = fv[0]
+    resg = 0.0
+    resk = _WGK[11] * fc
+    resabs = abs(resk)
+    for k, wgk, wg in _STEPS:
+        fval1, fval2 = fv[k], fv[k + 1]
+        fsum = fval1 + fval2
+        if wg is not None:
+            resg = resg + wg * fsum
+        resk = resk + wgk * fsum
+        resabs = resabs + wgk * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[11] * abs(fc - reskh)
+    for k, wgk in _ASC:
+        resasc = resasc + wgk * (abs(fv[k] - reskh) + abs(fv[k + 1] - reskh))
+    dhlgth = abs(hlgth)
+    return resk * hlgth, abs((resk - resg) * hlgth), resabs * dhlgth, resasc * dhlgth
+
+
 def _first_passes(fmany, a, bs, epsabs, epsrel):
-    """{k: (result, abserr)} for each interval from a to bs[k] that ends at
-    dqagse's first-pass test, each a != bs[k] and all finite; {} when
-    fmany raises or returns a value that is not finite."""
+    """{i: (result, abserr)} for each interval from a to bs[i] that ends at
+    dqagse's first-pass test, bs a dict of finite floats other than a; {}
+    when fmany raises or returns a value that is not finite."""
     if not bs:
         return {}
-    lo = np.array([min(a, b) for b in bs])
-    hi = np.array([max(a, b) for b in bs])
-    centr = 0.5 * (lo + hi)
+    lo = np.array([min(a, b) for b in bs.values()])
+    hi = np.array([max(a, b) for b in bs.values()])
     hlgth = 0.5 * (hi - lo)
-    dhlgth = abs(hlgth)
-    nodes = np.array(_nodes(centr, hlgth))
+    nodes = np.array(_nodes(0.5 * (lo + hi), hlgth))
     try:
         fv = np.asarray(fmany(nodes.ravel()), dtype=float).reshape(nodes.shape)
     except Exception:  # the intervals are integrated one by one instead
@@ -188,76 +216,19 @@ def _first_passes(fmany, a, bs, epsabs, epsrel):
     if not np.isfinite(fv).all():
         return {}
     with np.errstate(all="ignore"):
-        fc = fv[0]
-        resg = 0.0
-        resk = _WGK[11] * fc
-        resabs = abs(resk)
-        fv1, fv2 = {}, {}
-        for m, j in enumerate(_CALL_ORDER):
-            fval1 = fv1[j] = fv[2 * m + 1]
-            fval2 = fv2[j] = fv[2 * m + 2]
-            fsum = fval1 + fval2
-            if j % 2 == 0:
-                resg = resg + _WG[j // 2] * fsum
-            resk = resk + _WGK[j] * fsum
-            resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
-        reskh = resk * 0.5
-        resasc = _WGK[11] * abs(fc - reskh)
-        for j in range(1, 11):
-            resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-        result = resk * hlgth
-        resabs = resabs * dhlgth
-        resasc = resasc * dhlgth
-        abserr = abs((resk - resg) * hlgth)
+        sums = [s.tolist() for s in _kronrod(fv, hlgth)]
     ends = {}
-    rows = zip(bs, result.tolist(), abserr.tolist(), resabs.tolist(), resasc.tolist())
-    for k, (b, res, err, defabs, asc) in enumerate(rows):
+    for (i, b), res, err, defabs, asc in zip(bs.items(), *sums):
         err = _qk21_error(err, defabs, asc)
         if _first_pass(res, err, defabs, asc, epsabs, epsrel) == 0:
-            ends[k] = (-res if b < a else res), err
+            ends[i] = (-res if b < a else res), err
     return ends
 
 
 def _qk21(f, a, b):
     """dqk21: (result, abserr, resabs, resasc) of the 21-point rule on [a, b]."""
-    centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    dhlgth = abs(hlgth)
-    fv1 = [0.0] * 11
-    fv2 = [0.0] * 11
-    resg = 0.0
-    fc = f(centr)
-    resk = _WGK[11] * fc
-    resabs = abs(resk)
-    for j in range(1, 6):
-        jtw = 2 * j
-        absc = hlgth * _XGK[jtw]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtw] = fval1
-        fv2[jtw] = fval2
-        fsum = fval1 + fval2
-        resg = resg + _WG[j] * fsum
-        resk = resk + _WGK[jtw] * fsum
-        resabs = resabs + _WGK[jtw] * (abs(fval1) + abs(fval2))
-    for j in range(1, 6):
-        jtwm1 = 2 * j - 1
-        absc = hlgth * _XGK[jtwm1]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtwm1] = fval1
-        fv2[jtwm1] = fval2
-        fsum = fval1 + fval2
-        resk = resk + _WGK[jtwm1] * fsum
-        resabs = resabs + _WGK[jtwm1] * (abs(fval1) + abs(fval2))
-    reskh = resk * 0.5
-    resasc = _WGK[11] * abs(fc - reskh)
-    for j in range(1, 11):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = abs((resk - resg) * hlgth)
+    result, abserr, resabs, resasc = _kronrod([f(v) for v in _nodes(0.5 * (a + b), hlgth)], hlgth)
     return result, _qk21_error(abserr, resabs, resasc), resabs, resasc
 
 

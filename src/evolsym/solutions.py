@@ -385,13 +385,9 @@ def _p1i_values(g, phi, phi0_value, tpts, xpts):
     t0 = tpts[0]
     phifun = numeric_function(phi)
     gnum, gmany = _time_integrand(g, phi0_value)
-    ws = _integrals(gnum, gmany, t0, tpts)
+    ws = quad_many(gnum, gmany, t0, tpts, QUAD_TOL, QUAD_TOL)
     vals = []
-    for i, tv in enumerate(tpts):
-        if ws is not None:
-            w = ws[i]
-        else:
-            w = quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
+    for tv, (w, _) in zip(tpts, ws):
         pv = phifun({"t": tv, "phi0": phi0_value})
         vals.append([math.exp(pv * xv + w) for xv in xpts])
     return vals
@@ -408,16 +404,6 @@ def _time_integrand(g, phi0_value):
         return eval_grid(g, tvs.tolist(), [0.0], {"phi0": phi0_value})[:, 0]
 
     return gnum, gmany
-
-
-def _integrals(f, fmany, a, bs):
-    """The QUAD_TOL integrals of f from a to each b in bs, by quad_many, or
-    None where that raises.  The caller then integrates point by point in
-    its own loop, and so raises what that loop met first."""
-    try:
-        return [v for v, _ in quad_many(f, fmany, a, bs, QUAD_TOL, QUAD_TOL)]
-    except Exception:  # replayed point by point by the caller
-        return None
 
 
 @contextmanager
@@ -1208,28 +1194,30 @@ def _nonlocal_values(g, phi, bseries, h, x0, t0, v0, phi0_value, tpts, xpts):
     """generate_nonlocal's values on tpts x xpts, row by row.
 
     w at every grid time and at the first-pass nodes of every boundary
-    integral comes from one quad_many on g, and a row's x-integrals from
-    one quad_many on its integrand, whose h values are evaluated for blocks
-    of rows at once.  The boundary integral is a scalar quad whose integrand
-    integrates g itself where it leaves the table of w.  The values and
-    errors are those of a scalar quad per integral: a batch that raises is
-    replayed point by point.  Warnings of the w integrals come first."""
+    integral comes from one quad_many on g, read as the loop reaches each
+    of them, and a row's x-integrals from one quad_many on its integrand,
+    whose h values are evaluated for blocks of rows at once.  The boundary
+    integral is a scalar quad whose integrand integrates g itself where it
+    asks for another w.  The values, warnings and errors are those of a
+    scalar quad per integral, in the same order."""
     phifun, bfun, hfun = map(numeric_function, (phi, bseries, h))
     gnum, gmany = _time_integrand(g, phi0_value)
-
-    def wof(tv):
-        return quad(gnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
-
     ts = [sv for tv in tpts for sv in [tv] + first_pass_nodes(t0, tv)]
-    ws = _integrals(gnum, gmany, t0, ts)
-    table = {} if ws is None else dict(zip(ts, ws))
+    ws, k = quad_many(gnum, gmany, t0, ts, QUAD_TOL, QUAD_TOL), 0
+
+    # the loop asks for w at the points of ts in their order, and in
+    # between at the nodes of later boundary passes, which ts leaves out
+    def wof(sv):
+        nonlocal k
+        if k < len(ts) and ts[k] == sv:
+            k += 1
+            return next(ws)[0]
+        return quad(gnum, t0, sv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
 
     def bnum(sv):
         env = {"t": sv, "phi0": phi0_value}
         psv = phifun(env)
-        bsv = bfun(env)
-        wsv = table.get(sv)
-        return bsv * math.exp(-psv * x0 - (wof(sv) if wsv is None else wsv))
+        return bfun(env) * math.exp(-psv * x0 - wof(sv))
 
     # every row's x-integrals have the same nodes: h is evaluated there on
     # blocks of rows of at most MAX_GRID_POINTS values, and e^(-phi x) is
@@ -1242,14 +1230,12 @@ def _nonlocal_values(g, phi, bseries, h, x0, t0, v0, phi0_value, tpts, xpts):
         key = (lo, xvs.tobytes())
         if key not in last_h:
             last_h.clear()
-            try:
-                last_h[key] = eval_grid(h, tpts[lo : lo + n], xvs.tolist())
-            except Exception:  # each row of the block evaluates its own
-                last_h[key] = None
-        block = last_h[key]
-        if block is None:
-            return eval_grid(h, [tpts[i]], xvs.tolist())[0]
-        return block[i - lo]
+            # a block that raises is evaluated once: its rows integrate one by one
+            last_h[key] = None
+            last_h[key] = eval_grid(h, tpts[lo : lo + n], xvs.tolist())
+        if last_h[key] is None:
+            raise EvalDomainError("h raised on this block of rows")
+        return last_h[key][i - lo]
 
     def decay(pv, xvs):
         key = (pv, xvs.tobytes())
@@ -1261,7 +1247,7 @@ def _nonlocal_values(g, phi, bseries, h, x0, t0, v0, phi0_value, tpts, xpts):
     vals = []
     for i, tv in enumerate(tpts):
         pv = phifun({"t": tv, "phi0": phi0_value})
-        wv = table[tv] if tv in table else wof(tv)
+        wv = wof(tv)
         bv = quad(bnum, t0, tv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
 
         def hker(xv, tv=tv, pv=pv):
@@ -1270,15 +1256,11 @@ def _nonlocal_values(g, phi, bseries, h, x0, t0, v0, phi0_value, tpts, xpts):
         def hmany(xvs, i=i, pv=pv):
             return decay(pv, xvs) * h_row(i, xvs)
 
-        inners = _integrals(hker, hmany, x0, xpts)
-        row = []
-        for j, xv in enumerate(xpts):
-            if inners is not None:
-                inner = inners[j]
-            else:
-                inner = quad(hker, x0, xv, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
-            row.append(
+        inners = quad_many(hker, hmany, x0, xpts, QUAD_TOL, QUAD_TOL)
+        vals.append(
+            [
                 math.exp(pv * xv) * inner + (bv + v0) * math.exp(pv * xv + wv)
-            )
-        vals.append(row)
+                for xv, (inner, _) in zip(xpts, inners)
+            ]
+        )
     return vals

@@ -392,7 +392,7 @@ def eval_numeric(e, point):
         env[k if isinstance(k, str) else k.name] = float(v)
     try:
         return _ev(e, env)
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: sin, cos or fsum of an overflow's inf
         raise EvalDomainError("numeric overflow") from None
 
 

@@ -330,6 +330,19 @@ class TestSolve:
         )
         assert rep["solutions"][0]["expr"] == "c0*exp(1/4*t^4 + t*x)"
 
+    def test_p1i_quadrature_takes_the_grid_and_phi0_value(self, capsys, tmp_path):
+        # exp(t^2) closes in no catalog: the solution is sampled on --grid
+        # (9 points an axis, not the default 17) with phi0 bound to --phi0-value
+        eq = write(tmp_path, "eq.json", {**FREE4, "coefficients": {"A2": "exp(t^2)"}})
+        grid = write(tmp_path, "grid.json", {"t": [0, 1], "x": [0, 1], "ht": 0.125, "hx": 0.125})
+        rep = run_json(capsys, "solve", eq, "--method", "P1I", "--grid", grid, "--phi0-value", "0.5")
+        sol = rep["solutions"][0]
+        assert sol["grid"]["t"] == sol["grid"]["x"] == [i / 8 for i in range(9)]
+        assert sol["provenance"]["phi0_value"] == 0.5
+        code, out, err = run(capsys, "solve", eq, "--method", "P1I", "--grid", str(tmp_path / "missing.json"))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["exit_code"] == 2
+
     def test_gen_reduction(self, capsys, tmp_path):
         rep = run_json(
             capsys,
@@ -506,6 +519,16 @@ class TestVerify:
         assert rep["max_residual"] < 1e-8
         assert rep["slope"] == pytest.approx(6.0, abs=0.5)
         assert rep["within_tolerance"] is True
+
+    def test_overflow_of_sin_on_the_grid_exits2(self, capsys, tmp_path):
+        # t*x overflows to inf, whose sine raises ValueError in math.sin
+        sol = write(tmp_path, "sol.json", {"kind": "symbolic", "expr": "sin(t*x)"})
+        grid = {"t": [1e199, 1e200], "x": [1e199, 1e200], "ht": 1.125e199, "hx": 1.125e199}
+        eq = write(tmp_path, "eq.json", FREE3)
+        argv = ("verify", eq, sol, "--numeric", "--grid", write(tmp_path, "grid.json", grid))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "numeric overflow", "exit_code": 2}
 
     def test_numeric_grid_document(self, capsys, tmp_path):
         import math

@@ -154,7 +154,7 @@ def test_quad_many_first_passes_that_pass_call_fmany_once():
         return [math.exp(v) for v in nodes.tolist()]
 
     bs = [0.1, 0.2, -0.5, 0.3, 1.0]
-    got = quad_many(f, fmany, 0.3, bs, epsabs=1e-11, epsrel=1e-11)
+    got = list(quad_many(f, fmany, 0.3, bs, epsabs=1e-11, epsrel=1e-11))
     assert batches == [21 * 4] and scalar == []
     assert got == [quad(math.exp, 0.3, b, epsabs=1e-11, epsrel=1e-11) for b in bs]
 
@@ -173,7 +173,7 @@ def test_quad_many_integrates_a_non_finite_batch_one_by_one():
         return value(v)
 
     bs = [0.3, 2.0, 0.7]
-    got = quad_many(f, _batch(value, False), 0.0, bs, epsabs=1e-11, epsrel=1e-11)
+    got = list(quad_many(f, _batch(value, False), 0.0, bs, epsabs=1e-11, epsrel=1e-11))
     assert set(first_pass_nodes(0.0, 0.3) + first_pass_nodes(0.0, 0.7)) <= set(calls)
     assert [repr(r) for r in got] == [repr(quad(f, 0.0, b, epsabs=1e-11, epsrel=1e-11)) for b in bs]
 
@@ -189,17 +189,40 @@ def test_quad_many_raises_the_loops_first_error():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ZeroDivisionError, match="from the integrand"):
-            quad_many(f, _batch(f, False), -3.0, [3.0, 4.0, 1.0], epsabs=1e-13, epsrel=1e-13)
+            list(quad_many(f, _batch(f, False), -3.0, [3.0, 4.0, 1.0], epsabs=1e-13, epsrel=1e-13))
     assert [w.category for w in caught] == [IntegrationWarning]
 
 
 def test_quad_many_invalid_arguments():
     fmany = _batch(math.exp, False)
-    assert quad_many(math.exp, fmany, 0.0, [0.0], epsabs=0.0, epsrel=1e-30) == [(0.0, 0.0)]
+    assert list(quad_many(math.exp, fmany, 0.0, [0.0], epsabs=0.0, epsrel=1e-30)) == [(0.0, 0.0)]
     with pytest.raises(ValueError, match="epsrel"):
-        quad_many(math.exp, fmany, 0.0, [0.0, 1.0], epsabs=0.0, epsrel=1e-30)
+        list(quad_many(math.exp, fmany, 0.0, [0.0, 1.0], epsabs=0.0, epsrel=1e-30))
     with pytest.raises(ValueError, match="finite"):
-        quad_many(math.exp, fmany, 0.0, [1.0, math.inf], epsabs=1e-10, epsrel=1e-10)
+        list(quad_many(math.exp, fmany, 0.0, [1.0, math.inf], epsabs=1e-10, epsrel=1e-10))
+
+
+def test_quad_many_integrates_each_interval_when_reached():
+    # fmany runs at the call; the interval whose first pass fails runs
+    # through quad, and warns, only when the iterator reaches it
+    calls = []
+
+    def value(v):
+        return math.exp(v) if v < 1.0 else math.floor(100.0 * v)
+
+    def f(v):
+        calls.append(v)
+        return value(v)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = quad_many(f, _batch(value, False), 0.0, [0.5, 3.0], epsabs=1e-13, epsrel=1e-13)
+        assert calls == [] and caught == []
+        assert next(got) == quad(value, 0.0, 0.5, epsabs=1e-13, epsrel=1e-13)
+        assert calls == [] and caught == []
+        next(got)
+    assert calls[:21] == first_pass_nodes(0.0, 3.0)
+    assert [w.category for w in caught] == [IntegrationWarning]
 
 
 def test_first_pass_nodes_are_quads_first_calls():

@@ -4,6 +4,7 @@ generation formula, all against the residual oracles."""
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -764,11 +765,14 @@ class TestGenerateNonlocal:
 
 def _values_outcome(values, *args):
     """The grid values bit for bit (repr tells -0.0 from 0.0), or the error
-    raised."""
-    try:
-        return [[repr(v) for v in row] for row in values(*args)]
-    except Exception as exc:  # whatever either side raises is compared
-        return type(exc), str(exc)
+    raised, and the warnings in the order they came."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = [[repr(v) for v in row] for row in values(*args)]
+        except Exception as exc:  # whatever either side raises is compared
+            got = type(exc), str(exc)
+    return got, [(w.category.__name__, str(w.message)) for w in caught]
 
 
 PHI0 = sym("phi0")
@@ -810,9 +814,20 @@ _huge = st.sampled_from([700.0, -700.0, 1e300, -1e300])
 # the boundary integrals subdivide near the pole at t = -0.51, and their
 # integrand integrates w at nodes outside the table
 @example(FREE3, x / (t + Rational(51, 100)), 0.5, -0.5, 1.0, 0.5)
+# with phi0 = 1 the rate is sin(3000 t) + ln(3/8 - t): w warns on the rows
+# up to t = 3/8 and at their boundary nodes, then raises on the last row
+@example(
+    ReducedEquation(4, (S.Zero, S.Zero, Sin(3000 * t) + Ln(Rational(3, 8) - t) - 1)),
+    S.Zero,
+    0.25,
+    0.0,
+    1.0,
+    1.0,
+)
 def test_nonlocal_values_match_slow_path_oracle(eq, h, x0, t0, v0, phi0_value):
     # the loops of scalar quads in tests/slowpath.py are the oracle: the
-    # same float at every grid point, or the same error
+    # same float at every grid point, or the same error, and the same
+    # warnings in the same order
     phi = solutions._phi_of(eq, PHI0)
     g, bseries = solutions._nonlocal_integrands(eq, phi, h, x0)
     args = (g, phi, bseries, h, x0, t0, v0, phi0_value, _ROW_T, _ROW_X)
@@ -854,16 +869,26 @@ def test_nonlocal_values_integrate_in_batches(monkeypatch, rows_per_block):
 
 def test_nonlocal_values_when_a_block_of_rows_raises(monkeypatch):
     # h is evaluated two rows at a time; the block of rows 2 and 3 raises
-    # at row 3, where the x-integrals from x0 = 1/2 reach x < t - 1/4, and
-    # row 2 evaluates on its own
+    # at row 3, where the x-integrals from x0 = 1/2 reach x < t - 1/4, once:
+    # row 2 and then row 3 integrate one by one
     monkeypatch.setattr(solutions, "MAX_GRID_POINTS", 2 * 8 * 21)
     h = Ln(x + Rational(1, 4) - t)
+    blocks = []
+
+    def eval_grid(e, tpts, *rest):
+        if e == h:
+            blocks.append(tpts)
+        return numeric_eval_grid(e, tpts, *rest)
+
+    numeric_eval_grid = solutions.eval_grid
+    monkeypatch.setattr(solutions, "eval_grid", eval_grid)
     phi = solutions._phi_of(FREE3, PHI0)
     g, bseries = solutions._nonlocal_integrands(FREE3, phi, h, 0.5)
     args = (g, phi, bseries, h, 0.5, 0.0, 1.0, 0.5, _ROW_T, _ROW_X)
     want = _values_outcome(slowpath.nonlocal_values, *args)
-    assert want == (EvalDomainError, "ln of a nonpositive value")
+    assert want[0] == (EvalDomainError, "ln of a nonpositive value")
     assert _values_outcome(solutions._nonlocal_values, *args) == want
+    assert blocks == [_ROW_T[0:2], _ROW_T[2:4]]
 
 
 # exponential rates and phi in t and phi0, free of x
@@ -882,6 +907,9 @@ _time_exprs = st.one_of(exprs, poly_exprs).map(lambda e: e.xreplace({x: PHI0}))
 @example(Exp(t**2), PHI0, 1e300, 0.0)
 # the rate raises at the nodes of the later time integrals
 @example(Ln(t - Rational(1, 4)), t + PHI0, 0.5, 0.25)
+# the rate warns on the times up to 7/8 and raises past it: each warning
+# comes once, before the error
+@example(Sin(3000 * t) + Ln(Rational(7, 8) - t), PHI0, 0.5, 0.5)
 def test_p1i_values_match_slow_path_oracle(g, phi, phi0_value, tstart):
     tpts = np.linspace(tstart, tstart + 0.5, 5)
     xpts = np.linspace(0.0, 1.0, 9)
