@@ -30,6 +30,10 @@ class EvalDomainError(InputError):
     division by zero within tolerance, even root of a negative value)."""
 
 
+class FloatRangeError(EvalDomainError):
+    """Numeric evaluation left the float range: "numeric overflow"."""
+
+
 class UnsupportedError(EvolsymError):
     exit_code = 3
 

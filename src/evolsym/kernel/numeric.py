@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from sympy import Symbol
 
-from ..errors import EvalDomainError, InputError
+from ..errors import EvalDomainError, FloatRangeError, InputError
 from .atoms import AbsV, Cos, Exp, Ln, Sgn, Sin
 from .normalform import _exact_input, as_exact
 
@@ -37,7 +37,8 @@ def eval_numeric(e, point):
 
     Raises EvalDomainError for ln of a value <= ZERO_TOL, a negative power
     of a value within ZERO_TOL of zero, an even root of a negative value, a
-    negative base under a symbolic exponent, an unbound symbol, and overflow.
+    negative base under a symbolic exponent, an unbound symbol, and overflow,
+    whose EvalDomainError is the subclass FloatRangeError.
     """
     f = numeric_function(e)
     env = {}
@@ -87,7 +88,7 @@ def _compiled(e):
         try:
             return f(env)
         except (OverflowError, ValueError):  # ValueError: sin, cos or fsum of an overflow's inf
-            raise EvalDomainError("numeric overflow") from None
+            raise FloatRangeError("numeric overflow") from None
 
     return evaluate
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from sympy import Add, Expr, Integer, Pow, Rational, S, Symbol
 
-from .errors import EvalDomainError, InputError, InternalError, UnsupportedError
+from .errors import EvalDomainError, FloatRangeError, InputError, InternalError, UnsupportedError
 from .kernel import (
     Cos,
     Exp,
@@ -45,7 +45,7 @@ from .kernel.polyroot import cluster_roots, numeric_roots, rational_roots, root_
 from .kernel.quadpack import first_pass_nodes, quad, quad_many
 from .model import _combination, _slot_coords, as_reduced
 from .symmetry import verify_symmetry
-from .verify import MAX_AXIS_POINTS, MAX_GRID_POINTS, GridSpec, finite_numbers
+from .verify import MAX_AXIS_POINTS, MAX_GRID_POINTS, GridSpec, read_grid
 from .verify import residual_numeric, residual_symbolic
 
 QUAD_TOL = 1e-11
@@ -127,21 +127,6 @@ class ReducedSystem:
         return lines
 
 
-def _check_grid_doc(grid):
-    """The sampled grid of a solution document: t and x lists of finite
-    JSON numbers, values a list of such lists; nothing is coerced."""
-    if not isinstance(grid, dict):
-        raise InputError("solution document: grid must be a JSON object")
-    for key in ("t", "x"):
-        if not finite_numbers(grid.get(key)):
-            raise InputError(f"solution document: grid.{key} must be a list of finite numbers")
-    values = grid.get("values")
-    if type(values) is not list or not all(map(finite_numbers, values)):
-        raise InputError(
-            "solution document: grid.values must be a list of lists of finite numbers"
-        )
-
-
 @dataclass(frozen=True)
 class Solution:
     """A certified solution: symbolic (exact residual zero) or numeric
@@ -191,7 +176,7 @@ class Solution:
         if kind == "symbolic" and expr is None:
             raise InputError("malformed solution document: missing 'expr'")
         if "grid" in doc:
-            _check_grid_doc(doc["grid"])
+            read_grid(doc["grid"])
         return cls(
             kind,
             expr=expr,
@@ -239,23 +224,6 @@ def certify_symbolic(eq, expr, provenance=None, parameters=()):
     )
 
 
-def _grid_solution(eq, tpts, xpts, values, provenance):
-    grid = {
-        "t": [float(v) for v in tpts],
-        "x": [float(v) for v in xpts],
-        "values": [[float(v) for v in row] for row in values],
-    }
-    mr, sl = residual_numeric(eq, grid)
-    return Solution(
-        "numeric",
-        grid=grid,
-        provenance=provenance,
-        certificate="numeric-residual",
-        max_residual=mr,
-        slope=sl,
-    )
-
-
 _DEFAULT_GRIDS = {
     3: ((0.0, 1.0), (0.0, 1.0), 1 / 32),
     4: ((0.0, 2.0), (0.0, 2.0), 1 / 8),
@@ -272,17 +240,29 @@ def default_grid(r):
     return GridSpec(tr, xr, h, h, 6)
 
 
-def _expr_numeric_solution(eq, expr, provenance, parameters=()):
-    """Numeric Solution for a closed form with approximate constants."""
-    mr, sl = residual_numeric(eq, expr, default_grid(eq.r))
+def _numeric_solution(eq, provenance, expr=None, grid=None):
+    """Numeric Solution of eq certified by residual_numeric: a closed form
+    expr with approximate constants on default_grid(r), or the values
+    sampled on a grid, given as (tpts, xpts, values)."""
+    if expr is None:
+        tpts, xpts, values = grid
+        grid = {
+            "t": [float(v) for v in tpts],
+            "x": [float(v) for v in xpts],
+            "values": [[float(v) for v in row] for row in values],
+        }
+        mr, sl = residual_numeric(eq, grid)
+    else:
+        mr, sl = residual_numeric(eq, expr, default_grid(eq.r))
+        expr = normalize(expr).as_expr()
     return Solution(
         "numeric",
-        expr=normalize(expr).as_expr(),
+        expr=expr,
+        grid=grid,
         provenance=provenance,
         certificate="numeric-residual",
         max_residual=mr,
         slope=sl,
-        parameters=tuple(parameters),
     )
 
 
@@ -374,7 +354,7 @@ def reduce_P1Iphi(eq, phi0=None, grid=None, phi0_value=0.0):
     with _float_range("P1I reduction"):
         vals = _p1i_values(g, phi, phi0_value, tpts, xpts)
     prov = dict(prov, quadrature="adaptive", phi0_value=phi0_value)
-    return _grid_solution(eq, tpts, xpts, vals, prov)
+    return _numeric_solution(eq, prov, grid=(tpts, xpts, vals))
 
 
 def _p1i_values(g, phi, phi0_value, tpts, xpts):
@@ -408,10 +388,11 @@ def _time_integrand(g, phi0_value):
 
 @contextmanager
 def _float_range(stage):
-    """An OverflowError of math.exp in stage's value loop exits 3."""
+    """An overflow in stage's value loop exits 3: an OverflowError of
+    math.exp, or the evaluator's FloatRangeError."""
     try:
         yield
-    except OverflowError:
+    except (OverflowError, FloatRangeError):
         raise UnsupportedError(
             f"numeric certificate out of float range in {stage}"
         ) from None
@@ -437,9 +418,8 @@ def _ode_numeric_certificate(ode, v):
     try:
         for val in pts:
             worst = max(worst, abs(eval_numeric(res, {ode.var.name: val})))
-    except EvalDomainError:
-        # an exp-trig mode's residual has no domain gaps, so its floats
-        # overflowed, as e^(5000000 w) does for v_3 + 10^21 v = 0
+    except FloatRangeError:
+        # a mode's floats overflow, as e^(5000000 w) does for v_3 + 10^21 v = 0
         raise UnsupportedError("numeric certificate out of float range on (0, 1]") from None
     return worst
 
@@ -858,7 +838,7 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
             for b in approx:
                 u = normalize(b.expr * Exp(lam * t)).as_expr()
                 prov = _prov("D", mu, nu, 0, root=b.provenance["root"])
-                sols.append(_expr_numeric_solution(eq, u, prov))
+                sols.append(_numeric_solution(eq, prov, expr=u))
         elif approx:
             notes.append(
                 "irrational characteristic directions omitted from the"
@@ -870,21 +850,18 @@ def _gen_reduction_d(eq, N, mu, nu, top_layer, numeric):
         shifted = [(char[0] - to_fraction(mu), to_fraction(nu))] + char[1:]
         for z, a, b in _rationalized_roots(char, mu, nu):
             # each mode's residual is Re[c (mu - i nu - char(a + ib)) e^(...)],
-            # which is zero only at a root of char - (mu - i nu)
+            # which is zero exactly at a root of char - (mu - i nu)
             exact = root_multiplicity(shifted, (a, b)) > 0
             for tag, u in _complex_modes(a, b, mu, nu):
                 prov = _prov(
                     "D", mu, nu, 0, root=f"{z.real:.12g}{z.imag:+.12g}i ({tag})"
                 )
-                if exact and is_zero(residual_symbolic(eq, u)) is Verdict.ZERO:
+                if exact:
                     sols.append(certify_symbolic(eq, u, prov))
                 else:
-                    sols.append(_expr_numeric_solution(eq, u, prov))
+                    sols.append(_numeric_solution(eq, prov, expr=u))
     else:
-        notes.append(
-            "complex D chains with N > 0 are not solved in closed form;"
-            " pass numeric= for an integrator run"
-        )
+        notes.append("complex D chains with N > 0 are not solved in closed form")
     if numeric is not None:
         sols.append(_numeric_reduction(eq, "D", system, mu, nu, None, numeric))
     return GeneralizedReduction("D", N, ansatz, system, tuple(sols), tuple(notes))
@@ -937,10 +914,7 @@ def _gen_reduction_p(eq, N, mu, nu, phi0, numeric):
         Pint = integrate(cp[0][0][0], t)
         Sint = integrate(cp[0][0][1], t)
         if Pint is None or Sint is None:
-            notes.append(
-                "time quadrature outside the catalog; pass numeric= for"
-                " an integrator run"
-            )
+            notes.append("time quadrature outside the catalog")
         else:
             zero = (S.Zero, S.Zero)
             Pn = _nilpotent_exp(
@@ -969,10 +943,7 @@ def _gen_reduction_p(eq, N, mu, nu, phi0, numeric):
                     prov = _prov("P", mu, nu, N, init=f"{tag}{p}")
                     sols.append(certify_symbolic(eq, u, prov, params))
     else:
-        notes.append(
-            "time-dependent layer coupling with N > 0 has no closed form"
-            " here; pass numeric= for an integrator run"
-        )
+        notes.append("time-dependent layer coupling with N > 0 has no closed form here")
     if numeric is not None:
         sols.append(_numeric_reduction(eq, "P", system, mu, nu, phi, numeric))
     return GeneralizedReduction("P", N, ansatz, system, tuple(sols), tuple(notes))
@@ -1131,7 +1102,7 @@ def _numeric_reduction(eq, family, system, mu, nu, phi, numeric):
         "n_steps": n_steps,
         "step_halving_err": err,
     }
-    return _grid_solution(eq, tpts, xpts, vals, prov)
+    return _numeric_solution(eq, prov, grid=(tpts, xpts, vals))
 
 
 # --- nonlocal generation ---------------------------------------------------------
@@ -1172,7 +1143,7 @@ def generate_nonlocal(eq, h, x0, t0, v0, grid=None, phi0_value=0.0):
         "v0": v0,
         "phi0_value": phi0_value,
     }
-    return _grid_solution(eq, tpts, xpts, vals, prov)
+    return _numeric_solution(eq, prov, grid=(tpts, xpts, vals))
 
 
 def _nonlocal_integrands(eq, phi, h, x0):

@@ -89,15 +89,6 @@ class GridSpec:
         ranges = (self.t_range, self.x_range)
         return tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(ranges, self.shape()))
 
-    def to_doc(self):
-        return {
-            "t": list(self.t_range),
-            "x": list(self.x_range),
-            "ht": self.ht,
-            "hx": self.hx,
-            "order": self.order,
-        }
-
     @classmethod
     def from_doc(cls, doc):
         """Grid from a JSON document.  Ranges and steps must be finite JSON
@@ -119,11 +110,14 @@ class GridSpec:
         return cls(tuple(doc["t"]), tuple(doc["x"]), doc["ht"], doc["hx"], doc["order"])
 
 
+_NUMBERS = (int, float, np.float64)
+
+
 def finite_number(v):
-    """A finite JSON number.  The types are exact: a JSON true or false is a
-    bool, an int subclass; an integer past the float range would overflow
-    in float()."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+    """A finite JSON number, or a numpy float64.  The types are exact: a
+    JSON true or false is a bool, an int subclass; an integer past the
+    float range would overflow in float()."""
+    return type(v) in _NUMBERS and abs(v) <= sys.float_info.max
 
 
 def finite_numbers(v):
@@ -212,28 +206,29 @@ def singular_loci(eq):
     return {k: tuple(sorted(v)) for k, v in out.items()}
 
 
-def _as_grid_data(u):
-    """(tpts, xpts, values) when u carries sampled grid data, else None."""
-    data = getattr(u, "grid", u if isinstance(u, dict) else None)
-    if not isinstance(data, dict):
-        return None
-    try:
-        tpts = np.array([float(v) for v in data["t"]])
-        xpts = np.array([float(v) for v in data["x"]])
-        vals = np.array(data["values"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed grid data: {exc}") from None
-    if vals.shape != (len(tpts), len(xpts)):
-        raise InputError("grid values must be shaped (len(t), len(x))")
-    if not all(np.isfinite(a).all() for a in (tpts, xpts, vals)):
-        raise InputError("grid data must be finite: a value overflowed or is NaN")
-    for pts, name in ((tpts, "t"), (xpts, "x")):
+def read_grid(grid):
+    """(tpts, xpts, values) arrays of sampled grid data: a JSON object whose
+    t and x are lists of finite numbers and whose values are len(t) such
+    lists of len(x), with at least two uniformly spaced points per axis.
+    Nothing is coerced, and each message names its key."""
+    if not isinstance(grid, dict):
+        raise InputError("grid must be a JSON object")
+    for key in ("t", "x"):
+        if not finite_numbers(grid.get(key)):
+            raise InputError(f"grid.{key} must be a list of finite numbers")
+    values = grid.get("values")
+    if type(values) is not list or not all(map(finite_numbers, values)):
+        raise InputError("grid.values must be a list of lists of finite numbers")
+    tpts, xpts = np.array(grid["t"], dtype=float), np.array(grid["x"], dtype=float)
+    if [len(row) for row in values] != [len(xpts)] * len(tpts):
+        raise InputError("grid.values must be shaped (len(t), len(x))")
+    for pts, key in ((tpts, "t"), (xpts, "x")):
         if len(pts) < 2:
-            raise InputError(f"grid needs at least two {name} points")
+            raise InputError(f"grid.{key} needs at least two points")
         h = pts[1] - pts[0]
         if h <= 0 or np.max(np.abs(np.diff(pts) - h)) > 1e-9 * abs(h):
-            raise InputError(f"{name} grid points must be uniformly spaced")
-    return tpts, xpts, vals
+            raise InputError(f"grid.{key} points must be uniformly spaced")
+    return tpts, xpts, np.array(values, dtype=float)
 
 
 def _derivative(U, d, p, h, axis):
@@ -293,8 +288,8 @@ def _level_residual(eq, U, tpts, xpts, p):
 def residual_numeric(eq, u, g=None):
     """Max-norm finite-difference residual and empirical convergence order.
 
-    u is a symbolic expression or sampled grid data (a dict with keys t, x,
-    values, or an object with such a .grid).  For an expression g is
+    u is a symbolic expression or sampled grid data (a dict that read_grid
+    accepts, or an object with such a .grid).  For an expression g is
     required and sets the finest grid; the residual is also evaluated on
     the twice- and four-times-coarsened grids (two halvings end at the
     requested step) and the slope of log2(residual) against log2(step) is
@@ -303,14 +298,14 @@ def residual_numeric(eq, u, g=None):
     when fewer than two levels are left.
     """
     eq = embed_reduced(eq)
-    data = _as_grid_data(u)
+    data = getattr(u, "grid", u if isinstance(u, dict) else None)
     if data is None:
         if g is None:
             raise InputError("a GridSpec is required for non-grid solutions")
         tpts, xpts = g.points()
         p = g.order
     else:
-        tpts, xpts, U = data
+        tpts, xpts, U = read_grid(data)
         p = g.order if g is not None else 6
 
     loci = singular_loci(eq)

@@ -96,16 +96,20 @@ def rand_points(names, n, seed, lo=0.3, hi=1.7):
 
 # --- hypothesis strategies --------------------------------------------------
 
-# a thorough run of the slow-path oracle properties:
-#   pytest tests/test_kernel.py -k matches_slow_path_oracle --hypothesis-profile=oracle
+# a thorough run of the slow-path oracle properties and pins (marked oracle):
+#   pytest -m oracle --hypothesis-profile=oracle
 settings.register_profile("oracle", max_examples=1000, deadline=None)
+
+
+def oracle_profile():
+    """Whether the oracle profile is loaded."""
+    return settings.default is settings.get_profile("oracle")
 
 
 def oracle_examples(short):
     """max_examples of a slow-path oracle property: `short` in a plain run,
     the oracle profile's count when that profile is loaded."""
-    profile = settings.get_profile("oracle")
-    return profile.max_examples if settings.default is profile else short
+    return settings.get_profile("oracle").max_examples if oracle_profile() else short
 
 
 _leaf = st.one_of(

@@ -99,7 +99,8 @@ from evolsym.equivalence import (
     nth_root,
     recognize_scalar,
 )
-from evolsym.errors import EvalDomainError, InputError, InternalError, UnsupportedError
+from evolsym.errors import EvalDomainError, FloatRangeError, InputError, InternalError
+from evolsym.errors import UnsupportedError
 from evolsym.kernel import (
     Verdict,
     differentiate,
@@ -393,7 +394,7 @@ def eval_numeric(e, point):
     try:
         return _ev(e, env)
     except (OverflowError, ValueError):  # ValueError: sin, cos or fsum of an overflow's inf
-        raise EvalDomainError("numeric overflow") from None
+        raise FloatRangeError("numeric overflow") from None
 
 
 def _ev(e, env):

@@ -372,6 +372,7 @@ def _outcome(eq, tr, push):
         return type(exc), str(exc)
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("U1", CATALOG_U1)
 @pytest.mark.parametrize("T", CATALOG_T)
 def test_pushforward_matches_slow_path_oracle_pins(T, U1):
@@ -527,6 +528,7 @@ _coefficients = st.lists(
 ).map(lambda terms: sum((c * m for c, m in terms), S.Zero))
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(3), deadline=None)
 @given(
     r=st.integers(3, 5),
@@ -598,6 +600,7 @@ def _assert_same_field(push, oracle, *args):
 _t_functions = (S.Zero, S.One, t, t**2 + 1, Exp(t))
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(10), deadline=None)
 @given(
     r=st.integers(3, 5),

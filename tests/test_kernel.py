@@ -17,6 +17,7 @@ from conftest import (
     fresh_caches,
     number_fact_queries,
     oracle_examples,
+    oracle_profile,
     poly_exprs,
     rand_points,
 )
@@ -402,6 +403,7 @@ _quotients = st.builds(
 ).filter(lambda e: e is not None)
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(60), deadline=None)
 @given(st.one_of(exprs, poly_exprs, _quotients))
 def test_normalize_idempotent(e):
@@ -420,6 +422,7 @@ def _outcome(fn, e):
         return type(exc), str(exc)
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(40), deadline=None)
 @given(st.one_of(exprs, poly_exprs, _quotients))
 def test_normalize_matches_slow_path_oracle(e):
@@ -436,6 +439,7 @@ def test_normalize_matches_slow_path_oracle(e):
     assert dict(got.den_terms) == slowpath.mono_dict(got.den)
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(40), deadline=None)
 @given(st.lists(_quotients, min_size=1, max_size=3))
 def test_common_numerators_oracle(es):
@@ -450,6 +454,7 @@ def _dense(coeffs):
     return [coeffs.get((i,), Fraction(0)) for i in range(max(coeffs)[0] + 1)]
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(40), deadline=None)
 @given(st.one_of(exprs, poly_exprs, _quotients))
 @example(Exp(x / 4) * x**2 + 3 * Exp(-x / 2) - x)
@@ -492,6 +497,7 @@ def _same_expr(a, b):
     assert a == b and hash(a) == hash(b)
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(60), deadline=None)
 @given(st.one_of(exprs, poly_exprs, _quotients))
 # two surds, which flattening merges into sqrt(6)
@@ -573,6 +579,7 @@ def _normalized(e):
         return e
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(100), deadline=None)
 @given(_printed, st.booleans())
 @example(_DOUBLE_ROUNDING, False)
@@ -603,6 +610,7 @@ def test_cancel_fast_path_asks_no_number_facts(monkeypatch):
     assert asks
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(100), deadline=None)
 @given(_printed, st.booleans())
 @example(_DOUBLE_ROUNDING, False)
@@ -811,9 +819,11 @@ _root_exprs = st.one_of(
 )
 
 
-# third derivatives of the larger quotients take seconds each, in both
-# paths, hence the short run's small count; the oracle profile draws 1000
-@settings(max_examples=oracle_examples(5), deadline=None)
+# third derivatives of the larger quotients take seconds to minutes, in
+# both paths, hence the short run's small count, drawn the same in every
+# plain run; the oracle profile draws 1000 fresh ones
+@pytest.mark.oracle
+@settings(max_examples=oracle_examples(5), deadline=None, derandomize=not oracle_profile())
 @given(st.one_of(exprs, poly_exprs, _quotients, _root_exprs))
 # a surd denominator: from the raw tree Expr.diff gives
 # (12 + 9 sqrt(2))/(7 + 5 sqrt(2)), from the normal form 3 sqrt(2)/(1 + sqrt(2))
@@ -826,6 +836,7 @@ def test_differentiate_matches_slow_path_oracle(e):
     )
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize(
     "src",
     [
@@ -1059,6 +1070,7 @@ def _resolved_once(e, point):
     return numeric_function(e)({k: float(v) for k, v in point.items()})
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(100), deadline=None)
 @given(_eval_exprs, _eval_points)
 @example(Integer(10**400), {})
@@ -1099,6 +1111,7 @@ _grid_exprs = st.one_of(
 )
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(100), deadline=None)
 @given(_grid_exprs, _grid_axes, _grid_axes, _eval_values)
 # fsum of the three terms at each point, not two roundings

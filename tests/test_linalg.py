@@ -125,6 +125,7 @@ def block_mats(draw):
     return draw(st.permutations(rows)), ncols
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(200), deadline=None)
 @given(block_mats())
 def test_nullspace_matches_whole_matrix_oracle(m):

@@ -44,6 +44,7 @@ def _outcome(integrator, f, a, b, tol):
     return repr(result), repr(abserr), [(w.category.__name__, str(w.message)) for w in caught]
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(300), deadline=None)
 @given(
     st.sampled_from(sorted(_FAMILIES)),
@@ -105,6 +106,7 @@ def _batch(f, raises):
 _limits = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1.0, -1.0]))
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(100), deadline=None)
 @given(
     st.sampled_from(sorted(_FAMILIES)),

@@ -451,6 +451,7 @@ def _char_root_cases(draw):
     return eq, Rational(re.numerator, re.denominator), Rational(-im.numerator, im.denominator), [(a, b)]
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(10), deadline=None)
 @given(_char_root_cases())
 # the free r = 3 equation has the exact root z = i at mu = 0, nu = 1
@@ -505,6 +506,7 @@ def _const_odes(draw):
     return LinearODE(r, tuple(Rational(c) for c in char[:-1]), x)
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(10), deadline=None)
 @given(_const_odes())
 # (w^2 + 1)^2 (w - 1): a repeated Gaussian root; (w - 2)^3: a repeated
@@ -793,6 +795,7 @@ _moderate = st.floats(-2.0, 2.0)
 _huge = st.sampled_from([700.0, -700.0, 1e300, -1e300])
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(40), deadline=None)
 @given(
     st.sampled_from([FREE3, LINDRIFT3, ReducedEquation(4, (S.Zero, S.Zero, S.One))]),
@@ -895,6 +898,7 @@ def test_nonlocal_values_when_a_block_of_rows_raises(monkeypatch):
 _time_exprs = st.one_of(exprs, poly_exprs).map(lambda e: e.xreplace({x: PHI0}))
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(60), deadline=None)
 @given(
     _time_exprs,

@@ -17,6 +17,7 @@ from evolsym.equivalence import (
 from evolsym.errors import InputError
 from evolsym.kernel import Exp, Verdict, eval_numeric, is_zero, normalize, t, x
 from evolsym.model import EvolutionEquation, ReducedEquation
+from evolsym.solutions import Solution
 from evolsym.verify import (
     GridSpec,
     residual_numeric,
@@ -102,8 +103,9 @@ class TestSymbolicResidual:
 
 class TestGridSpec:
     def test_roundtrip(self):
-        g = GridSpec((0.0, 1.0), (-1.0, 1.0), 0.125, 0.25, 4)
-        assert GridSpec.from_doc(g.to_doc()) == g
+        # a grid document reads back to the grid it describes
+        doc = {"t": [0.0, 1.0], "x": [-1.0, 1.0], "ht": 0.125, "hx": 0.25, "order": 4}
+        assert GridSpec.from_doc(doc) == GridSpec((0.0, 1.0), (-1.0, 1.0), 0.125, 0.25, 4)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -185,6 +187,27 @@ class TestNumericResidual:
         )
         assert mr < 1e-8 * math.exp(2.0)
         assert slope == pytest.approx(6.0, abs=0.5)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            # a JSON true is a bool, not the number 1.0
+            ({"t": [True, 1]}, "grid.t must be a list of finite numbers"),
+            ({"x": [0, 10**400]}, "grid.x must be a list of finite numbers"),
+            ({"values": [[0, 0], [0, math.nan]]}, "grid.values must be a list of lists of finite"),
+            ({"values": [[0, 0]]}, r"grid.values must be shaped \(len\(t\), len\(x\)\)"),
+            ({"x": [0], "values": [[0], [0]]}, "grid.x needs at least two points"),
+            ({"t": [0, 0.5, 2], "values": [[0, 0]] * 3}, "grid.t points must be uniformly spaced"),
+        ],
+        ids=["true", "huge-int", "nan", "shape", "one-point", "uneven"],
+    )
+    def test_grid_data_read_strictly(self, change, message):
+        # one reader for a solution document and for residual_numeric
+        grid = {"t": [0, 1], "x": [0, 1], "values": [[0, 0], [0, 0]], **change}
+        with pytest.raises(InputError, match=message):
+            residual_numeric(FREE3, grid)
+        with pytest.raises(InputError, match=message):
+            Solution.from_doc({"kind": "numeric", "grid": grid})
 
     @pytest.mark.parametrize(
         "eq,u,want",
