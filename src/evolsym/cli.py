@@ -38,6 +38,7 @@ from .model import (
 )
 from .solutions import (
     Solution,
+    default_grid,
     generalized_reduction,
     generate_nonlocal,
     polynomial_t_solutions,
@@ -167,27 +168,11 @@ def parse_field_document(doc, declared=()):
 
 
 def _basis_sort_key(q):
-    """Display order: I-block, then D-block, then P-block, length-lex inside."""
-    tau, chi, phi, eta = (to_str(c) for c in (q.tau, q.chi, q.phi, q.eta0))
-    if tau == "0" and chi == "0" and eta == "0":
-        block = 0
-    elif tau != "0":
-        block = 1
-    elif chi != "0":
-        block = 2
-    else:
-        block = 3
-    return (
-        block,
-        len(tau),
-        tau,
-        len(chi),
-        chi,
-        len(phi),
-        phi,
-        len(eta),
-        eta,
-    )
+    """Display order: I-block, then D-block, then P-block, length-lex inside.
+    Classify's fields have eta0 = 0."""
+    tau, chi, phi = (to_str(c) for c in (q.tau, q.chi, q.phi))
+    block = 1 if tau != "0" else 2 if chi != "0" else 0
+    return (block, len(tau), tau, len(chi), chi, len(phi), phi)
 
 
 # --- i/o helpers ------------------------------------------------------------------
@@ -242,8 +227,6 @@ def _ansatz_space(args):
 def _grid_from_args(args, r):
     if args.grid:
         return GridSpec.from_doc(_read_json(args.grid))
-    from .solutions import default_grid
-
     return default_grid(r)
 
 
@@ -385,7 +368,7 @@ def cmd_solve(args):
         out["solutions"] = _solution_docs(gr.solutions)
         if gr.notes:
             out["notes"] = list(gr.notes)
-    elif args.method == "nonlocal":
+    else:  # nonlocal; argparse's choices refuse any other method
         if args.seed is None:
             raise InputError("--seed is required for --method nonlocal")
         seed_doc = _read_json(args.seed)
@@ -400,8 +383,6 @@ def cmd_solve(args):
             phi0_value=args.phi0_value,
         )
         out["solutions"] = [sol.to_doc()]
-    else:
-        raise InputError(f"unknown method {args.method!r}")
     _emit(out, args)
     return 0
 
@@ -419,18 +400,11 @@ def cmd_verify(args):
             "zero" if verdict is Verdict.ZERO else to_str(res)
         )
         report["verdict"] = verdict.name.lower()
-        if not sol.parameters and args.numeric:
-            grid = _grid_from_args(args, eq.r)
-            mr, slope = residual_numeric(eq, sol.expr, grid)
-            report["max_residual"] = mr
-            report["slope"] = slope
-    else:
-        if sol.grid is None:
-            raise InputError("numeric solution document carries no grid")
-        g = None
-        if args.grid:
-            g = GridSpec.from_doc(_read_json(args.grid))
-        mr, slope = residual_numeric(eq, sol.grid, g)
+    elif sol.expr is None and sol.grid is None:
+        raise InputError("numeric solution document carries neither 'expr' nor 'grid'")
+    if sol.kind == "numeric" or (args.numeric and not sol.parameters):
+        u = sol.expr if sol.grid is None else sol.grid
+        mr, slope = residual_numeric(eq, u, _grid_from_args(args, eq.r))
         report["max_residual"] = mr
         report["slope"] = slope
     if args.tolerance is not None and "max_residual" in report:

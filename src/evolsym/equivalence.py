@@ -395,13 +395,14 @@ def gauge_inhomogeneity(eq, w):
 
 
 def find_particular_solution(eq, ansatz_degree):
-    """Polynomial w with w_t = A^k w_k + B, bidegree (dt, dx), or None."""
+    """Polynomial w with w_t = A^k w_k + B, bidegree (dt, dx), or None,
+    which it also is when a coefficient is not a polynomial in t and x."""
     eq = embed_reduced(eq)
     dt_, dx_ = ansatz_degree
     for e in eq.A + (eq.B,):
         nf = normalize(e)
         if nf.den != 1 or polynomial(nf.num_terms, (t, x)) is None:
-            raise InputError("polynomial coefficients required")
+            return None
     monos = [(i, j) for i in range(dt_ + 1) for j in range(dx_ + 1)]
 
     def residual(w):

@@ -119,6 +119,8 @@ def _compile(e):
             v = 1.0
             for f in factors:
                 v *= f(env)
+            if not math.isfinite(v):
+                raise OverflowError("product not finite")
             return v
 
         return product
@@ -225,7 +227,8 @@ def _grid(e):
     """Function env -> values of the validated e, where env binds t to an
     (nt, 1) column, x to a (1, nx) row and other names to floats, in the
     order of _compile.  A product folds left from 1.0 as the closure does,
-    and numpy's float product is Python's, overflow to inf included."""
+    numpy's float product is Python's, and a product or 2-term sum that is
+    not finite raises ArithmeticError."""
     if e.is_Rational or isinstance(e, Symbol):
         return _compile(e)
     if e.is_Add:
@@ -251,6 +254,8 @@ def _grid(e):
             v = 1.0
             for f in factors:
                 v = v * f(env)
+            if not np.isfinite(v).all():
+                raise ArithmeticError("product not finite")
             return v
 
         return product

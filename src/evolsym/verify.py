@@ -289,24 +289,23 @@ def residual_numeric(eq, u, g=None):
     """Max-norm finite-difference residual and empirical convergence order.
 
     u is a symbolic expression or sampled grid data (a dict that read_grid
-    accepts, or an object with such a .grid).  For an expression g is
-    required and sets the finest grid; the residual is also evaluated on
-    the twice- and four-times-coarsened grids (two halvings end at the
-    requested step) and the slope of log2(residual) against log2(step) is
-    reported.  A level whose residual is below 8 times its rounding-floor
-    estimate measures noise and is dropped from that fit; slope is None
-    when fewer than two levels are left.
+    accepts).  For an expression g is required and sets the finest grid;
+    for grid data only g's stencil order is read (6 without g).  The
+    residual is also evaluated on the twice- and four-times-coarsened grids
+    (two halvings end at the requested step) and the slope of
+    log2(residual) against log2(step) is reported.  A level whose residual
+    is below 8 times its rounding-floor estimate measures noise and is
+    dropped from that fit; slope is None when fewer than two levels are
+    left.
     """
     eq = embed_reduced(eq)
-    data = getattr(u, "grid", u if isinstance(u, dict) else None)
-    if data is None:
-        if g is None:
-            raise InputError("a GridSpec is required for non-grid solutions")
-        tpts, xpts = g.points()
-        p = g.order
+    if isinstance(u, dict):
+        tpts, xpts, U = read_grid(u)
+    elif g is None:
+        raise InputError("a GridSpec is required for non-grid solutions")
     else:
-        tpts, xpts, U = read_grid(data)
-        p = g.order if g is not None else 6
+        tpts, xpts = g.points()
+    p = 6 if g is None else g.order
 
     loci = singular_loci(eq)
     ranges = {"t": (tpts[0], tpts[-1]), "x": (xpts[0], xpts[-1])}
@@ -319,7 +318,7 @@ def residual_numeric(eq, u, g=None):
                     f" restrict {name}_range to one side of it"
                 )
 
-    if data is None:
+    if not isinstance(u, dict):
         if not isinstance(u, Expr):
             raise InputError("u must be an expression or grid data")
         U = eval_grid(u, tpts, xpts)

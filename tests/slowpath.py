@@ -412,6 +412,8 @@ def _ev(e, env):
         v = 1.0
         for a in e.args:
             v *= _ev(a, env)
+        if not math.isfinite(v):
+            raise OverflowError("product not finite")
         return v
     if e.is_Pow:
         base, expo = e.args

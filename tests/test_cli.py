@@ -131,6 +131,11 @@ class TestClassify:
         assert rep["case"] == "5"
         assert any("gauged" in c for c in rep["caveats"])
 
+    def test_equation_read_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(FREE3)))
+        rep = run_json(capsys, "classify", "-")
+        assert rep["summary"] == "case 5; dim 4; basis I(1),D(1),D(t),P(1)"
+
     def test_malformed_expression_exit2_with_offset(self, capsys, tmp_path):
         doc = {"order": 3, "form": "reduced", "coefficients": {"A0": "x^^"}}
         code, out, err = run(
@@ -294,6 +299,26 @@ class TestGauge:
         rep = run_json(capsys, "gauge", write(tmp_path, "eq.json", FREE3))
         assert rep["equation"] == FREE3
         assert rep["report"]["chain"] == []
+
+
+# valid inhomogeneous equations whose coefficients are not polynomial: the
+# automatic particular-solution search has nothing to offer
+NON_POLYNOMIAL_INHOMOGENEOUS = [
+    {"order": 3, "form": "general", "coefficients": {"A3": "1", "A0": "exp(t)", "B": "x"}},
+    {"order": 3, "form": "general", "coefficients": {"A3": "1", "A0": "x", "B": "exp(t)"}},
+]
+
+
+@pytest.mark.parametrize("doc", NON_POLYNOMIAL_INHOMOGENEOUS)
+@pytest.mark.parametrize("command", [("gauge",), ("classify",), ("solve", "--method", "D1")])
+def test_non_polynomial_inhomogeneous_without_particular_exits3(capsys, tmp_path, doc, command):
+    eq = write(tmp_path, "eq.json", doc)
+    code, out, err = run(capsys, command[0], eq, *command[1:])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "no polynomial particular solution found; pass one explicitly",
+        "exit_code": 3,
+    }
 
 
 class TestSolve:
@@ -596,6 +621,70 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "numeric overflow", "exit_code": 2}
 
+    @pytest.mark.parametrize(
+        "coefficients,flags",
+        [
+            # floating roots: closed forms with approximate constants
+            ({}, ("--method", "gen-reduction", "--family", "D", "--N", "0", "--lambda=1")),
+            ({}, ("--method", "gen-reduction", "--family", "D", "--N", "0", "--mu=1/2", "--nu=1")),
+            # values sampled on a grid after quadrature
+            ({}, ("--method", "nonlocal", "--x0=0.25", "--v0=1", "--phi0-value=0.5")),
+            ({"A2": "exp(t^2)"}, ("--method", "P1I", "--phi0", "1")),
+        ],
+        ids=["lambda", "complex-pair", "nonlocal", "p1i-quadrature"],
+    )
+    def test_verify_reproduces_the_certificates_solve_prints(
+        self, capsys, tmp_path, coefficients, flags
+    ):
+        r = 4 if coefficients else 3
+        eq = write(tmp_path, "eq.json", {"order": r, "form": "reduced", "coefficients": coefficients})
+        if "nonlocal" in flags:
+            seed = {"kind": "symbolic", "expr": "t*x^2 + 1/60*x^5"}
+            flags += ("--seed", write(tmp_path, "seed.json", seed))
+        rep = run_json(capsys, "solve", eq, *flags)
+        numeric = [s for s in rep["solutions"] if s["kind"] == "numeric"]
+        assert numeric
+        for sol in numeric:
+            rep = run_json(capsys, "verify", eq, write(tmp_path, "sol.json", sol))
+            assert rep == {"max_residual": sol["max_residual"], "slope": sol["slope"]}
+
+    def test_verify_certifies_a_numeric_mode_with_an_ode_certificate(self, capsys, tmp_path):
+        # v_xxx + v_x + 2 v = 0 has a complex root pair: D1 prints its modes
+        # with the ODE's own certificate and no grid, and verify checks them
+        # on the default grid
+        doc = {"order": 3, "form": "reduced", "coefficients": {"A0": "2", "A1": "1"}}
+        eq = write(tmp_path, "eq.json", doc)
+        rep = run_json(capsys, "solve", eq, "--method", "D1")
+        numeric = [s for s in rep["solutions"] if s["kind"] == "numeric"]
+        assert len(numeric) == 2
+        for sol in numeric:
+            assert "grid" not in sol
+            rep = run_json(capsys, "verify", eq, write(tmp_path, "sol.json", sol))
+            assert rep["max_residual"] <= 1e-6
+            assert rep["slope"] == pytest.approx(6.0, abs=0.5)
+
+    def test_numeric_document_without_expr_or_grid_exits2(self, capsys, tmp_path):
+        sol = write(tmp_path, "sol.json", {"kind": "numeric", "max_residual": 0.0})
+        code, out, err = run(capsys, "verify", write(tmp_path, "eq.json", FREE3), sol)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == (
+            "numeric solution document carries neither 'expr' nor 'grid'"
+        )
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ([0, 1], "grid document must be a JSON object"),
+            ({"t": [0, 1], "x": [0, 1]}, "malformed grid document: missing ['ht', 'hx']"),
+        ],
+    )
+    def test_bad_grid_document_exits2(self, capsys, tmp_path, grid, message):
+        sol = write(tmp_path, "sol.json", {"kind": "symbolic", "expr": "exp(t + x)"})
+        argv = ("verify", write(tmp_path, "eq.json", FREE3), sol, "--numeric")
+        code, out, err = run(capsys, *argv, "--grid", write(tmp_path, "grid.json", grid))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == message
+
     def test_numeric_grid_document(self, capsys, tmp_path):
         import math
 
@@ -645,6 +734,7 @@ NESTED_GRID = {"t": [0, 0.5, 1], "x": [0, 0.5, 1], "values": [[0, 0, 0]] * 3}
         ("transform", {"eps": True}, ()),
         ("transform", {"eps": 1.0}, ()),
         ("classify", {**DRIFT3, "parameters": ["a"]}, ()),
+        ("symmetry-check", [1], ()),
         ("nonlocal", DRIFT_SEED, ("--x0", "nan")),
         ("nonlocal", DRIFT_SEED, ("--x0", "inf")),
         ("nonlocal", DRIFT_SEED, ("--v0", "inf")),
@@ -665,6 +755,7 @@ def test_malformed_documents_and_nonfinite_flags_exit2(
         "nonlocal": ("solve", eq, "--method", "nonlocal", "--seed", doc),
         "transform": ("transform", eq, doc),
         "classify": ("classify", doc),
+        "symmetry-check": ("symmetry-check", eq, doc),
     }[command]
     code, out, err = run(capsys, *argv, *flags)
     assert code == 2, err
@@ -718,7 +809,9 @@ def test_nonlocal_overflow_exits3_whatever_t0(capsys, tmp_path, t0):
         ("classify", {**DRIFT3, "coefficients": {"A0": 1.5}}, "A0"),
         ("classify", {**DRIFT3, "parameters": {"c": 0.5}}, "c"),
         ("classify", {**DRIFT3, "parameters": None}, "parameters"),
+        ("classify", {"order": 3, "form": "reduced"}, "coefficients"),
         ("symmetry-check", {"tau": None}, "tau"),
+        ("symmetry-check", {"tau": "1", "xi": "0"}, "xi"),
         ("symmetry-check", {"eta0": [1]}, "eta0"),
         ("verify", {"kind": "symbolic", "expr": 1.5}, "expr"),
         ("transform", {"X1": {"a": 1}}, "X1"),
@@ -846,6 +939,20 @@ class TestSymmetryCheck:
             "residuals": ["0", "0", "2"],
             "verdicts": ["zero", "zero", "nonzero"],
         }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("solve", "--method", "D1"), ("symmetry-check",)],
+)
+def test_general_document_carries_the_gauge_caveat(capsys, tmp_path, command):
+    # u_t = 2 u_xxx is gauged by T = 2t before it is solved or checked
+    eq = write(tmp_path, "eq.json", {"order": 3, "form": "general", "coefficients": {"A3": "2"}})
+    args = (write(tmp_path, "f.json", {"tau": "1"}),) if command[0] == "symmetry-check" else ()
+    rep = run_json(capsys, command[0], eq, *args, *command[1:])
+    assert len(rep["caveats"]) == 1
+    assert rep["caveats"][0].startswith("gauged to reduced form via [")
+    assert '"T": "2*t"' in rep["caveats"][0]
 
 
 # a fresh interpreter imports the CLI and solves the cold-start example,

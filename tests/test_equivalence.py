@@ -712,6 +712,15 @@ class TestGauges:
         eq = EvolutionEquation(3, (S.Zero, S.Zero, S.Zero, S.One), x)
         assert find_particular_solution(eq, (0, 0)) is None
 
+    @pytest.mark.parametrize("a0,b", [(Exp(t), x), (x, Exp(t)), (1 / (x + 1), x)])
+    def test_find_particular_none_for_non_polynomial_coefficients(self, a0, b):
+        # a valid equation the polynomial search cannot handle: no answer,
+        # so gauge_all refuses it as unsupported
+        eq = EvolutionEquation(3, (a0, S.Zero, S.Zero, S.One), b)
+        assert find_particular_solution(eq, (1, 4)) is None
+        with pytest.raises(UnsupportedError, match="no polynomial particular solution"):
+            gauge_all(eq)
+
     def test_gauge_all_pipeline(self):
         eq = EvolutionEquation(3, (S.Zero, S.Zero, S(6), S(2)), S(2) * x)
         red, _chain = gauge_all(eq)

@@ -1082,6 +1082,9 @@ def _resolved_once(e, point):
 @example(Add(Rational(3, 10), t, x, evaluate=False), {"t": 0.1, "x": 0.2})
 # fsum's intermediate overflow stops evaluation before ln(-t) is reached
 @example(Add(x, t, Ln(-t), evaluate=False), {"t": 1e308, "x": 1e308})
+# a product that overflows raises, and so does one whose inf meets 0
+@example(t * x, {"t": 1e200, "x": 1e200})
+@example(sympy.Mul(t, t, x, evaluate=False), {"t": 1e200, "x": 0.0})
 # the tolerance is inclusive
 @example(Ln(t), {"t": 1e-12})
 @example(1 / t, {"t": -1e-12})
@@ -1138,7 +1141,7 @@ _grid_exprs = st.one_of(
 @example(1 / t + Ln(x), [1.0, 0.0], [-1.0, 1.0], 0.5)
 # and sin(inf) at (1e200, 1e200), where math.sin raises ValueError
 @example(Sin(t * x) + Ln(x), [1.0, 1e200], [-1.0, 1e200], 0.5)
-# a product overflows to inf as the closure's does; where fsum raises
+# a product that overflows raises as the closure's does; where fsum raises
 # (overflow, inf - inf) the 2-term sum gives up
 @example(t * x, [1e200, 1.0], [1e200, 1.0], 0.5)
 @example(t + x, [1e308, 1.0], [1e308, 1.0], 0.5)

@@ -914,6 +914,8 @@ _time_exprs = st.one_of(exprs, poly_exprs).map(lambda e: e.xreplace({x: PHI0}))
 # the rate warns on the times up to 7/8 and raises past it: each warning
 # comes once, before the error
 @example(Sin(3000 * t) + Ln(Rational(7, 8) - t), PHI0, 0.5, 0.5)
+# phi overflows: the product raises before inf * 0 at x = 0 gives NaN
+@example(Exp(Cos(Exp(PHI0 / 4)) / 4), PHI0 * (PHI0 + 1), 1e300, 0.0)
 def test_p1i_values_match_slow_path_oracle(g, phi, phi0_value, tstart):
     tpts = np.linspace(tstart, tstart + 0.5, 5)
     xpts = np.linspace(0.0, 1.0, 9)
