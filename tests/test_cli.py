@@ -734,7 +734,6 @@ NESTED_GRID = {"t": [0, 0.5, 1], "x": [0, 0.5, 1], "values": [[0, 0, 0]] * 3}
         ("transform", {"eps": True}, ()),
         ("transform", {"eps": 1.0}, ()),
         ("classify", {**DRIFT3, "parameters": ["a"]}, ()),
-        ("symmetry-check", [1], ()),
         ("nonlocal", DRIFT_SEED, ("--x0", "nan")),
         ("nonlocal", DRIFT_SEED, ("--x0", "inf")),
         ("nonlocal", DRIFT_SEED, ("--v0", "inf")),
@@ -743,6 +742,7 @@ NESTED_GRID = {"t": [0, 0.5, 1], "x": [0, 0.5, 1], "values": [[0, 0, 0]] * 3}
         # finite, but the solution overflows the float range on the grid
         ("nonlocal", DRIFT_SEED, ("--v0", "1e308")),
         ("verify", NAN_GRID_SOLUTION, ()),
+        ("symmetry-check", [1], ()),
     ],
 )
 def test_malformed_documents_and_nonfinite_flags_exit2(
@@ -809,9 +809,7 @@ def test_nonlocal_overflow_exits3_whatever_t0(capsys, tmp_path, t0):
         ("classify", {**DRIFT3, "coefficients": {"A0": 1.5}}, "A0"),
         ("classify", {**DRIFT3, "parameters": {"c": 0.5}}, "c"),
         ("classify", {**DRIFT3, "parameters": None}, "parameters"),
-        ("classify", {"order": 3, "form": "reduced"}, "coefficients"),
         ("symmetry-check", {"tau": None}, "tau"),
-        ("symmetry-check", {"tau": "1", "xi": "0"}, "xi"),
         ("symmetry-check", {"eta0": [1]}, "eta0"),
         ("verify", {"kind": "symbolic", "expr": 1.5}, "expr"),
         ("transform", {"X1": {"a": 1}}, "X1"),
@@ -825,6 +823,9 @@ def test_nonlocal_overflow_exits3_whatever_t0(capsys, tmp_path, t0):
         ("verify", {"kind": "numeric", "grid": {**NESTED_GRID, "t": True}}, "grid.t"),
         ("verify", {"kind": "numeric", "grid": {**NESTED_GRID, "x": [0, True]}}, "grid.x"),
         ("verify", {"kind": "numeric", "grid": {**NESTED_GRID, "values": [1, 2]}}, "grid.values"),
+        # a missing key and an unknown one
+        ("classify", {"order": 3, "form": "reduced"}, "coefficients"),
+        ("symmetry-check", {"tau": "1", "xi": "0"}, "xi"),
     ],
 )
 def test_wrong_values_exit2_naming_the_key(capsys, tmp_path, command, document, key):
